@@ -27,20 +27,11 @@ from .degree import (
     valid_triples,
     validate_triple,
 )
-from .oracle import (
-    RootedPolynomial,
-    d_coefficient,
-    doubly_symmetric_sum,
-    is_doubly_symmetric,
-    random_doubly_symmetric,
-    residue_sum,
-)
 from .partitions import (
     Partition,
     as_index_set,
     enumerate_partitions,
     index_set_of,
-    lambda_of,
 )
 from .polynomial import (
     SparsePolynomial,
@@ -56,9 +47,6 @@ from .schur import (
     bareiss_det,
     h_schur_expansion,
     is_symmetric,
-    jacobi_trudi_h,
-    pascal_minor_det,
-    pieri_multiply,
     psi,
     schur_bialternant,
     schur_decompose,
@@ -75,39 +63,29 @@ __all__ = [
     "Partition",
     "PatakiBoundError",
     "PatakiTriple",
-    "RootedPolynomial",
     "SparsePolynomial",
     "UnsupportedRankError",
     "VariableSpace",
     "as_index_set",
     "bareiss_det",
     "complete_homogeneous",
-    "d_coefficient",
     "default_sample_points",
     "delta",
     "delta_closed",
     "delta_residue",
     "delta_theorem1",
-    "doubly_symmetric_sum",
     "duality_partner",
     "elementary_symmetric",
     "enumerate_partitions",
     "h_determinant",
     "h_schur_expansion",
     "index_set_of",
-    "is_doubly_symmetric",
     "is_symmetric",
-    "jacobi_trudi_h",
-    "lambda_of",
     "pairwise_sum_forms",
     "pairwise_sums",
-    "pascal_minor_det",
-    "pieri_multiply",
     "product_coefficient",
     "psi",
-    "random_doubly_symmetric",
     "random_sample_points",
-    "residue_sum",
     "schur_bialternant",
     "schur_decompose",
     "valid_triples",

@@ -1,8 +1,11 @@
-"""Brute-force evaluators used as independent ground truth in property tests.
+"""Test-only machinery: brute-force evaluators and independent constructions
+used as ground truth by the verify suites and the tests.
 
 Everything here favors transparency over speed: root tuples and subsets are
-enumerated outright, products are formed without caps, and no code is shared
-with the optimized degree algorithms these oracles validate.
+enumerated outright, products are formed without caps, determinants are
+expanded over signed permutations, and no code is shared with the optimized
+degree algorithms these checks validate.  The production path never imports
+this module.
 """
 
 from __future__ import annotations
@@ -11,9 +14,16 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence, Union
 
-from .polynomial import Coeff, SparsePolynomial, xy_space
+from .partitions import Partition, as_index_set
+from .polynomial import (
+    Coeff,
+    SparsePolynomial,
+    VariableSpace,
+    elementary_symmetric,
+    xy_space,
+)
 
 
 class RootedPolynomial:
@@ -170,3 +180,83 @@ def random_doubly_symmetric(
             image = tuple(mono[mapping[i]] for i in range(n))
             symmetrized[image] = symmetrized.get(image, 0) + c
     return SparsePolynomial(space, symmetrized)
+
+
+def lambda_of(indices: Iterable[int]) -> Partition:
+    """The partition (i_r − (r−1), …, i_2 − 1, i_1) of an r-element index set."""
+    idx = as_index_set(indices)
+    r = len(idx)
+    return Partition(idx[r - 1 - j] - (r - 1 - j) for j in range(r))
+
+
+def _det_expand(entries: list[list[Union[SparsePolynomial, None]]],
+                space: VariableSpace) -> SparsePolynomial:
+    """Signed permutation expansion (DFS over columns, zero entries pruned)."""
+    k = len(entries)
+    total = space.zero()
+    used = [False] * k
+
+    def walk(col: int, sign: int, partial: SparsePolynomial) -> None:
+        nonlocal total
+        if col == k:
+            total = total + (partial if sign > 0 else -partial)
+            return
+        flips = 0
+        for row in range(k):
+            if used[row]:
+                flips += 1
+                continue
+            entry = entries[row][col]
+            if entry is None or entry.is_zero():
+                continue
+            used[row] = True
+            # row - flips = unused rows above this one; each will pair with a
+            # later column to form an inversion, so the accumulated sign over
+            # a complete assignment is the permutation parity.
+            walk(col + 1, sign * (-1) ** (row - flips), partial * entry)
+            used[row] = False
+
+    walk(0, 1, space.one())
+    return total
+
+
+def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomial:
+    """h_k over the forms as the k x k determinant with entries e_{j-i+1}.
+
+    Subdiagonal entries are 1 and everything below vanishes; the expansion
+    is by signed permutations, independent of the h recurrence this
+    determinant is cross-checked against.
+    """
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if not forms:
+        raise ValueError("need at least one form")
+    space = forms[0].space
+    if k == 0:
+        return space.one()
+    es = [elementary_symmetric(forms, i) for i in range(k + 1)]
+    entries: list[list[Union[SparsePolynomial, None]]] = [
+        [es[j - i + 1] if j - i + 1 >= 0 else None for j in range(k)]
+        for i in range(k)
+    ]
+    return _det_expand(entries, space)
+
+
+def pieri_multiply(lam: Partition, k: int, r: int) -> list[Partition]:
+    """Partitions from adding a vertical strip of k boxes within r rows.
+
+    Expansion of s_lam * e_k: each result appears with multiplicity one.
+    """
+    if not 0 <= k <= r:
+        raise ValueError(f"strip size {k} out of range for {r} rows")
+    if lam.length > r:
+        raise ValueError(f"{lam} has more than {r} parts")
+    padded = lam.pad(r)
+    out = []
+    for rows in combinations(range(r), k):
+        grown = list(padded)
+        for i in rows:
+            grown[i] += 1
+        if all(grown[i] >= grown[i + 1] for i in range(r - 1)):
+            out.append(Partition(grown))
+    return out

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -25,7 +23,6 @@ from .degree import (
     valid_triples,
     validate_triple,
 )
-from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -60,14 +57,6 @@ def _parse_points(text: str, n: int) -> tuple[Fraction, ...]:
     return points
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SDPDEG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_value(args: argparse.Namespace) -> int:
     try:
         triple = validate_triple(args.m, args.n, args.r)
@@ -93,17 +82,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     except InvalidTripleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-    def compute(t):
-        return delta(t, method=args.method)
-
     try:
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(compute, triples))
-        else:
-            results = [compute(t) for t in triples]
+        results = [delta(t, method=args.method) for t in triples]
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -140,6 +120,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here so that value and table never load the test-only suites.
+    from .verify import SUITES
+
+    if args.suite != "all" and args.suite not in SUITES:
+        print(
+            f"error: unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failure: Union[str, None] = None
     all_ok = True
@@ -194,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the self-verification suites")
     verify.add_argument(
-        "--suite", choices=("all",) + tuple(SUITES), default="all"
+        "--suite", default="all", help="one suite name, or all (the default)"
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
@@ -205,8 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_lambda(argv: Sequence[str]) -> list[str]:
+    """Rewrite `--lambda VALUE` as `--lambda=VALUE` when VALUE starts with '-'.
+
+    argparse reads a separate value such as -3/2,1,2 as an unknown option and
+    exits with a usage error; attached with '=' it is read as the value.
+    """
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        value = out[i + 1]
+        if out[i] == "--lambda" and value.startswith("-") and not value.startswith("--"):
+            out[i:i + 2] = [f"--lambda={value}"]
+    return out
+
+
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_lambda(argv))
     return args.func(args)
 
 

@@ -70,13 +70,6 @@ def as_index_set(indices: Iterable[int]) -> IndexSet:
     return idx
 
 
-def lambda_of(indices: Iterable[int]) -> Partition:
-    """The partition (i_r − (r−1), …, i_2 − 1, i_1) of an r-element index set."""
-    idx = as_index_set(indices)
-    r = len(idx)
-    return Partition(idx[r - 1 - j] - (r - 1 - j) for j in range(r))
-
-
 def index_set_of(lam: Partition, r: int) -> IndexSet:
     """The unique r-element index set whose partition is `lam`."""
     if r < 1:

@@ -1,13 +1,11 @@
-"""Schur polynomials, Pieri products, Schur-basis decomposition, and
+"""Schur polynomials, Schur-basis decomposition, exact determinants, and
 Pascal-minor expansion coefficients.
 
-Two independent constructions of the same symmetric polynomials live here
-on purpose: the bialternant quotient and the determinant in elementary
-symmetric polynomials check each other, and the Pascal-minor coefficients
-psi reproduce the Schur expansion of complete homogeneous polynomials over
-pairwise-sum forms.  Numeric determinants use fraction-free Bareiss
-elimination; the symbolic determinant uses signed permutation expansion so
-that it shares no code path with the h/e recurrences it is tested against.
+The Pascal-minor coefficients psi reproduce the Schur expansion of complete
+homogeneous polynomials over pairwise-sum forms.  Numeric determinants use
+fraction-free Bareiss elimination.  The Jacobi-Trudi determinant and Pieri
+products, which the tests compare this kernel against, live in
+`sdpdeg.checks`.
 """
 
 from __future__ import annotations
@@ -15,14 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from typing import Sequence, Union
+from typing import Sequence
 
 from .partitions import Partition, as_index_set, enumerate_partitions, index_set_of
 from .polynomial import (
     Coeff,
     SparsePolynomial,
     VariableSpace,
-    elementary_symmetric,
     x_space,
 )
 
@@ -146,79 +143,6 @@ def schur_bialternant(lam: Partition, r: int) -> SparsePolynomial:
     shifted = [padded[j] + (r - 1 - j) for j in range(r)]
     staircase = list(range(r - 1, -1, -1))
     return _divide_exact(_alternant(space, shifted), _alternant(space, staircase))
-
-
-def _det_expand(entries: list[list[Union[SparsePolynomial, None]]],
-                space: VariableSpace) -> SparsePolynomial:
-    """Signed permutation expansion (DFS over columns, zero entries pruned)."""
-    k = len(entries)
-    total = space.zero()
-    used = [False] * k
-
-    def walk(col: int, sign: int, partial: SparsePolynomial) -> None:
-        nonlocal total
-        if col == k:
-            total = total + (partial if sign > 0 else -partial)
-            return
-        flips = 0
-        for row in range(k):
-            if used[row]:
-                flips += 1
-                continue
-            entry = entries[row][col]
-            if entry is None or entry.is_zero():
-                continue
-            used[row] = True
-            # row - flips = unused rows above this one; each will pair with a
-            # later column to form an inversion, so the accumulated sign over
-            # a complete assignment is the permutation parity.
-            walk(col + 1, sign * (-1) ** (row - flips), partial * entry)
-            used[row] = False
-
-    walk(0, 1, space.one())
-    return total
-
-
-def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomial:
-    """h_k over the forms as the k x k determinant with entries e_{j-i+1}.
-
-    Subdiagonal entries are 1 and everything below vanishes; the expansion
-    is by signed permutations, independent of the h recurrence this
-    determinant is cross-checked against.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if not forms:
-        raise ValueError("need at least one form")
-    space = forms[0].space
-    if k == 0:
-        return space.one()
-    es = [elementary_symmetric(forms, i) for i in range(k + 1)]
-    entries: list[list[Union[SparsePolynomial, None]]] = [
-        [es[j - i + 1] if j - i + 1 >= 0 else None for j in range(k)]
-        for i in range(k)
-    ]
-    return _det_expand(entries, space)
-
-
-def pieri_multiply(lam: Partition, k: int, r: int) -> list[Partition]:
-    """Partitions from adding a vertical strip of k boxes within r rows.
-
-    Expansion of s_lam * e_k: each result appears with multiplicity one.
-    """
-    if not 0 <= k <= r:
-        raise ValueError(f"strip size {k} out of range for {r} rows")
-    if lam.length > r:
-        raise ValueError(f"{lam} has more than {r} parts")
-    padded = lam.pad(r)
-    out = []
-    for rows in combinations(range(r), k):
-        grown = list(padded)
-        for i in rows:
-            grown[i] += 1
-        if all(grown[i] >= grown[i + 1] for i in range(r - 1)):
-            out.append(Partition(grown))
-    return out
 
 
 def _permute_variables(p: SparsePolynomial, mapping: Sequence[int]) -> SparsePolynomial:

@@ -17,7 +17,7 @@ from .degree import (
     random_sample_points,
     valid_triples,
 )
-from .oracle import (
+from .checks import (
     RootedPolynomial,
     d_coefficient,
     doubly_symmetric_sum,

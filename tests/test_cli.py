@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import sdpdeg.cli as cli
 import sdpdeg.degree as degree_mod
@@ -47,6 +51,11 @@ def test_value_custom_lambda(capsys):
     code = main(["value", "2", "3", "2", "--method", "residue", "--lambda", "1/2,3/2,4"])
     assert code == 0
     assert _fields(capsys.readouterr().out.strip())["delta"] == "6"
+    # a negative first point, given separately or attached with '='
+    for args in (["--lambda", "-3/2,1,2"], ["--lambda=-3/2,1,2"]):
+        code = main(["value", "2", "3", "2", "--method", "residue", *args])
+        assert code == 0
+        assert _fields(capsys.readouterr().out.strip())["delta"] == "6"
 
 
 def test_value_lambda_validation(capsys):
@@ -117,17 +126,6 @@ def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     assert "duality violated" in captured.err
 
 
-def test_table_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("SDPDEG_THREADS", "3")
-    assert main(["table", "4"]) == 0
-    threaded = capsys.readouterr().out
-    monkeypatch.setenv("SDPDEG_THREADS", "1")
-    assert main(["table", "4"]) == 0
-    assert capsys.readouterr().out == threaded
-    monkeypatch.setenv("SDPDEG_THREADS", "nonsense")
-    assert main(["table", "3"]) == 0
-
-
 def test_verify_suites(capsys):
     assert main(["verify", "--suite", "lemma21", "--seed", "7"]) == 0
     assert "lemma21: 100/100 passed" in capsys.readouterr().out
@@ -150,8 +148,34 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     def broken(seed=0, max_n=4):
         return verify_mod.SuiteReport("identities", 1, 1, "inputs: ...; values: 1 vs 2")
 
-    monkeypatch.setitem(cli.SUITES, "identities", broken)
+    monkeypatch.setitem(verify_mod.SUITES, "identities", broken)
     assert main(["verify", "--suite", "identities"]) == 1
     captured = capsys.readouterr()
     assert "1/2 passed" in captured.out
     assert "counterexample" in captured.err
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    assert main(["verify", "--suite", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    for name in ("lemma21", "prop22", "identities", "cross-methods"):
+        assert name in err
+
+
+def test_import_loads_only_the_production_path():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, sdpdeg.cli; "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('sdpdeg') or m == 'concurrent.futures')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split()
+    assert out == [
+        "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.partitions",
+        "sdpdeg.polynomial", "sdpdeg.schur",
+    ]

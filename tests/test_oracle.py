@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from sdpdeg.degree import delta_residue, valid_triples
-from sdpdeg.oracle import (
+from sdpdeg.checks import (
     RootedPolynomial,
     d_coefficient,
     doubly_symmetric_sum,

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from sdpdeg.checks import lambda_of
 from sdpdeg.partitions import (
     Partition,
     as_index_set,
     enumerate_partitions,
     index_set_of,
-    lambda_of,
 )
 
 

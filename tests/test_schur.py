@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from sdpdeg.checks import jacobi_trudi_h, pieri_multiply
 from sdpdeg.partitions import Partition, enumerate_partitions, index_set_of
 from sdpdeg.polynomial import (
     SparsePolynomial,
@@ -19,9 +20,7 @@ from sdpdeg.schur import (
     bareiss_det,
     h_schur_expansion,
     is_symmetric,
-    jacobi_trudi_h,
     pascal_minor_det,
-    pieri_multiply,
     psi,
     schur_bialternant,
     schur_decompose,
