@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .degree import (
+    METHODS,
     CrossCheckError,
     DegreeResult,
-    InvalidTripleError,
     delta,
     duality_partner,
     valid_triples,
@@ -58,38 +58,15 @@ def _parse_points(text: str, n: int) -> tuple[Fraction, ...]:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    try:
-        triple = validate_triple(args.m, args.n, args.r)
-        points = _parse_points(args.lambda_points, args.n) if args.lambda_points else None
-    except (InvalidTripleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        result = delta(triple, method=args.method, cross_check=args.check, points=points)
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    triple = validate_triple(args.m, args.n, args.r)
+    points = _parse_points(args.lambda_points, args.n) if args.lambda_points else None
+    result = delta(triple, method=args.method, cross_check=args.check, points=points)
     print(" ".join(f"{key}={val}" for key, val in _record(result).items()))
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    try:
-        triples = valid_triples(args.n)
-    except InvalidTripleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        results = [delta(t, method=args.method) for t in triples]
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    results = [delta(t, method=args.method) for t in valid_triples(args.n)]
 
     if args.check_duality:
         by_key = {(res.triple.m, res.triple.r): res.delta for res in results}
@@ -154,13 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = ("auto", "theorem1", "residue", "closed")
 
     value = sub.add_parser("value", help="compute delta(m, n, r)")
     value.add_argument("m", type=int)
     value.add_argument("n", type=int)
     value.add_argument("r", type=int)
-    value.add_argument("--method", choices=methods, default="auto")
+    value.add_argument("--method", choices=tuple(METHODS), default="auto")
     value.add_argument(
         "--check", action="store_true",
         help="cross-check with a second independent method",
@@ -174,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="all valid (m, r) at a fixed n")
     table.add_argument("n", type=int)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--method", choices=methods, default="auto")
+    table.add_argument("--method", choices=tuple(METHODS), default="auto")
     table.add_argument(
         "--check-duality", action="store_true",
         help="verify the duality relation across the whole table",
@@ -211,7 +187,14 @@ def _attach_lambda(argv: Sequence[str]) -> list[str]:
 def main(argv: Union[Sequence[str], None] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_lambda(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    except ValueError as exc:  # InvalidTripleError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -31,14 +31,15 @@ from __future__ import annotations
 import enum
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .polynomial import (
     Coeff,
+    _check_coeff,
     complete_homogeneous,
     pairwise_sum_forms,
     product_coefficient,
@@ -266,7 +267,7 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     """
     start = time.perf_counter()
     n, r = t.n, t.r
-    pts = default_sample_points(n) if points is None else tuple(points)
+    pts = default_sample_points(n) if points is None else tuple(map(_check_coeff, points))
     if len(pts) != n:
         raise ValueError(f"need {n} sample points, got {len(pts)}")
     if len(set(pts)) != n:
@@ -305,27 +306,52 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     reduced through duality.
     """
     start = time.perf_counter()
-    value = _closed_pattern(t.m, t.n, t.r)
-    if value is not None:
-        return DegreeResult(
-            t,
-            _as_positive_integer(value, f"closed form on {t}"),
-            Method.CLOSED_FORM,
-            time.perf_counter() - start,
-        )
-    partner = duality_partner(t)
-    value = _closed_pattern(partner.m, partner.n, partner.r)
-    if value is not None:
-        return DegreeResult(
-            t,
-            _as_positive_integer(value, f"closed form on dual of {t}"),
-            Method.DUALITY_REDUCED,
-            time.perf_counter() - start,
-        )
+    for method in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
+        # The partner is built only when the triple itself has no closed form.
+        source = t if method is Method.CLOSED_FORM else duality_partner(t)
+        value = _closed_pattern(source.m, source.n, source.r)
+        if value is not None:
+            delta_value = _as_positive_integer(value, f"{method.value} on {t}")
+            return DegreeResult(t, delta_value, method, time.perf_counter() - start)
     return None
 
 
-_DISPATCH_METHODS = ("auto", "theorem1", "residue", "closed")
+def _auto(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResult:
+    result = delta_closed(t)
+    if result is not None:
+        return result
+    if t.n - t.r < t.r:
+        return replace(delta_residue(duality_partner(t), points), triple=t)
+    return delta_residue(t, points)
+
+
+def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResult:
+    result = delta_closed(t)
+    if result is None:
+        raise ValueError(
+            f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
+            "use auto, residue, or theorem1"
+        )
+    return result
+
+
+#: The methods `delta` accepts by name.  Entries name the kernels through this
+#: module's globals at call time, so that a kernel replaced on the module (a
+#: test fake, a tracing wrapper) is the one that runs.
+METHODS: dict[str, Callable[..., DegreeResult]] = {
+    "auto": _auto,
+    "theorem1": lambda t, points: delta_theorem1(t),
+    "residue": lambda t, points: delta_residue(t, points),
+    "closed": _closed,
+}
+
+# The independent method that confirms a result, by the method that produced it.
+_SECOND_OPINION: dict[Method, Callable[..., DegreeResult]] = {
+    Method.CLOSED_FORM: METHODS["residue"],
+    Method.DUALITY_REDUCED: METHODS["residue"],
+    Method.RESIDUE: lambda t, points: delta_closed(t) or delta_theorem1(t),
+    Method.THEOREM1: METHODS["residue"],
+}
 
 
 def delta(
@@ -340,44 +366,15 @@ def delta(
     whichever of the triple and its duality partner has the smaller rank
     (the values agree by duality; the report keeps the requested triple).
     With cross_check a second, independent method must agree exactly, else
-    CrossCheckError carrying both results is raised.
+    CrossCheckError carrying both results is raised.  The result's elapsed
+    time covers the cross-check.
     """
-    if method not in _DISPATCH_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_DISPATCH_METHODS}")
-    if method == "auto":
-        result = delta_closed(t)
-        if result is None:
-            if t.n - t.r < t.r:
-                partner_result = delta_residue(duality_partner(t), points)
-                result = DegreeResult(
-                    t, partner_result.delta, Method.RESIDUE, partner_result.elapsed
-                )
-            else:
-                result = delta_residue(t, points)
-    elif method == "theorem1":
-        result = delta_theorem1(t)
-    elif method == "residue":
-        result = delta_residue(t, points)
-    else:
-        result = delta_closed(t)
-        if result is None:
-            raise ValueError(
-                f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
-                "use auto, residue, or theorem1"
-            )
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    start = time.perf_counter()
+    result = METHODS[method](t, points)
     if cross_check:
-        second = _second_opinion(t, result.method, points)
+        second = _SECOND_OPINION[result.method](t, points)
         if second.delta != result.delta:
             raise CrossCheckError(result, second)
-    return result
-
-
-def _second_opinion(
-    t: PatakiTriple, first: Method, points: Union[Sequence[Coeff], None]
-) -> DegreeResult:
-    if first in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
-        return delta_residue(t, points)
-    if first is Method.RESIDUE:
-        closed = delta_closed(t)
-        return closed if closed is not None else delta_theorem1(t)
-    return delta_residue(t, points)
+    return replace(result, elapsed=time.perf_counter() - start)

@@ -39,7 +39,7 @@ NEG_INFINITY = float("-inf")
 
 def _check_coeff(c: object) -> Coeff:
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+        raise TypeError(f"exact values must be int or Fraction, got {type(c).__name__}")
     return c
 
 
@@ -241,29 +241,19 @@ class SparsePolynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        if cap is not None and len(cap) != self.space.arity:
+            raise ValueError("cap length must equal the arity")
         out: dict[Monomial, Coeff] = {}
-        if cap is None:
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    mono = tuple(map(int.__add__, ea, eb))
-                    s = out.get(mono, 0) + ca * cb
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        else:
-            if len(cap) != self.space.arity:
-                raise ValueError("cap length must equal the arity")
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    mono = tuple(map(int.__add__, ea, eb))
-                    if any(x > t for x, t in zip(mono, cap)):
-                        continue
-                    s = out.get(mono, 0) + ca * cb
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                mono = tuple(map(int.__add__, ea, eb))
+                if cap is not None and any(x > t for x, t in zip(mono, cap)):
+                    continue
+                s = out.get(mono, 0) + ca * cb
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
         return SparsePolynomial._raw(self.space, out)
 
     def __eq__(self, other: object) -> bool:

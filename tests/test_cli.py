@@ -64,6 +64,12 @@ def test_value_lambda_validation(capsys):
     assert main(["value", "2", "3", "2", "--method", "residue", "--lambda", "1,1,2"]) == 2
 
 
+def test_value_accepts_every_method_name(capsys):
+    for method in degree_mod.METHODS:
+        assert main(["value", "3", "4", "2", "--method", method]) == 0, method
+        assert _fields(capsys.readouterr().out.strip())["delta"] == "10"
+
+
 def test_value_closed_not_applicable(capsys):
     assert main(["value", "6", "5", "3", "--method", "closed"]) == 2
     assert "closed" in capsys.readouterr().err

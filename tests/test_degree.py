@@ -1,13 +1,19 @@
 """Tests for the three degree algorithms and their dispatcher."""
 
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdpdeg.degree as degree_mod
 from sdpdeg.degree import (
+    METHODS,
     CrossCheckError,
+    DegreeResult,
     Method,
     PatakiBoundError,
     PatakiTriple,
@@ -133,6 +139,10 @@ def test_residue_point_validation():
         delta_residue(t, (1, 1, 2))
     with pytest.raises(ValueError, match="3 sample points"):
         delta_residue(t, (1, 2))
+    with pytest.raises(TypeError, match="float"):
+        delta_residue(t, (0.5, 1.5, 4.0))
+    with pytest.raises(TypeError, match="bool"):
+        delta_residue(t, (True, 2, 3))
 
 
 def test_closed_examples():
@@ -173,6 +183,35 @@ def test_dispatcher_rejects_bad_method():
         delta(t, method="closed")
     with pytest.raises(ValueError, match="unknown method"):
         delta(t, method="magic")
+
+
+def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
+    calls = []
+
+    def fake(t, points=None):
+        calls.append((t.m, t.n, t.r))
+        return DegreeResult(t, 1, Method.RESIDUE, 0.0)
+
+    monkeypatch.setattr(degree_mod, "delta_residue", fake)
+    direct = validate_triple(9, 5, 2)  # no closed form, r <= n - r
+    via_partner = validate_triple(6, 5, 3)  # no closed form, r > n - r
+    assert delta(direct).delta == 1
+    routed = delta(via_partner)
+    assert (routed.delta, routed.triple) == (1, via_partner)
+    assert delta(via_partner, "residue").delta == 1
+    assert calls == [(9, 5, 2), (9, 5, 2), (6, 5, 3)]
+
+
+def test_elapsed_covers_the_cross_check(monkeypatch):
+    t = validate_triple(10, 6, 3)
+    value = delta_residue(t).delta
+
+    def slow_theorem1(triple):
+        time.sleep(0.05)
+        return DegreeResult(triple, value, Method.THEOREM1, 0.05)
+
+    monkeypatch.setattr(degree_mod, "delta_theorem1", slow_theorem1)
+    assert delta(t, method="residue", cross_check=True).elapsed >= 0.05
 
 
 def test_cross_check_raises_on_forced_disagreement(monkeypatch):
@@ -223,3 +262,27 @@ def test_results_carry_timing_and_method():
     assert res.elapsed >= 0
     assert res.method is Method.RESIDUE
     assert isinstance(res.delta, int)
+
+
+@st.composite
+def small_triples(draw, max_n=5):
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(1, n - 1))
+    m = draw(st.integers(comb(n - r + 1, 2), comb(n + 1, 2) - comb(r + 1, 2)))
+    return validate_triple(m, n, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=small_triples(), data=st.data())
+def test_methods_duality_and_sample_points_agree(t, data):
+    expected = delta(t).delta
+    for method in METHODS:
+        if method == "closed" and delta_closed(t) is None:
+            continue
+        assert delta(t, method, cross_check=True).delta == expected, method
+    assert delta(duality_partner(t)).delta == expected
+    points = data.draw(st.lists(
+        st.fractions(min_value=-10, max_value=10, max_denominator=6),
+        min_size=t.n, max_size=t.n, unique=True,
+    ))
+    assert delta_residue(t, points).delta == expected
