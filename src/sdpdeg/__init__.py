@@ -37,20 +37,12 @@ from .polynomial import (
     SparsePolynomial,
     VariableSpace,
     complete_homogeneous,
-    elementary_symmetric,
     pairwise_sum_forms,
     product_coefficient,
     x_space,
     xy_space,
 )
-from .schur import (
-    bareiss_det,
-    h_schur_expansion,
-    is_symmetric,
-    psi,
-    schur_bialternant,
-    schur_decompose,
-)
+from .schur import bareiss_det, psi
 
 __version__ = "0.1.0"
 
@@ -75,19 +67,14 @@ __all__ = [
     "delta_residue",
     "delta_theorem1",
     "duality_partner",
-    "elementary_symmetric",
     "enumerate_partitions",
     "h_determinant",
-    "h_schur_expansion",
     "index_set_of",
-    "is_symmetric",
     "pairwise_sum_forms",
     "pairwise_sums",
     "product_coefficient",
     "psi",
     "random_sample_points",
-    "schur_bialternant",
-    "schur_decompose",
     "valid_triples",
     "validate_triple",
     "x_space",

@@ -3,9 +3,16 @@ used as ground truth by the verify suites and the tests.
 
 Everything here favors transparency over speed: root tuples and subsets are
 enumerated outright, products are formed without caps, determinants are
-expanded over signed permutations, and no code is shared with the optimized
+expanded over signed permutations, and none of it reuses the optimized
 degree algorithms these checks validate.  The production path never imports
 this module.
+
+Besides the brute-force oracles it holds the Schur-basis constructions:
+Schur polynomials as alternant quotients (`schur_bialternant`), the
+symmetry test and Schur-basis decomposition (`is_symmetric`,
+`schur_decompose`), the psi-weighted expansion of h_d over pairwise sums
+(`h_schur_expansion`), elementary symmetric polynomials, the Jacobi-Trudi
+determinant and Pieri products.
 """
 
 from __future__ import annotations
@@ -16,14 +23,17 @@ from itertools import combinations, permutations, product
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .partitions import Partition, as_index_set
+from .partitions import Partition, as_index_set, enumerate_partitions, index_set_of
 from .polynomial import (
     Coeff,
     SparsePolynomial,
     VariableSpace,
-    elementary_symmetric,
+    x_space,
     xy_space,
 )
+from .schur import _exact_div, psi
+
+SchurExpansion = dict[Partition, Coeff]
 
 
 class RootedPolynomial:
@@ -77,23 +87,24 @@ def _block_permutation_maps(r: int, n: int) -> list[tuple[int, ...]]:
     return maps
 
 
+def _swap_invariant(p: SparsePolynomial, positions: Iterable[int]) -> bool:
+    """Invariance under swapping variables i and i+1, for each i in positions."""
+    terms = dict(p.terms)
+    for i in positions:
+        swapped = {
+            mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:]: c for mono, c in terms.items()
+        }
+        if swapped != terms:
+            return False
+    return True
+
+
 def is_doubly_symmetric(p: SparsePolynomial, r: int) -> bool:
     """Invariance under permutations within the x block and within the y block."""
     n = p.space.arity
     if not 1 <= r <= n - 1:
         raise ValueError(f"block split r={r} invalid for arity {n}")
-    swaps = []
-    for i in list(range(r - 1)) + list(range(r, n - 1)):
-        mapping = list(range(n))
-        mapping[i], mapping[i + 1] = mapping[i + 1], mapping[i]
-        swaps.append(mapping)
-    for mapping in swaps:
-        permuted = {
-            tuple(mono[mapping[i]] for i in range(n)): c for mono, c in p.terms.items()
-        }
-        if permuted != dict(p.terms):
-            return False
-    return True
+    return _swap_invariant(p, [*range(r - 1), *range(r, n - 1)])
 
 
 def doubly_symmetric_sum(
@@ -220,6 +231,25 @@ def _det_expand(entries: list[list[Union[SparsePolynomial, None]]],
     return total
 
 
+def elementary_symmetric(forms: Sequence[SparsePolynomial], k: int) -> SparsePolynomial:
+    """Elementary symmetric e_k over a list of polynomials.
+
+    Sum over all k-subsets of products; e_0 = 1, and e_k = 0 when k exceeds
+    the number of forms.  Descending index updates use each form at most
+    once, the mirror image of the recurrence in `complete_homogeneous`.
+    """
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if not forms:
+        raise ValueError("need at least one form")
+    space = forms[0].space
+    e = [space.one()] + [space.zero()] * k
+    for f in forms:
+        for j in range(k, 0, -1):
+            e[j] = e[j] + f * e[j - 1]
+    return e[k]
+
+
 def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomial:
     """h_k over the forms as the k x k determinant with entries e_{j-i+1}.
 
@@ -259,4 +289,94 @@ def pieri_multiply(lam: Partition, k: int, r: int) -> list[Partition]:
             grown[i] += 1
         if all(grown[i] >= grown[i + 1] for i in range(r - 1)):
             out.append(Partition(grown))
+    return out
+
+
+def _alternant(space: VariableSpace, exponents: Sequence[int]) -> SparsePolynomial:
+    """det(x_i ^ exponents_j), expanded over signed permutations."""
+    r = space.arity
+    entries: list[list[Union[SparsePolynomial, None]]] = [
+        [SparsePolynomial(space, {tuple(e if v == i else 0 for v in range(r)): 1})
+         for e in exponents]
+        for i in range(r)
+    ]
+    return _det_expand(entries, space)
+
+
+def _divide_exact(num: SparsePolynomial, den: SparsePolynomial) -> SparsePolynomial:
+    """Long division in graded-lex order; the remainder must come out zero."""
+    lead_den = den.leading_monomial()
+    if lead_den is None:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lc_den = den.coefficient_of(lead_den)
+    quotient = num.space.zero()
+    rem = num
+    while not rem.is_zero():
+        lead = rem.leading_monomial()
+        shift = tuple(map(int.__sub__, lead, lead_den))
+        if any(e < 0 for e in shift):
+            raise ArithmeticError("non-exact polynomial division")
+        c = _exact_div(rem.coefficient_of(lead), lc_den)
+        term = SparsePolynomial(num.space, {shift: c})
+        quotient = quotient + term
+        rem = rem - den * term
+    return quotient
+
+
+def schur_bialternant(lam: Partition, r: int) -> SparsePolynomial:
+    """Schur polynomial in r variables as the alternant quotient.
+
+    Numerator det(x_i^(lam_j + r - j)) divided by the Vandermonde alternant;
+    the division is exact, and a nonzero remainder would indicate a bug.
+    """
+    if r < 1:
+        raise ValueError("need a positive variable count")
+    if lam.length > r:
+        raise ValueError(f"{lam} has more than {r} parts")
+    space = x_space(r)
+    padded = lam.pad(r)
+    shifted = [padded[j] + (r - 1 - j) for j in range(r)]
+    staircase = list(range(r - 1, -1, -1))
+    return _divide_exact(_alternant(space, shifted), _alternant(space, staircase))
+
+
+def is_symmetric(p: SparsePolynomial) -> bool:
+    """Invariance under all variable permutations, via adjacent transpositions."""
+    return _swap_invariant(p, range(p.space.arity - 1))
+
+
+def schur_decompose(p: SparsePolynomial) -> SchurExpansion:
+    """Exact expansion of a symmetric polynomial in the Schur basis.
+
+    Peels the graded-lex leading term: for symmetric p it is x^alpha with
+    alpha weakly decreasing, and subtracting that multiple of s_alpha
+    strictly lowers the leading term, so this terminates.
+    """
+    if not is_symmetric(p):
+        raise ValueError("polynomial is not symmetric under variable permutations")
+    r = p.space.arity
+    out: SchurExpansion = {}
+    rem = p
+    while not rem.is_zero():
+        alpha = rem.leading_monomial()
+        if any(alpha[i] < alpha[i + 1] for i in range(r - 1)):
+            raise ValueError(f"leading exponent {alpha} is not weakly decreasing")
+        lam = Partition(alpha)
+        c = rem.coefficient_of(alpha)
+        out[lam] = c
+        rem = rem - schur_bialternant(lam, r) * c
+    return out
+
+
+def h_schur_expansion(d: int, r: int) -> SchurExpansion:
+    """Schur coefficients of h_d over the C(r+1,2) pairwise-sum forms.
+
+    Each partition of d with at most r parts contributes psi of its index
+    set; the expansion has no other terms.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    out: SchurExpansion = {}
+    for lam in enumerate_partitions(d, max_len=r):
+        out[lam] = psi(index_set_of(lam, r))
     return out

@@ -169,6 +169,18 @@ def default_sample_points(n: int) -> SamplePoints:
     return tuple(range(1, n + 1))
 
 
+def _sample_points(n: int, points: Union[Sequence[Coeff], None]) -> SamplePoints:
+    """The default points, or the given ones checked: n exact, pairwise-distinct values."""
+    if points is None:
+        return default_sample_points(n)
+    pts = tuple(map(_check_coeff, points))
+    if len(pts) != n:
+        raise ValueError(f"need {n} sample points, got {len(pts)}")
+    if len(set(pts)) != n:
+        raise ValueError("sample points must be pairwise distinct")
+    return pts
+
+
 def random_sample_points(n: int, seed: int, spread: int = 50) -> SamplePoints:
     """n distinct integers in [-spread, spread], deterministic per seed."""
     if n > 2 * spread + 1:
@@ -198,6 +210,8 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     Entry (i, j) is e_{j-i+1} (1 on the subdiagonal, 0 below), evaluated by
     fraction-free Bareiss; h_0 is the empty determinant 1.
     """
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
     if k == 0:
         return 1
     e = _elementary_values(values, k)
@@ -267,11 +281,7 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     """
     start = time.perf_counter()
     n, r = t.n, t.r
-    pts = default_sample_points(n) if points is None else tuple(map(_check_coeff, points))
-    if len(pts) != n:
-        raise ValueError(f"need {n} sample points, got {len(pts)}")
-    if len(set(pts)) != n:
-        raise ValueError("sample points must be pairwise distinct")
+    pts = _sample_points(n, points)
 
     total = Fraction(0)
     for subset in combinations(range(n), r):
@@ -367,10 +377,13 @@ def delta(
     (the values agree by duality; the report keeps the requested triple).
     With cross_check a second, independent method must agree exactly, else
     CrossCheckError carrying both results is raised.  The result's elapsed
-    time covers the cross-check.
+    time covers the cross-check.  Given sample points are checked whichever
+    method runs, even one that does not use them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    if points is not None:
+        points = _sample_points(t.n, points)
     start = time.perf_counter()
     result = METHODS[method](t, points)
     if cross_check:

@@ -350,24 +350,3 @@ def complete_homogeneous(
         for j in range(1, d + 1):
             h[j] = h[j] + f.mul(h[j - 1], cap)
     return h[d]
-
-
-def elementary_symmetric(
-    forms: Sequence[SparsePolynomial], k: int, cap: ExponentCap = None
-) -> SparsePolynomial:
-    """Elementary symmetric e_k over a list of polynomials.
-
-    Sum over all k-subsets of products; e_0 = 1, and e_k = 0 when k exceeds
-    the number of forms.  Descending index updates use each form at most
-    once, the mirror image of the h recurrence.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if not forms:
-        raise ValueError("need at least one form")
-    space = forms[0].space
-    e = [space.one()] + [space.zero()] * k
-    for f in forms:
-        for j in range(k, 0, -1):
-            e[j] = e[j] + f.mul(e[j - 1], cap)
-    return e[k]

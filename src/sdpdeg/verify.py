@@ -21,8 +21,11 @@ from .checks import (
     RootedPolynomial,
     d_coefficient,
     doubly_symmetric_sum,
+    h_schur_expansion,
     random_doubly_symmetric,
     residue_sum,
+    schur_bialternant,
+    schur_decompose,
 )
 from .partitions import Partition, enumerate_partitions, index_set_of
 from .polynomial import (
@@ -31,7 +34,7 @@ from .polynomial import (
     pairwise_sum_forms,
     x_space,
 )
-from .schur import h_schur_expansion, psi, schur_bialternant, schur_decompose
+from .schur import psi
 
 
 @dataclass

@@ -7,6 +7,7 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 from math import comb
 
+from sdpdeg.checks import schur_decompose
 from sdpdeg.degree import (
     delta_closed,
     delta_residue,
@@ -18,7 +19,6 @@ from sdpdeg.degree import (
 )
 from sdpdeg.partitions import Partition
 from sdpdeg.polynomial import complete_homogeneous, pairwise_sum_forms, x_space
-from sdpdeg.schur import schur_decompose
 from sdpdeg.verify import run_identities, run_lemma21, run_prop22
 
 # Degree results collected by criteria 1-5; criterion 9 audits them all.

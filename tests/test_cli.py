@@ -62,6 +62,11 @@ def test_value_lambda_validation(capsys):
     assert main(["value", "2", "3", "2", "--lambda", "1,2"]) == 2
     capsys.readouterr()
     assert main(["value", "2", "3", "2", "--method", "residue", "--lambda", "1,1,2"]) == 2
+    capsys.readouterr()
+    for method in degree_mod.METHODS:
+        argv = ["value", "3", "4", "2", "--method", method, "--lambda", "1,1,2,2"]
+        assert main(argv) == 2, method
+        assert "distinct" in capsys.readouterr().err, method
 
 
 def test_value_accepts_every_method_name(capsys):

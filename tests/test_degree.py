@@ -111,6 +111,8 @@ def test_h_determinant_against_multiset_enumeration():
     assert h_determinant([-2, 0, 2], 2) == sum(
         a * b for a, b in [(-2, -2), (-2, 0), (-2, 2), (0, 0), (0, 2), (2, 2)]
     )
+    with pytest.raises(ValueError, match="nonnegative"):
+        h_determinant([1, 2], -1)
 
 
 def test_theorem1_examples():

@@ -12,6 +12,7 @@ from sdpdeg.checks import (
     d_coefficient,
     doubly_symmetric_sum,
     is_doubly_symmetric,
+    is_symmetric,
     random_doubly_symmetric,
     residue_sum,
 )
@@ -129,6 +130,15 @@ def test_random_doubly_symmetric_properties():
     assert const.total_degree() <= 0
     with pytest.raises(ValueError):
         random_doubly_symmetric(2, 4, 5, seed=0)
+
+
+def test_double_symmetry_at_the_block_edge():
+    sp = xy_space(2, 2)
+    x1, x2, y1, y2 = (sp.variable(i) for i in range(4))
+    blockwise = x1 + x2 + 2 * y1 + 2 * y2
+    assert is_doubly_symmetric(blockwise, 2)
+    assert not is_symmetric(blockwise)
+    assert not is_doubly_symmetric(x1 + x2 + y1 + 2 * y2, 2)
 
 
 def test_subset_sum_matches_coefficient_random():

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from sdpdeg.checks import elementary_symmetric
 from sdpdeg.polynomial import (
     SparsePolynomial,
     VariableSpace,
     complete_homogeneous,
-    elementary_symmetric,
     pairwise_sum_forms,
     product_coefficient,
     x_space,

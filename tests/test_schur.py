@@ -7,24 +7,23 @@ from math import comb, factorial
 
 import pytest
 
-from sdpdeg.checks import jacobi_trudi_h, pieri_multiply
+from sdpdeg.checks import (
+    elementary_symmetric,
+    h_schur_expansion,
+    is_symmetric,
+    jacobi_trudi_h,
+    pieri_multiply,
+    schur_bialternant,
+    schur_decompose,
+)
 from sdpdeg.partitions import Partition, enumerate_partitions, index_set_of
 from sdpdeg.polynomial import (
     SparsePolynomial,
     complete_homogeneous,
-    elementary_symmetric,
     pairwise_sum_forms,
     x_space,
 )
-from sdpdeg.schur import (
-    bareiss_det,
-    h_schur_expansion,
-    is_symmetric,
-    pascal_minor_det,
-    psi,
-    schur_bialternant,
-    schur_decompose,
-)
+from sdpdeg.schur import bareiss_det, pascal_minor_det, psi
 
 
 def _det_by_permutations(matrix):
