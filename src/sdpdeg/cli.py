@@ -56,7 +56,7 @@ def _parse_points(text: str) -> tuple[Fraction, ...]:
 
 def cmd_value(args: argparse.Namespace) -> int:
     triple = validate_triple(args.m, args.n, args.r)
-    points = _parse_points(args.lambda_points) if args.lambda_points else None
+    points = None if args.lambda_points is None else _parse_points(args.lambda_points)
     result = delta(triple, method=args.method, cross_check=args.check, points=points)
     print(" ".join(f"{key}={val}" for key, val in _record(result).items()))
     return EXIT_OK
@@ -98,11 +98,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import SUITES
 
     if args.suite != "all" and args.suite not in SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}"
         )
-        return EXIT_INVALID
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failure: Union[str, None] = None
     all_ok = True

@@ -109,12 +109,16 @@ class PatakiTriple:
 
 @dataclass(frozen=True)
 class DegreeResult:
-    """A degree value with the method that produced it and the time it took."""
+    """A degree value with the method that produced it.
+
+    elapsed is the time `delta` took, cross-check included, in seconds; a
+    kernel called directly leaves it None (not timed).
+    """
 
     triple: PatakiTriple
     delta: int
     method: Method
-    elapsed: float  # seconds
+    elapsed: Union[float, None] = None
 
 
 SamplePoints = tuple[Coeff, ...]
@@ -240,7 +244,6 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
     sound because no factor has a negative exponent.  The final h block is
     folded in by single-coefficient convolution instead of a full product.
     """
-    start = time.perf_counter()
     r, s, n = t.r, t.n - t.r, t.n
     space = xy_space(r, s)
     cap = (n - 1,) * n
@@ -269,7 +272,7 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
 
     value = Fraction((-1) ** t.k * c, factorial(r) * factorial(s))
     delta_value = _as_positive_integer(value, f"coefficient extraction on {t}")
-    return DegreeResult(t, delta_value, Method.THEOREM1, time.perf_counter() - start)
+    return DegreeResult(t, delta_value, Method.THEOREM1)
 
 
 def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
@@ -279,7 +282,6 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     through the e-determinant route, independent of the recurrence used by
     the coefficient-extraction path.
     """
-    start = time.perf_counter()
     n, r = t.n, t.r
     pts = _sample_points(n, points)
 
@@ -294,7 +296,7 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
 
     value = (-1) ** t.k * total
     delta_value = _as_positive_integer(value, f"residue sum on {t}")
-    return DegreeResult(t, delta_value, Method.RESIDUE, time.perf_counter() - start)
+    return DegreeResult(t, delta_value, Method.RESIDUE)
 
 
 def _closed_pattern(m: int, n: int, r: int) -> Union[int, None]:
@@ -315,24 +317,14 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     does not match, its duality partner is tried and the result tagged as
     reduced through duality.
     """
-    start = time.perf_counter()
     for method in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
         # The partner is built only when the triple itself has no closed form.
         source = t if method is Method.CLOSED_FORM else duality_partner(t)
         value = _closed_pattern(source.m, source.n, source.r)
         if value is not None:
             delta_value = _as_positive_integer(value, f"{method.value} on {t}")
-            return DegreeResult(t, delta_value, method, time.perf_counter() - start)
+            return DegreeResult(t, delta_value, method)
     return None
-
-
-def _auto(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResult:
-    result = delta_closed(t)
-    if result is not None:
-        return result
-    if t.n - t.r < t.r:
-        return replace(delta_residue(duality_partner(t), points), triple=t)
-    return delta_residue(t, points)
 
 
 def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResult:
@@ -349,7 +341,7 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
-    "auto": _auto,
+    "auto": lambda t, points: delta_closed(t) or delta_residue(t, points),
     "theorem1": lambda t, points: delta_theorem1(t),
     "residue": lambda t, points: delta_residue(t, points),
     "closed": _closed,
@@ -372,13 +364,14 @@ def delta(
 ) -> DegreeResult:
     """Compute the degree, optionally verifying it with a second algorithm.
 
-    "auto" prefers a closed form, otherwise runs the residue sum on
-    whichever of the triple and its duality partner has the smaller rank
-    (the values agree by duality; the report keeps the requested triple).
-    With cross_check a second, independent method must agree exactly, else
-    CrossCheckError carrying both results is raised.  The result's elapsed
-    time covers the cross-check.  Given sample points are checked whichever
-    method runs, even one that does not use them.
+    "auto" prefers a closed form, otherwise runs the residue sum on the
+    triple itself (the duality partner's sum runs over the same subset
+    pairs, so computing the partner instead saves nothing).  With
+    cross_check a second, independent method must agree exactly, else
+    CrossCheckError carrying both results is raised.  Only this function
+    times a result: elapsed covers dispatch and the cross-check.  Given
+    sample points are checked whichever method runs, even one that does not
+    use them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")

@@ -178,23 +178,13 @@ class SparsePolynomial:
             total += prod((v ** e for v, e in zip(vals, mono) if e), start=c)
         return total
 
-    def _lift(self, other: object) -> Union[SparsePolynomial, None]:
-        if isinstance(other, SparsePolynomial):
-            if other.space != self.space:
-                raise ValueError("polynomials live in different variable spaces")
-            return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
-            return self.space.constant(other)
-        return None
-
-    def __add__(self, other: object) -> SparsePolynomial:
-        q = self._lift(other)
-        if q is None:
+    def __add__(self, other: SparsePolynomial) -> SparsePolynomial:
+        if not isinstance(other, SparsePolynomial):
             return NotImplemented
+        if other.space != self.space:
+            raise ValueError("polynomials live in different variable spaces")
         out = dict(self._terms)
-        for mono, c in q._terms.items():
+        for mono, c in other._terms.items():
             s = out.get(mono, 0) + c
             if s:
                 out[mono] = s
@@ -202,22 +192,13 @@ class SparsePolynomial:
                 out.pop(mono, None)
         return SparsePolynomial._raw(self.space, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> SparsePolynomial:
         return SparsePolynomial._raw(self.space, {m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other: object) -> SparsePolynomial:
-        q = self._lift(other)
-        if q is None:
+    def __sub__(self, other: SparsePolynomial) -> SparsePolynomial:
+        if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other: object) -> SparsePolynomial:
-        q = self._lift(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
+        return self + (-other)
 
     def __mul__(self, other: object) -> SparsePolynomial:
         if isinstance(other, SparsePolynomial):
@@ -257,11 +238,9 @@ class SparsePolynomial:
         return SparsePolynomial._raw(self.space, out)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, SparsePolynomial):
-            return self.space == other.space and self._terms == other._terms
-        if not isinstance(other, bool) and isinstance(other, (int, Fraction)):
-            return self == self.space.constant(other)
-        return NotImplemented
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
+        return self.space == other.space and self._terms == other._terms
 
     __hash__ = None  # holds a dict; identity-free equality only
 

@@ -36,6 +36,11 @@ from .polynomial import (
 )
 from .schur import psi
 
+# Seeded cases per run of the lemma21 and prop22 suites (prop22 checks each
+# case at three point sets).
+_LEMMA21_CASES = 100
+_PROP22_CASES = 50
+
 
 @dataclass
 class SuiteReport:
@@ -81,12 +86,12 @@ def _random_polynomial(
     return SparsePolynomial(space, terms)
 
 
-def run_lemma21(seed: int = 0, max_n: int = 0, cases: int = 100) -> SuiteReport:
+def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Root-tuple residue sums against direct coefficient extraction."""
     del max_n
     rec = _Recorder("lemma21")
     rng = random.Random(seed)
-    for case in range(cases):
+    for case in range(_LEMMA21_CASES):
         nvars = rng.randint(1, 3)
         qs = [
             RootedPolynomial(rng.sample(range(-9, 10), rng.randint(2, 4)))
@@ -107,12 +112,12 @@ def run_lemma21(seed: int = 0, max_n: int = 0, cases: int = 100) -> SuiteReport:
     return rec.report
 
 
-def run_prop22(seed: int = 0, max_n: int = 0, cases: int = 50) -> SuiteReport:
+def run_prop22(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Doubly symmetric subset sums against the target-monomial coefficient."""
     del max_n
     rec = _Recorder("prop22")
     rng = random.Random(seed)
-    for case in range(cases):
+    for case in range(_PROP22_CASES):
         r = rng.randint(1, 2)
         n = rng.randint(r + 1, 4)
         max_deg = rng.randint(0, r * (n - r))

@@ -118,7 +118,7 @@ def test_criterion_5_sample_point_invariance():
 
 
 def test_criterion_6_root_residue_suite():
-    report = run_lemma21(seed=7, cases=100)
+    report = run_lemma21(seed=7)
     failures = []
     if report.total != 100 or report.failed:
         failures.append(
@@ -128,7 +128,7 @@ def test_criterion_6_root_residue_suite():
 
 
 def test_criterion_7_doubly_symmetric_suite():
-    report = run_prop22(seed=7, cases=50)
+    report = run_prop22(seed=7)
     failures = []
     if report.total != 150 or report.failed:
         failures.append(

@@ -67,6 +67,9 @@ def test_value_lambda_validation(capsys):
         argv = ["value", "3", "4", "2", "--method", method, "--lambda", "1,1,2,2"]
         assert main(argv) == 2, method
         assert "distinct" in capsys.readouterr().err, method
+    # an empty list is rejected, not read as "use the default points"
+    assert main(["value", "2", "3", "2", "--method", "residue", "--lambda="]) == 2
+    assert "sample points" in capsys.readouterr().err
 
 
 def test_value_accepts_every_method_name(capsys):
@@ -126,6 +129,22 @@ def test_table_invalid_n(capsys):
     assert main(["table", "1"]) == 2
 
 
+def test_table_check_duality_compares_separate_residue_sums(capsys, monkeypatch):
+    # A residue kernel that is wrong only above half rank must be caught: each
+    # row is computed on its own triple, not copied from its duality partner.
+    residue = degree_mod.delta_residue
+
+    def wrong_above_half_rank(t, points=None):
+        result = residue(t, points)
+        if t.r > t.n - t.r:
+            return DegreeResult(t, result.delta + 1, Method.RESIDUE)
+        return result
+
+    monkeypatch.setattr(degree_mod, "delta_residue", wrong_above_half_rank)
+    assert main(["table", "5", "--check-duality"]) == 3
+    assert "duality violated" in capsys.readouterr().err
+
+
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     def fake_delta(t, **kwargs):
         return DegreeResult(t, t.m, Method.RESIDUE, 0.0)
@@ -166,6 +185,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "counterexample" in captured.err
 
 
+def test_verify_rejects_max_n_below_2(capsys):
+    for max_n in ("1", "0", "-3"):
+        argv = ["verify", "--suite", "cross-methods", "--max-n", max_n]
+        assert main(argv) == 2, max_n
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no suite ran
+        assert captured.err.startswith("error:") and "--max-n" in captured.err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     err = capsys.readouterr().err
@@ -174,19 +202,37 @@ def test_verify_unknown_suite_exits_2(capsys):
         assert name in err
 
 
+def _fresh_python(probe, *paths):
+    """Standard output of `probe` run by a new interpreter with `paths` importable."""
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / p) for p in paths))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+
+
 def test_import_loads_only_the_production_path():
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     probe = (
         "import sys, sdpdeg.cli; "
         "print(' '.join(sorted(m for m in sys.modules "
         "if m.startswith('sdpdeg') or m == 'concurrent.futures')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout.split()
-    assert out == [
+    assert _fresh_python(probe, "src").split() == [
         "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.partitions",
         "sdpdeg.polynomial", "sdpdeg.schur",
     ]
+
+
+def test_benchmark_trace_sites_resolve_after_importing_the_cli():
+    # The benchmark wraps each layer by (module, attribute path) after a fresh
+    # import of sdpdeg.cli; print every layer that no longer resolves.
+    probe = (
+        "import functools, sys, sdpdeg.cli, tracing\n"
+        "for name, (module, path) in tracing.LAYERS.items():\n"
+        "    try:\n"
+        "        functools.reduce(getattr, path.split('.'), sys.modules[module])\n"
+        "    except (KeyError, AttributeError):\n"
+        "        print(name)\n"
+    )
+    assert _fresh_python(probe, "src", "benchmarks").split() == []

@@ -171,7 +171,7 @@ def test_dispatcher_auto_and_check():
 
 
 def test_dispatcher_duality_routing():
-    # no closed form, r > n - r: auto answers through the partner triple
+    # no closed form, r > n - r: auto runs the residue sum on the triple itself
     t = validate_triple(6, 5, 3)
     routed = delta(t)
     assert routed.method is Method.RESIDUE
@@ -195,13 +195,13 @@ def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
         return DegreeResult(t, 1, Method.RESIDUE, 0.0)
 
     monkeypatch.setattr(degree_mod, "delta_residue", fake)
-    direct = validate_triple(9, 5, 2)  # no closed form, r <= n - r
-    via_partner = validate_triple(6, 5, 3)  # no closed form, r > n - r
-    assert delta(direct).delta == 1
-    routed = delta(via_partner)
-    assert (routed.delta, routed.triple) == (1, via_partner)
-    assert delta(via_partner, "residue").delta == 1
-    assert calls == [(9, 5, 2), (9, 5, 2), (6, 5, 3)]
+    low_rank = validate_triple(9, 5, 2)  # no closed form, r <= n - r
+    high_rank = validate_triple(6, 5, 3)  # no closed form, r > n - r
+    assert delta(low_rank).delta == 1
+    result = delta(high_rank)
+    assert (result.delta, result.triple) == (1, high_rank)
+    assert delta(high_rank, "residue").delta == 1
+    assert calls == [(9, 5, 2), (6, 5, 3), (6, 5, 3)]
 
 
 def test_elapsed_covers_the_cross_check(monkeypatch):
@@ -260,10 +260,14 @@ def test_method_agreement_small():
 
 
 def test_results_carry_timing_and_method():
-    res = delta_residue(validate_triple(2, 3, 2))
+    t = validate_triple(2, 3, 2)
+    res = delta(t, "residue")
     assert res.elapsed >= 0
     assert res.method is Method.RESIDUE
     assert isinstance(res.delta, int)
+    # only delta reads the clock; a kernel called directly is not timed
+    for kernel in (delta_residue, delta_theorem1, delta_closed):
+        assert kernel(t).elapsed is None, kernel.__name__
 
 
 @st.composite
