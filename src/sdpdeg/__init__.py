@@ -4,6 +4,13 @@ The degree is computed by three independent exact algorithms (coefficient
 extraction, a residue subset sum over sample points, and closed forms plus
 duality) built on a reusable symmetric-polynomial kernel.  No floating
 point is used anywhere.
+
+The package exports the delta API of `sdpdeg.degree`.  The lower-level
+pieces are imported from their own modules: the numeric kernels
+(`h_determinant`, `pairwise_sums`) from `sdpdeg.degree`, sparse polynomials
+and their forms from `sdpdeg.polynomial`, determinants and the Pascal-minor
+psi from `sdpdeg.schur`, and partitions and the test-only oracles from
+`sdpdeg.checks`.
 """
 
 from .degree import (
@@ -21,28 +28,10 @@ from .degree import (
     delta_residue,
     delta_theorem1,
     duality_partner,
-    h_determinant,
-    pairwise_sums,
     random_sample_points,
     valid_triples,
     validate_triple,
 )
-from .partitions import (
-    Partition,
-    as_index_set,
-    enumerate_partitions,
-    index_set_of,
-)
-from .polynomial import (
-    SparsePolynomial,
-    VariableSpace,
-    complete_homogeneous,
-    pairwise_sum_forms,
-    product_coefficient,
-    x_space,
-    xy_space,
-)
-from .schur import bareiss_det, psi
 
 __version__ = "0.1.0"
 
@@ -52,31 +41,16 @@ __all__ = [
     "DegreeResult",
     "InvalidTripleError",
     "Method",
-    "Partition",
     "PatakiBoundError",
     "PatakiTriple",
-    "SparsePolynomial",
     "UnsupportedRankError",
-    "VariableSpace",
-    "as_index_set",
-    "bareiss_det",
-    "complete_homogeneous",
     "default_sample_points",
     "delta",
     "delta_closed",
     "delta_residue",
     "delta_theorem1",
     "duality_partner",
-    "enumerate_partitions",
-    "h_determinant",
-    "index_set_of",
-    "pairwise_sum_forms",
-    "pairwise_sums",
-    "product_coefficient",
-    "psi",
     "random_sample_points",
     "valid_triples",
     "validate_triple",
-    "x_space",
-    "xy_space",
 ]

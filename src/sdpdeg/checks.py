@@ -5,14 +5,16 @@ Everything here favors transparency over speed: root tuples and subsets are
 enumerated outright, products are formed without caps, determinants are
 expanded over signed permutations, and none of it reuses the optimized
 degree algorithms these checks validate.  The production path never imports
-this module.
+this module.  `random_polynomial` draws the seeded test polynomials.
 
-Besides the brute-force oracles it holds the Schur-basis constructions:
-Schur polynomials as alternant quotients (`schur_bialternant`), the
-symmetry test and Schur-basis decomposition (`is_symmetric`,
-`schur_decompose`), the psi-weighted expansion of h_d over pairwise sums
-(`h_schur_expansion`), elementary symmetric polynomials, the Jacobi-Trudi
-determinant and Pieri products.
+Besides the brute-force oracles it holds the partition toolkit that labels
+the Schur basis: `Partition`, `enumerate_partitions`, and the index-set
+correspondence `index_set_of` with its inverse `lambda_of`.  On top of it
+sit the Schur-basis constructions: Schur polynomials as alternant quotients
+(`schur_bialternant`), the symmetry test and Schur-basis decomposition
+(`is_symmetric`, `schur_decompose`), the psi-weighted expansion of h_d over
+pairwise sums (`h_schur_expansion`), elementary symmetric polynomials, the
+Jacobi-Trudi determinant and Pieri products.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .partitions import Partition, as_index_set, enumerate_partitions, index_set_of
 from .polynomial import (
     Coeff,
     SparsePolynomial,
@@ -31,7 +32,60 @@ from .polynomial import (
     x_space,
     xy_space,
 )
-from .schur import _exact_div, psi
+from .schur import _exact_div, as_index_set, psi
+
+
+class Partition:
+    """Weakly decreasing positive parts; trailing zeros are normalized away."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[int] = ()):
+        cleaned = [int(p) for p in parts]
+        while cleaned and cleaned[-1] == 0:
+            cleaned.pop()
+        if any(p <= 0 for p in cleaned):
+            raise ValueError(f"parts must be positive: {cleaned}")
+        if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {cleaned}")
+        self.parts = tuple(cleaned)
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    def pad(self, length: int) -> tuple[int, ...]:
+        """Parts extended with zeros to the given length."""
+        if length < len(self.parts):
+            raise ValueError(f"cannot pad {self} to length {length}")
+        return self.parts + (0,) * (length - len(self.parts))
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.parts)
+
+    def __getitem__(self, i: int) -> int:
+        # Reads past the length give 0, matching the padded convention.
+        return self.parts[i] if 0 <= i < len(self.parts) else 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+    def __repr__(self) -> str:
+        return f"Partition({list(self.parts)!r})"
+
 
 SchurExpansion = dict[Partition, Coeff]
 
@@ -77,14 +131,6 @@ def residue_sum(qs: Sequence[RootedPolynomial], f: SparsePolynomial) -> Fraction
         denom = prod(q.derivative_at(a) for q, a in zip(qs, roots))
         total += Fraction(f.evaluate(roots)) / denom
     return total
-
-
-def _block_permutation_maps(r: int, n: int) -> list[tuple[int, ...]]:
-    maps = []
-    for sigma in permutations(range(r)):
-        for theta in permutations(range(r, n)):
-            maps.append(sigma + theta)
-    return maps
 
 
 def _swap_invariant(p: SparsePolynomial, positions: Iterable[int]) -> bool:
@@ -163,6 +209,30 @@ def d_coefficient(p: SparsePolynomial, r: int, n: int) -> Coeff:
     return full.coefficient_of((n - 1,) * n)
 
 
+def random_polynomial(
+    rng: random.Random,
+    space: VariableSpace,
+    max_deg: int,
+    corner: Union[tuple[int, ...], None] = None,
+) -> SparsePolynomial:
+    """A sum of arity + max_deg + 2 random terms of degree at most max_deg.
+
+    Coefficients lie in [-5, 5].  Given a corner monomial, half the draws add
+    one more term there, so that the coefficient a check reads there is
+    often nonzero.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    for _ in range(space.arity + max_deg + 2):
+        exponents = [0] * space.arity
+        for _ in range(rng.randint(0, max_deg)):
+            exponents[rng.randrange(space.arity)] += 1
+        mono = tuple(exponents)
+        terms[mono] = terms.get(mono, 0) + rng.randint(-5, 5)
+    if corner is not None and rng.random() < 0.5:
+        terms[corner] = terms.get(corner, 0) + rng.randint(-5, 5)
+    return SparsePolynomial(space, terms)
+
+
 def random_doubly_symmetric(
     r: int, n: int, max_deg: int, seed: int
 ) -> SparsePolynomial:
@@ -175,22 +245,54 @@ def random_doubly_symmetric(
         raise ValueError(f"block split r={r} invalid for n={n}")
     if max_deg < 0 or max_deg > r * (n - r):
         raise ValueError(f"max_deg must lie in [0, {r * (n - r)}]")
-    rng = random.Random(seed)
     space = xy_space(r, n - r)
-    base: dict[tuple[int, ...], int] = {}
-    for _ in range(n + max_deg + 2):
-        exponents = [0] * n
-        for _ in range(rng.randint(0, max_deg)):
-            exponents[rng.randrange(n)] += 1
-        coeff = rng.randint(-5, 5)
-        mono = tuple(exponents)
-        base[mono] = base.get(mono, 0) + coeff
+    base = random_polynomial(random.Random(seed), space, max_deg).terms
     symmetrized: dict[tuple[int, ...], int] = {}
-    for mapping in _block_permutation_maps(r, n):
+    for sigma, theta in product(permutations(range(r)), permutations(range(r, n))):
+        mapping = sigma + theta
         for mono, c in base.items():
-            image = tuple(mono[mapping[i]] for i in range(n))
+            image = tuple(mono[i] for i in mapping)
             symmetrized[image] = symmetrized.get(image, 0) + c
     return SparsePolynomial(space, symmetrized)
+
+
+def index_set_of(lam: Partition, r: int) -> tuple[int, ...]:
+    """The unique r-element index set whose partition is `lam`."""
+    if r < 1:
+        raise ValueError("need a positive set size")
+    if lam.length > r:
+        raise ValueError(f"{lam} has more than {r} parts")
+    padded = lam.pad(r)
+    return tuple(padded[r - j] + (j - 1) for j in range(1, r + 1))
+
+
+def enumerate_partitions(
+    d: int, max_len: int, max_part: Union[int, None] = None
+) -> list[Partition]:
+    """All partitions of d with at most max_len parts, each at most max_part.
+
+    Descending lexicographic order, so leading-term peeling of a symmetric
+    polynomial visits candidates in a single forward pass.
+    """
+    if d < 0:
+        raise ValueError("weight must be nonnegative")
+    if max_len < 1:
+        raise ValueError("need a positive length bound")
+    first_cap = d if max_part is None else min(d, max_part)
+
+    def rec(remaining: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        # The largest part must cover at least an even share of what is left.
+        low = -(-remaining // slots)
+        for part in range(min(cap, remaining), low - 1, -1):
+            for tail in rec(remaining - part, slots - 1, part):
+                yield (part,) + tail
+
+    return [Partition(t) for t in rec(d, max_len, first_cap)]
 
 
 def lambda_of(indices: Iterable[int]) -> Partition:

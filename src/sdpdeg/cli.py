@@ -18,6 +18,7 @@ from .degree import (
     METHODS,
     CrossCheckError,
     DegreeResult,
+    Method,
     delta,
     duality_partner,
     valid_triples,
@@ -66,16 +67,19 @@ def cmd_table(args: argparse.Namespace) -> int:
     results = [delta(t, method=args.method) for t in valid_triples(args.n)]
 
     if args.check_duality:
-        by_key = {(res.triple.m, res.triple.r): res.delta for res in results}
+        by_key = {(res.triple.m, res.triple.r): res for res in results}
         violations = []
         for res in results:
             partner = duality_partner(res.triple)
             other = by_key[(partner.m, partner.r)]
-            if other != res.delta:
+            if other.method in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
+                # Both rows of a closed-form pair evaluate the same formula.
+                other = delta(partner, method="residue")
+            if other.delta != res.delta:
                 violations.append(
                     f"duality violated: delta(m={res.triple.m}, n={args.n}, "
                     f"r={res.triple.r}) = {res.delta} but the partner "
-                    f"(m={partner.m}, r={partner.r}) gives {other}"
+                    f"(m={partner.m}, r={partner.r}) gives {other.delta}"
                 )
         if violations:
             for line in violations:

@@ -1,10 +1,11 @@
 """Exact determinants and Pascal-minor coefficients.
 
 Numeric determinants use fraction-free Bareiss elimination.  The
-Pascal-minor coefficients psi reproduce the Schur expansion of complete
-homogeneous polynomials over pairwise-sum forms; the Schur-basis
-constructions that check this, with the Jacobi-Trudi determinant and Pieri
-products, live in `sdpdeg.checks`.
+Pascal-minor coefficients psi, indexed by the index sets `as_index_set`
+validates, reproduce the Schur expansion of complete homogeneous
+polynomials over pairwise-sum forms; the partitions that label that
+expansion and the Schur-basis constructions that check it, with the
+Jacobi-Trudi determinant and Pieri products, live in `sdpdeg.checks`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .partitions import as_index_set
 from .polynomial import Coeff
+
+
+def as_index_set(indices: Iterable[int]) -> tuple[int, ...]:
+    """Validate a strictly increasing sequence of nonnegative integers."""
+    idx = tuple(int(i) for i in indices)
+    if any(i < 0 for i in idx):
+        raise ValueError(f"indices must be nonnegative: {idx}")
+    if any(idx[j] >= idx[j + 1] for j in range(len(idx) - 1)):
+        raise ValueError(f"indices must be strictly increasing: {idx}")
+    return idx
 
 
 def _exact_div(a: Coeff, b: Coeff) -> Coeff:

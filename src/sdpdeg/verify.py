@@ -18,18 +18,20 @@ from .degree import (
     valid_triples,
 )
 from .checks import (
+    Partition,
     RootedPolynomial,
     d_coefficient,
     doubly_symmetric_sum,
+    enumerate_partitions,
     h_schur_expansion,
+    index_set_of,
     random_doubly_symmetric,
+    random_polynomial,
     residue_sum,
     schur_bialternant,
     schur_decompose,
 )
-from .partitions import Partition, enumerate_partitions, index_set_of
 from .polynomial import (
-    SparsePolynomial,
     complete_homogeneous,
     pairwise_sum_forms,
     x_space,
@@ -70,22 +72,6 @@ class _Recorder:
                 self.report.first_failure = describe()
 
 
-def _random_polynomial(
-    rng: random.Random, space, max_total_deg: int, corner: Union[tuple, None]
-) -> SparsePolynomial:
-    terms: dict[tuple, int] = {}
-    for _ in range(space.arity + max_total_deg + 2):
-        exponents = [0] * space.arity
-        for _ in range(rng.randint(0, max_total_deg)):
-            exponents[rng.randrange(space.arity)] += 1
-        mono = tuple(exponents)
-        terms[mono] = terms.get(mono, 0) + rng.randint(-5, 5)
-    if corner is not None and rng.random() < 0.5:
-        # Hit the extremal monomial so nonzero expected coefficients occur.
-        terms[corner] = terms.get(corner, 0) + rng.randint(-5, 5)
-    return SparsePolynomial(space, terms)
-
-
 def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Root-tuple residue sums against direct coefficient extraction."""
     del max_n
@@ -99,7 +85,7 @@ def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
         ]
         degrees = tuple(q.degree - 1 for q in qs)
         space = x_space(nvars)
-        f = _random_polynomial(rng, space, sum(degrees), corner=degrees)
+        f = random_polynomial(rng, space, sum(degrees), corner=degrees)
         expected = f.coefficient_of(degrees)
         got = residue_sum(qs, f)
         rec.check(

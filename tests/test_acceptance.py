@@ -7,7 +7,7 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 from math import comb
 
-from sdpdeg.checks import schur_decompose
+from sdpdeg.checks import Partition, schur_decompose
 from sdpdeg.degree import (
     delta_closed,
     delta_residue,
@@ -17,7 +17,6 @@ from sdpdeg.degree import (
     valid_triples,
     validate_triple,
 )
-from sdpdeg.partitions import Partition
 from sdpdeg.polynomial import complete_homogeneous, pairwise_sum_forms, x_space
 from sdpdeg.verify import run_identities, run_lemma21, run_prop22
 

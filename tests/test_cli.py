@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sdpdeg
 import sdpdeg.cli as cli
 import sdpdeg.degree as degree_mod
 from sdpdeg.cli import main
@@ -145,6 +147,22 @@ def test_table_check_duality_compares_separate_residue_sums(capsys, monkeypatch)
     assert "duality violated" in capsys.readouterr().err
 
 
+def test_table_check_duality_catches_a_wrong_closed_form(capsys, monkeypatch):
+    # Both rows of a closed-form pair evaluate the same formula, so a wrong
+    # formula agrees with itself; each row must meet an independent residue sum.
+    closed_pattern = degree_mod._closed_pattern
+
+    def off_by_one(m, n, r):
+        value = closed_pattern(m, n, r)
+        return None if value is None else value + 1
+
+    monkeypatch.setattr(degree_mod, "_closed_pattern", off_by_one)
+    assert main(["table", "5", "--check-duality"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duality violated" in captured.err
+
+
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     def fake_delta(t, **kwargs):
         return DegreeResult(t, t.m, Method.RESIDUE, 0.0)
@@ -219,8 +237,7 @@ def test_import_loads_only_the_production_path():
         "if m.startswith('sdpdeg') or m == 'concurrent.futures')))"
     )
     assert _fresh_python(probe, "src").split() == [
-        "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.partitions",
-        "sdpdeg.polynomial", "sdpdeg.schur",
+        "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.polynomial", "sdpdeg.schur",
     ]
 
 
@@ -236,3 +253,25 @@ def test_benchmark_trace_sites_resolve_after_importing_the_cli():
         "        print(name)\n"
     )
     assert _fresh_python(probe, "src", "benchmarks").split() == []
+
+
+def test_public_api_is_the_delta_api():
+    public = [
+        "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
+        "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
+        "default_sample_points", "delta", "delta_closed", "delta_residue",
+        "delta_theorem1", "duality_partner", "random_sample_points",
+        "valid_triples", "validate_triple",
+    ]
+    assert sorted(sdpdeg.__all__) == public
+    for name in public:
+        assert getattr(sdpdeg, name) is getattr(degree_mod, name), name
+    # The reference generator imports from the package; read its names, do not run it.
+    script = Path(cli.__file__).resolve().parents[2] / "benchmarks" / "make_reference.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "sdpdeg"
+        for alias in node.names
+    }
+    assert imported and imported <= set(sdpdeg.__all__)

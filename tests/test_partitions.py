@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from sdpdeg.checks import lambda_of
-from sdpdeg.partitions import (
-    Partition,
-    as_index_set,
-    enumerate_partitions,
-    index_set_of,
-)
+from sdpdeg.checks import Partition, enumerate_partitions, index_set_of, lambda_of
+from sdpdeg.schur import as_index_set
 
 
 def test_normalization_and_basic_accessors():

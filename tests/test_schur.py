@@ -8,15 +8,17 @@ from math import comb, factorial
 import pytest
 
 from sdpdeg.checks import (
+    Partition,
     elementary_symmetric,
+    enumerate_partitions,
     h_schur_expansion,
+    index_set_of,
     is_symmetric,
     jacobi_trudi_h,
     pieri_multiply,
     schur_bialternant,
     schur_decompose,
 )
-from sdpdeg.partitions import Partition, enumerate_partitions, index_set_of
 from sdpdeg.polynomial import (
     SparsePolynomial,
     complete_homogeneous,
