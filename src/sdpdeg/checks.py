@@ -1,11 +1,12 @@
 """Test-only machinery: brute-force evaluators and independent constructions
-used as ground truth by the verify suites and the tests.
+used as ground truth by the verify suites (defined here) and the tests.
 
 Everything here favors transparency over speed: root tuples and subsets are
 enumerated outright, products are formed without caps, determinants are
 expanded over signed permutations, and none of it reuses the optimized
-degree algorithms these checks validate.  The production path never imports
-this module.  `random_polynomial` draws the seeded test polynomials.
+degree algorithms these checks validate.  Only the CLI's `verify` command
+and the tests import this module.  `random_polynomial` draws the seeded
+test polynomials.
 
 Besides the brute-force oracles it holds the partition toolkit that labels
 the Schur basis: `Partition`, `enumerate_partitions`, and the index-set
@@ -15,20 +16,36 @@ sit the Schur-basis constructions: Schur polynomials as alternant quotients
 (`is_symmetric`, `schur_decompose`), the psi-weighted expansion of h_d over
 pairwise sums (`h_schur_expansion`), elementary symmetric polynomials, the
 Jacobi-Trudi determinant and Pieri products.
+
+The `SUITES` (`run_lemma21`, `run_prop22`, `run_identities`,
+`run_cross_methods`) pit two independent computations against each other
+(Lemma 2.1, Proposition 2.2, the psi and Schur identities, the delta
+methods) and return a `SuiteReport`: exact-match counts and a printable
+counterexample for the first failure.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
-from typing import Iterable, Iterator, Sequence, Union
+from math import comb, factorial, prod
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
+from .degree import (
+    delta_closed,
+    delta_residue,
+    delta_theorem1,
+    random_sample_points,
+    valid_triples,
+)
 from .polynomial import (
     Coeff,
     SparsePolynomial,
     VariableSpace,
+    complete_homogeneous,
+    pairwise_sum_forms,
     x_space,
     xy_space,
 )
@@ -41,7 +58,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = [int(p) for p in parts]
+        cleaned = list(parts)
+        if any(isinstance(p, bool) or not isinstance(p, int) for p in cleaned):
+            raise TypeError(f"parts must be int: {cleaned}")
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         if any(p <= 0 for p in cleaned):
@@ -61,7 +80,7 @@ class Partition:
     def pad(self, length: int) -> tuple[int, ...]:
         """Parts extended with zeros to the given length."""
         if length < len(self.parts):
-            raise ValueError(f"cannot pad {self} to length {length}")
+            raise ValueError(f"{self} has more than {length} parts")
         return self.parts + (0,) * (length - len(self.parts))
 
     def __len__(self) -> int:
@@ -260,16 +279,12 @@ def index_set_of(lam: Partition, r: int) -> tuple[int, ...]:
     """The unique r-element index set whose partition is `lam`."""
     if r < 1:
         raise ValueError("need a positive set size")
-    if lam.length > r:
-        raise ValueError(f"{lam} has more than {r} parts")
     padded = lam.pad(r)
     return tuple(padded[r - j] + (j - 1) for j in range(1, r + 1))
 
 
-def enumerate_partitions(
-    d: int, max_len: int, max_part: Union[int, None] = None
-) -> list[Partition]:
-    """All partitions of d with at most max_len parts, each at most max_part.
+def enumerate_partitions(d: int, max_len: int) -> list[Partition]:
+    """All partitions of d with at most max_len parts.
 
     Descending lexicographic order, so leading-term peeling of a symmetric
     polynomial visits candidates in a single forward pass.
@@ -278,7 +293,6 @@ def enumerate_partitions(
         raise ValueError("weight must be nonnegative")
     if max_len < 1:
         raise ValueError("need a positive length bound")
-    first_cap = d if max_part is None else min(d, max_part)
 
     def rec(remaining: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -292,7 +306,7 @@ def enumerate_partitions(
             for tail in rec(remaining - part, slots - 1, part):
                 yield (part,) + tail
 
-    return [Partition(t) for t in rec(d, max_len, first_cap)]
+    return [Partition(t) for t in rec(d, max_len, d)]
 
 
 def lambda_of(indices: Iterable[int]) -> Partition:
@@ -381,8 +395,6 @@ def pieri_multiply(lam: Partition, k: int, r: int) -> list[Partition]:
     """
     if not 0 <= k <= r:
         raise ValueError(f"strip size {k} out of range for {r} rows")
-    if lam.length > r:
-        raise ValueError(f"{lam} has more than {r} parts")
     padded = lam.pad(r)
     out = []
     for rows in combinations(range(r), k):
@@ -433,8 +445,6 @@ def schur_bialternant(lam: Partition, r: int) -> SparsePolynomial:
     """
     if r < 1:
         raise ValueError("need a positive variable count")
-    if lam.length > r:
-        raise ValueError(f"{lam} has more than {r} parts")
     space = x_space(r)
     padded = lam.pad(r)
     shifted = [padded[j] + (r - 1 - j) for j in range(r)]
@@ -482,3 +492,183 @@ def h_schur_expansion(d: int, r: int) -> SchurExpansion:
     for lam in enumerate_partitions(d, max_len=r):
         out[lam] = psi(index_set_of(lam, r))
     return out
+
+
+# Seeded cases per run of the lemma21 and prop22 suites (prop22 checks each
+# case at three point sets).
+_LEMMA21_CASES = 100
+_PROP22_CASES = 50
+
+
+@dataclass
+class SuiteReport:
+    name: str
+    passed: int = 0
+    failed: int = 0
+    first_failure: Union[str, None] = None
+
+    @property
+    def total(self) -> int:
+        return self.passed + self.failed
+
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    def check(self, condition: bool, describe: Callable[[], str]) -> None:
+        """Count one comparison; keep the description of the first failure."""
+        if condition:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if self.first_failure is None:
+                self.first_failure = describe()
+
+
+def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
+    """Root-tuple residue sums against direct coefficient extraction."""
+    del max_n
+    report = SuiteReport("lemma21")
+    rng = random.Random(seed)
+    for case in range(_LEMMA21_CASES):
+        nvars = rng.randint(1, 3)
+        qs = [
+            RootedPolynomial(rng.sample(range(-9, 10), rng.randint(2, 4)))
+            for _ in range(nvars)
+        ]
+        degrees = tuple(q.degree - 1 for q in qs)
+        space = x_space(nvars)
+        f = random_polynomial(rng, space, sum(degrees), corner=degrees)
+        expected = f.coefficient_of(degrees)
+        got = residue_sum(qs, f)
+        report.check(
+            got == expected,
+            lambda: (
+                f"case {case}: roots {[list(q.roots) for q in qs]}\n"
+                f"F = {f}\nexpected coefficient {expected}, residue sum {got}"
+            ),
+        )
+    return report
+
+
+def run_prop22(seed: int = 0, max_n: int = 0) -> SuiteReport:
+    """Doubly symmetric subset sums against the target-monomial coefficient."""
+    del max_n
+    report = SuiteReport("prop22")
+    rng = random.Random(seed)
+    for case in range(_PROP22_CASES):
+        r = rng.randint(1, 2)
+        n = rng.randint(r + 1, 4)
+        max_deg = rng.randint(0, r * (n - r))
+        p = random_doubly_symmetric(r, n, max_deg, seed=rng.randrange(2**30))
+        rhs = Fraction(d_coefficient(p, r, n), factorial(r) * factorial(n - r))
+        for _ in range(3):
+            lams = random_sample_points(n, seed=rng.randrange(2**30))
+            lhs = doubly_symmetric_sum(p, lams, r)
+            report.check(
+                lhs == rhs,
+                lambda: (
+                    f"case {case}: P = {p}\nlambdas {lams}\n"
+                    f"subset sum {lhs}, coefficient form {rhs}"
+                ),
+            )
+    return report
+
+
+def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
+    """Symmetric-polynomial identities: psi closed forms, the Schur expansion
+    of h_d over pairwise sums, and the Vandermonde-square coefficient."""
+    del seed, max_n
+    report = SuiteReport("identities")
+
+    h2 = complete_homogeneous(pairwise_sum_forms(x_space(2)), 2)
+    expansion = schur_decompose(h2)
+    expected = {Partition([2]): 7, Partition([1, 1]): 3}
+    report.check(
+        expansion == expected,
+        lambda: f"h_2 over pairwise sums decomposed to {expansion}, expected {expected}",
+    )
+
+    for r in range(1, 9):
+        for k in range(r):
+            got = psi(tuple(i for i in range(r + 1) if i != k))
+            want = comb(r + 1, k + 1)
+            report.check(
+                got == want,
+                lambda: (
+                    f"psi over {{0..{r}}} minus {{{k}}}: got {got}, want C({r + 1},{k + 1}) = {want}"
+                ),
+            )
+
+    for r in range(1, 7):
+        for k in range(r + 1):
+            lam = Partition((2,) * (r - k) + (1,) * k)
+            got = psi(index_set_of(lam, r))
+            want = (k + 1) * comb(r + 3, k + 3)
+            report.check(
+                got == want,
+                lambda: f"psi at {lam} (r={r}): got {got}, want {want}",
+            )
+
+    for r in range(1, 4):
+        space = x_space(r)
+        vsq = space.one()
+        for i in range(r):
+            for j in range(r):
+                if i != j:
+                    vsq = vsq * (space.variable(i) - space.variable(j))
+        for n in range(r + 1, 6):
+            target = (n - 1,) * r
+            for lam in enumerate_partitions(r * (n - r), max_len=r):
+                coeff = (schur_bialternant(lam, r) * vsq).coefficient_of(target)
+                want = factorial(r) if lam == Partition((n - r,) * r) else 0
+                report.check(
+                    coeff == want,
+                    lambda: (
+                        f"coefficient of x^{target} from {lam} (r={r}, n={n}): "
+                        f"got {coeff}, want {want}"
+                    ),
+                )
+
+    for r in range(1, 4):
+        forms = pairwise_sum_forms(x_space(r))
+        for d in range(5):
+            symbolic = schur_decompose(complete_homogeneous(forms, d))
+            tabulated = h_schur_expansion(d, r)
+            report.check(
+                symbolic == tabulated,
+                lambda: (
+                    f"h_{d} over pairwise sums (r={r}): symbolic {symbolic}, "
+                    f"psi-weighted {tabulated}"
+                ),
+            )
+
+    return report
+
+
+def run_cross_methods(seed: int = 0, max_n: int = 4) -> SuiteReport:
+    """Coefficient extraction vs residue sum (vs closed form where it applies)."""
+    del seed
+    report = SuiteReport("cross-methods")
+    for n in range(2, max_n + 1):
+        for t in valid_triples(n):
+            a = delta_theorem1(t).delta
+            b = delta_residue(t).delta
+            closed = delta_closed(t)
+            agree = a == b and (closed is None or closed.delta == a)
+            report.check(
+                agree,
+                lambda: (
+                    f"(m={t.m}, n={t.n}, r={t.r}): coefficient extraction {a}, "
+                    f"residue {b}"
+                    + (f", closed form {closed.delta}" if closed else "")
+                ),
+            )
+    return report
+
+
+SUITES: dict[str, Callable[..., SuiteReport]] = {
+    "lemma21": run_lemma21,
+    "prop22": run_prop22,
+    "identities": run_identities,
+    "cross-methods": run_cross_methods,
+}

@@ -99,7 +99,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # Imported here so that value and table never load the test-only suites.
-    from .verify import SUITES
+    from .checks import SUITES
 
     if args.suite != "all" and args.suite not in SUITES:
         raise ValueError(

@@ -20,7 +20,9 @@ from .polynomial import Coeff
 
 def as_index_set(indices: Iterable[int]) -> tuple[int, ...]:
     """Validate a strictly increasing sequence of nonnegative integers."""
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(indices)
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
+        raise TypeError(f"indices must be int: {idx}")
     if any(i < 0 for i in idx):
         raise ValueError(f"indices must be nonnegative: {idx}")
     if any(idx[j] >= idx[j + 1] for j in range(len(idx) - 1)):

@@ -7,7 +7,13 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 from math import comb
 
-from sdpdeg.checks import Partition, schur_decompose
+from sdpdeg.checks import (
+    Partition,
+    run_identities,
+    run_lemma21,
+    run_prop22,
+    schur_decompose,
+)
 from sdpdeg.degree import (
     delta_closed,
     delta_residue,
@@ -18,7 +24,6 @@ from sdpdeg.degree import (
     validate_triple,
 )
 from sdpdeg.polynomial import complete_homogeneous, pairwise_sum_forms, x_space
-from sdpdeg.verify import run_identities, run_lemma21, run_prop22
 
 # Degree results collected by criteria 1-5; criterion 9 audits them all.
 RECORDED = []

@@ -191,7 +191,7 @@ def test_verify_all_default(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    import sdpdeg.verify as verify_mod
+    import sdpdeg.checks as verify_mod
 
     def broken(seed=0, max_n=4):
         return verify_mod.SuiteReport("identities", 1, 1, "inputs: ...; values: 1 vs 2")
@@ -238,6 +238,18 @@ def test_import_loads_only_the_production_path():
     )
     assert _fresh_python(probe, "src").split() == [
         "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.polynomial", "sdpdeg.schur",
+    ]
+
+
+def test_verify_loads_only_the_production_path_and_checks():
+    probe = (
+        "import sys, sdpdeg.cli; "
+        "sdpdeg.cli.main(['verify', '--suite', 'identities']); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('sdpdeg'))))"
+    )
+    assert _fresh_python(probe, "src").splitlines()[-1].split() == [
+        "sdpdeg", "sdpdeg.checks", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.polynomial",
+        "sdpdeg.schur",
     ]
 
 

@@ -14,10 +14,10 @@ from sdpdeg.checks import (
     is_doubly_symmetric,
     is_symmetric,
     random_doubly_symmetric,
+    random_polynomial,
     residue_sum,
 )
 from sdpdeg.polynomial import (
-    SparsePolynomial,
     complete_homogeneous,
     pairwise_sum_forms,
     x_space,
@@ -67,17 +67,7 @@ def test_residue_sum_equals_coefficient_random():
             for _ in range(nvars)
         ]
         degrees = tuple(q.degree - 1 for q in qs)
-        sp = x_space(nvars)
-        terms = {}
-        for _ in range(6):
-            exponents = [0] * nvars
-            for _ in range(rng.randint(0, sum(degrees))):
-                exponents[rng.randrange(nvars)] += 1
-            mono = tuple(exponents)
-            terms[mono] = terms.get(mono, 0) + rng.randint(-4, 4)
-        if rng.random() < 0.5:
-            terms[degrees] = terms.get(degrees, 0) + rng.randint(-4, 4)
-        f = SparsePolynomial(sp, terms)
+        f = random_polynomial(rng, x_space(nvars), sum(degrees), corner=degrees)
         assert residue_sum(qs, f) == f.coefficient_of(degrees)
 
 

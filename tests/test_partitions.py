@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sdpdeg.checks import Partition, enumerate_partitions, index_set_of, lambda_of
-from sdpdeg.schur import as_index_set
+from sdpdeg.schur import as_index_set, psi
 
 
 def test_normalization_and_basic_accessors():
@@ -26,6 +26,10 @@ def test_invalid_partitions_rejected():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    with pytest.raises(TypeError):
+        Partition([2.7, 1.2])
+    with pytest.raises(TypeError):
+        Partition([True])
 
 
 def test_equality_ignores_trailing_zeros():
@@ -43,6 +47,12 @@ def test_index_set_validation():
         as_index_set((3, 1))
     with pytest.raises(ValueError):
         as_index_set((-1, 0))
+    with pytest.raises(TypeError):
+        as_index_set([0.5, 2.9])
+    with pytest.raises(TypeError):
+        as_index_set([True, 2])
+    with pytest.raises(TypeError):
+        psi([0.5, 2.9])
 
 
 def test_lambda_of_examples():
@@ -82,7 +92,6 @@ def test_lambda_weight_identity():
 def test_enumerate_examples():
     assert enumerate_partitions(0, 3) == [Partition()]
     assert enumerate_partitions(2, 2) == [Partition([2]), Partition([1, 1])]
-    assert enumerate_partitions(4, 2, max_part=2) == [Partition([2, 2])]
 
 
 def test_enumerate_order_is_descending_lex():
@@ -127,9 +136,3 @@ def test_enumeration_counts():
             assert len(got) == _count_partitions(d, max_len), (d, max_len)
             assert len(set(got)) == len(got)
             assert all(p.weight == d and p.length <= max_len for p in got)
-
-
-def test_enumeration_respects_max_part():
-    got = enumerate_partitions(6, 4, max_part=3)
-    assert all(p[0] <= 3 for p in got)
-    assert Partition([3, 3]) in got and Partition([4, 2]) not in got
