@@ -9,8 +9,7 @@ The package exports the delta API of `sdpdeg.degree`.  The lower-level
 pieces are imported from their own modules: the numeric kernels
 (`h_determinant`, `pairwise_sums`) from `sdpdeg.degree`, sparse polynomials
 and their forms from `sdpdeg.polynomial`, determinants and the Pascal-minor
-psi from `sdpdeg.schur`, and partitions and the test-only oracles from
-`sdpdeg.checks`.
+psi from `sdpdeg.schur`, and the test-only oracles from `sdpdeg.checks`.
 """
 
 from .degree import (

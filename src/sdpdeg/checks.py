@@ -8,14 +8,13 @@ degree algorithms these checks validate.  Only the CLI's `verify` command
 and the tests import this module.  `random_polynomial` draws the seeded
 test polynomials.
 
-Besides the brute-force oracles it holds the partition toolkit that labels
-the Schur basis: `Partition`, `enumerate_partitions`, and the index-set
-correspondence `index_set_of` with its inverse `lambda_of`.  On top of it
-sit the Schur-basis constructions: Schur polynomials as alternant quotients
+Besides the brute-force oracles it holds the Schur-basis constructions,
+labelled by index sets (the strictly increasing tuples `psi` takes), which
+`index_sets` lists: Schur polynomials as alternant quotients
 (`schur_bialternant`), the symmetry test and Schur-basis decomposition
 (`is_symmetric`, `schur_decompose`), the psi-weighted expansion of h_d over
-pairwise sums (`h_schur_expansion`), elementary symmetric polynomials, the
-Jacobi-Trudi determinant and Pieri products.
+pairwise sums (`h_schur_expansion`), elementary symmetric polynomials and
+the Jacobi-Trudi determinant.
 
 The `SUITES` (`run_lemma21`, `run_prop22`, `run_identities`,
 `run_cross_methods`) pit two independent computations against each other
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .degree import (
     delta_closed,
@@ -52,61 +51,7 @@ from .polynomial import (
 from .schur import _exact_div, as_index_set, psi
 
 
-class Partition:
-    """Weakly decreasing positive parts; trailing zeros are normalized away."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        cleaned = list(parts)
-        if any(isinstance(p, bool) or not isinstance(p, int) for p in cleaned):
-            raise TypeError(f"parts must be int: {cleaned}")
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        if any(p <= 0 for p in cleaned):
-            raise ValueError(f"parts must be positive: {cleaned}")
-        if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {cleaned}")
-        self.parts = tuple(cleaned)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def pad(self, length: int) -> tuple[int, ...]:
-        """Parts extended with zeros to the given length."""
-        if length < len(self.parts):
-            raise ValueError(f"{self} has more than {length} parts")
-        return self.parts + (0,) * (length - len(self.parts))
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        # Reads past the length give 0, matching the padded convention.
-        return self.parts[i] if 0 <= i < len(self.parts) else 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)!r})"
-
-
-SchurExpansion = dict[Partition, Coeff]
+SchurExpansion = dict[tuple[int, ...], Coeff]
 
 
 class RootedPolynomial:
@@ -275,47 +220,6 @@ def random_doubly_symmetric(
     return SparsePolynomial(space, symmetrized)
 
 
-def index_set_of(lam: Partition, r: int) -> tuple[int, ...]:
-    """The unique r-element index set whose partition is `lam`."""
-    if r < 1:
-        raise ValueError("need a positive set size")
-    padded = lam.pad(r)
-    return tuple(padded[r - j] + (j - 1) for j in range(1, r + 1))
-
-
-def enumerate_partitions(d: int, max_len: int) -> list[Partition]:
-    """All partitions of d with at most max_len parts.
-
-    Descending lexicographic order, so leading-term peeling of a symmetric
-    polynomial visits candidates in a single forward pass.
-    """
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
-    if max_len < 1:
-        raise ValueError("need a positive length bound")
-
-    def rec(remaining: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        # The largest part must cover at least an even share of what is left.
-        low = -(-remaining // slots)
-        for part in range(min(cap, remaining), low - 1, -1):
-            for tail in rec(remaining - part, slots - 1, part):
-                yield (part,) + tail
-
-    return [Partition(t) for t in rec(d, max_len, d)]
-
-
-def lambda_of(indices: Iterable[int]) -> Partition:
-    """The partition (i_r − (r−1), …, i_2 − 1, i_1) of an r-element index set."""
-    idx = as_index_set(indices)
-    r = len(idx)
-    return Partition(idx[r - 1 - j] - (r - 1 - j) for j in range(r))
-
-
 def _det_expand(entries: list[list[Union[SparsePolynomial, None]]],
                 space: VariableSpace) -> SparsePolynomial:
     """Signed permutation expansion (DFS over columns, zero entries pruned)."""
@@ -388,24 +292,6 @@ def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomia
     return _det_expand(entries, space)
 
 
-def pieri_multiply(lam: Partition, k: int, r: int) -> list[Partition]:
-    """Partitions from adding a vertical strip of k boxes within r rows.
-
-    Expansion of s_lam * e_k: each result appears with multiplicity one.
-    """
-    if not 0 <= k <= r:
-        raise ValueError(f"strip size {k} out of range for {r} rows")
-    padded = lam.pad(r)
-    out = []
-    for rows in combinations(range(r), k):
-        grown = list(padded)
-        for i in rows:
-            grown[i] += 1
-        if all(grown[i] >= grown[i + 1] for i in range(r - 1)):
-            out.append(Partition(grown))
-    return out
-
-
 def _alternant(space: VariableSpace, exponents: Sequence[int]) -> SparsePolynomial:
     """det(x_i ^ exponents_j), expanded over signed permutations."""
     r = space.arity
@@ -437,19 +323,30 @@ def _divide_exact(num: SparsePolynomial, den: SparsePolynomial) -> SparsePolynom
     return quotient
 
 
-def schur_bialternant(lam: Partition, r: int) -> SparsePolynomial:
-    """Schur polynomial in r variables as the alternant quotient.
+def index_sets(d: int, r: int) -> list[tuple[int, ...]]:
+    """The r-element index sets of weight d, in ascending lexicographic order.
 
-    Numerator det(x_i^(lam_j + r - j)) divided by the Vandermonde alternant;
-    the division is exact, and a nonzero remainder would indicate a bug.
+    These are the subsets I of range(d + r) with sum(I) - C(r, 2) = d, one
+    for each partition of d into at most r parts; they label the Schur
+    polynomials of degree d in r variables.
     """
+    if d < 0:
+        raise ValueError("weight must be nonnegative")
     if r < 1:
-        raise ValueError("need a positive variable count")
-    space = x_space(r)
-    padded = lam.pad(r)
-    shifted = [padded[j] + (r - 1 - j) for j in range(r)]
-    staircase = list(range(r - 1, -1, -1))
-    return _divide_exact(_alternant(space, shifted), _alternant(space, staircase))
+        raise ValueError("need a positive set size")
+    return [I for I in combinations(range(d + r), r) if sum(I) - comb(r, 2) == d]
+
+
+def schur_bialternant(indices: Iterable[int]) -> SparsePolynomial:
+    """Schur polynomial s_I in len(I) variables as the alternant quotient.
+
+    The index set I is the exponent vector of the numerator det(x_i^(I_j)),
+    and the denominator is the Vandermonde alternant det(x_i^j); the division
+    is exact, and a nonzero remainder would indicate a bug.
+    """
+    idx = as_index_set(indices)
+    space = x_space(len(idx))
+    return _divide_exact(_alternant(space, idx), _alternant(space, range(len(idx))))
 
 
 def is_symmetric(p: SparsePolynomial) -> bool:
@@ -461,8 +358,10 @@ def schur_decompose(p: SparsePolynomial) -> SchurExpansion:
     """Exact expansion of a symmetric polynomial in the Schur basis.
 
     Peels the graded-lex leading term: for symmetric p it is x^alpha with
-    alpha weakly decreasing, and subtracting that multiple of s_alpha
-    strictly lowers the leading term, so this terminates.
+    alpha weakly decreasing, and subtracting that multiple of s_I, where
+    I = (alpha_r, alpha_(r-1) + 1, ..., alpha_1 + r - 1), strictly lowers the
+    leading term, so this terminates.  A peel that does not lower it raises
+    ArithmeticError.
     """
     if not is_symmetric(p):
         raise ValueError("polynomial is not symmetric under variable permutations")
@@ -473,25 +372,23 @@ def schur_decompose(p: SparsePolynomial) -> SchurExpansion:
         alpha = rem.leading_monomial()
         if any(alpha[i] < alpha[i + 1] for i in range(r - 1)):
             raise ValueError(f"leading exponent {alpha} is not weakly decreasing")
-        lam = Partition(alpha)
+        indices = tuple(alpha[r - 1 - j] + j for j in range(r))
         c = rem.coefficient_of(alpha)
-        out[lam] = c
-        rem = rem - schur_bialternant(lam, r) * c
+        out[indices] = c
+        rem = rem - schur_bialternant(indices) * c
+        lead = rem.leading_monomial()
+        if lead is not None and (sum(lead), lead) >= (sum(alpha), alpha):
+            raise ArithmeticError(f"peeling s_{indices} left the leading term x^{lead}")
     return out
 
 
 def h_schur_expansion(d: int, r: int) -> SchurExpansion:
     """Schur coefficients of h_d over the C(r+1,2) pairwise-sum forms.
 
-    Each partition of d with at most r parts contributes psi of its index
-    set; the expansion has no other terms.
+    Each index set of weight d with r elements contributes its psi; the
+    expansion has no other terms.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    out: SchurExpansion = {}
-    for lam in enumerate_partitions(d, max_len=r):
-        out[lam] = psi(index_set_of(lam, r))
-    return out
+    return {I: psi(I) for I in index_sets(d, r)}
 
 
 # Seeded cases per run of the lemma21 and prop22 suites (prop22 checks each
@@ -582,7 +479,7 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
 
     h2 = complete_homogeneous(pairwise_sum_forms(x_space(2)), 2)
     expansion = schur_decompose(h2)
-    expected = {Partition([2]): 7, Partition([1, 1]): 3}
+    expected = {(0, 3): 7, (1, 2): 3}
     report.check(
         expansion == expected,
         lambda: f"h_2 over pairwise sums decomposed to {expansion}, expected {expected}",
@@ -601,12 +498,13 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
 
     for r in range(1, 7):
         for k in range(r + 1):
-            lam = Partition((2,) * (r - k) + (1,) * k)
-            got = psi(index_set_of(lam, r))
+            # The index set of the partition (2^(r-k), 1^k).
+            I = tuple(i for i in range(1, r + 2) if i != k + 1)
+            got = psi(I)
             want = (k + 1) * comb(r + 3, k + 3)
             report.check(
                 got == want,
-                lambda: f"psi at {lam} (r={r}): got {got}, want {want}",
+                lambda: f"psi at {I} (r={r}): got {got}, want {want}",
             )
 
     for r in range(1, 4):
@@ -618,13 +516,13 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
                     vsq = vsq * (space.variable(i) - space.variable(j))
         for n in range(r + 1, 6):
             target = (n - 1,) * r
-            for lam in enumerate_partitions(r * (n - r), max_len=r):
-                coeff = (schur_bialternant(lam, r) * vsq).coefficient_of(target)
-                want = factorial(r) if lam == Partition((n - r,) * r) else 0
+            for I in index_sets(r * (n - r), r):
+                coeff = (schur_bialternant(I) * vsq).coefficient_of(target)
+                want = factorial(r) if I == tuple(range(n - r, n)) else 0
                 report.check(
                     coeff == want,
                     lambda: (
-                        f"coefficient of x^{target} from {lam} (r={r}, n={n}): "
+                        f"coefficient of x^{target} from s_{I} (r={r}, n={n}): "
                         f"got {coeff}, want {want}"
                     ),
                 )

@@ -7,13 +7,7 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 from math import comb
 
-from sdpdeg.checks import (
-    Partition,
-    run_identities,
-    run_lemma21,
-    run_prop22,
-    schur_decompose,
-)
+from sdpdeg.checks import run_identities, run_lemma21, run_prop22
 from sdpdeg.degree import (
     delta_closed,
     delta_residue,
@@ -23,7 +17,6 @@ from sdpdeg.degree import (
     valid_triples,
     validate_triple,
 )
-from sdpdeg.polynomial import complete_homogeneous, pairwise_sum_forms, x_space
 
 # Degree results collected by criteria 1-5; criterion 9 audits them all.
 RECORDED = []
@@ -142,13 +135,12 @@ def test_criterion_7_doubly_symmetric_suite():
 
 
 def test_criterion_8_symmetric_identity_suite():
-    failures = []
-    h2 = complete_homogeneous(pairwise_sum_forms(x_space(2)), 2)
-    if schur_decompose(h2) != {Partition([2]): 7, Partition([1, 1]): 3}:
-        failures.append(f"h_2 pairwise-sum expansion came out as {schur_decompose(h2)}")
     report = run_identities()
-    if report.failed:
-        failures.append(f"{report.failed} identity checks failed: {report.first_failure}")
+    failures = []
+    if report.total != 102 or report.failed:
+        failures.append(
+            f"{report.passed}/{report.total} passed; first failure: {report.first_failure}"
+        )
     _report(8, "psi closed forms + Schur expansion identities", failures)
 
 

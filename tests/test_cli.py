@@ -203,8 +203,8 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "counterexample" in captured.err
 
 
-def test_verify_rejects_max_n_below_2(capsys):
-    for max_n in ("1", "0", "-3"):
+def test_verify_rejects_max_n_outside_2_to_6(capsys):
+    for max_n in ("1", "0", "-3", "7", "100"):
         argv = ["verify", "--suite", "cross-methods", "--max-n", max_n]
         assert main(argv) == 2, max_n
         captured = capsys.readouterr()

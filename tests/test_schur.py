@@ -1,4 +1,4 @@
-"""Tests for Schur polynomials, Pieri products, and Pascal-minor coefficients."""
+"""Tests for index sets, Schur polynomials, and Pascal-minor coefficients."""
 
 import random
 from fractions import Fraction
@@ -7,15 +7,13 @@ from math import comb, factorial
 
 import pytest
 
+import sdpdeg.checks as checks
 from sdpdeg.checks import (
-    Partition,
     elementary_symmetric,
-    enumerate_partitions,
     h_schur_expansion,
-    index_set_of,
+    index_sets,
     is_symmetric,
     jacobi_trudi_h,
-    pieri_multiply,
     schur_bialternant,
     schur_decompose,
 )
@@ -25,7 +23,87 @@ from sdpdeg.polynomial import (
     pairwise_sum_forms,
     x_space,
 )
-from sdpdeg.schur import bareiss_det, pascal_minor_det, psi
+from sdpdeg.schur import as_index_set, bareiss_det, pascal_minor_det, psi
+
+
+def test_index_set_validation():
+    assert as_index_set((0, 2, 5)) == (0, 2, 5)
+    with pytest.raises(ValueError):
+        as_index_set((2, 2))
+    with pytest.raises(ValueError):
+        as_index_set((3, 1))
+    with pytest.raises(ValueError):
+        as_index_set((-1, 0))
+    with pytest.raises(TypeError):
+        as_index_set([0.5, 2.9])
+    with pytest.raises(TypeError):
+        as_index_set([True, 2])
+    with pytest.raises(TypeError):
+        psi([0.5, 2.9])
+
+
+def test_index_sets_examples():
+    assert index_sets(0, 3) == [(0, 1, 2)]
+    assert index_sets(2, 2) == [(0, 3), (1, 2)]
+    with pytest.raises(ValueError):
+        index_sets(-1, 2)
+
+
+def test_index_sets_order_is_ascending_lex():
+    # the partitions (4), (3,1), (2,2), (2,1,1), (1,1,1,1)
+    assert index_sets(4, 4) == [
+        (0, 1, 2, 7),
+        (0, 1, 3, 6),
+        (0, 1, 4, 5),
+        (0, 2, 3, 5),
+        (1, 2, 3, 4),
+    ]
+
+
+def _count_partitions(d, max_len):
+    # independent oracle: standard bounded-length recurrence
+    if d == 0:
+        return 1
+    if max_len == 0:
+        return 0
+    return sum(
+        _count_partitions_first(d, max_len, first) for first in range(1, d + 1)
+    )
+
+
+def _count_partitions_first(d, max_len, first):
+    if first > d:
+        return 0
+    if first == d:
+        return 1
+    if max_len == 1:
+        return 0
+    return sum(
+        _count_partitions_first(d - first, max_len - 1, nxt)
+        for nxt in range(1, first + 1)
+    )
+
+
+def test_index_sets_count_the_partitions():
+    # r-element index sets of weight d correspond to partitions of d into at
+    # most r parts
+    for d in range(8):
+        for r in range(1, 6):
+            got = index_sets(d, r)
+            assert len(got) == _count_partitions(d, r), (d, r)
+            assert len(set(got)) == len(got)
+            for I in got:
+                assert as_index_set(I) == I
+                assert len(I) == r and sum(I) - comb(r, 2) == d, (I, d, r)
+
+
+def test_index_set_weight_identity():
+    # every r-subset I of the naturals is listed under weight sum(I) - C(r, 2)
+    rng = random.Random(9)
+    for _ in range(40):
+        r = rng.randint(1, 4)
+        indices = tuple(sorted(rng.sample(range(10), r)))
+        assert indices in index_sets(sum(indices) - comb(r, 2), r), indices
 
 
 def _det_by_permutations(matrix):
@@ -67,17 +145,17 @@ def test_bareiss_det_zero_pivot_and_fractions():
 def test_bialternant_small_cases():
     sp = x_space(2)
     x1, x2 = sp.variable(0), sp.variable(1)
-    assert schur_bialternant(Partition([1]), 2) == x1 + x2
-    assert schur_bialternant(Partition([2]), 2) == x1 * x1 + x1 * x2 + x2 * x2
-    assert schur_bialternant(Partition([1, 1]), 2) == x1 * x2
+    assert schur_bialternant((0, 2)) == x1 + x2
+    assert schur_bialternant((0, 3)) == x1 * x1 + x1 * x2 + x2 * x2
+    assert schur_bialternant((1, 2)) == x1 * x2
     with pytest.raises(ValueError):
-        schur_bialternant(Partition([1, 1, 1]), 2)
+        schur_bialternant((2, 1))
 
 
 def test_bialternant_is_symmetric_and_homogeneous():
     for r in (2, 3):
-        for lam in enumerate_partitions(4, r):
-            s = schur_bialternant(lam, r)
+        for I in index_sets(4, r):
+            s = schur_bialternant(I)
             assert is_symmetric(s)
             degrees = {sum(mono) for mono in s.terms}
             assert degrees == {4}
@@ -87,8 +165,12 @@ def test_bialternant_matches_h_and_e_specializations():
     for r in (2, 3):
         xs = [x_space(r).variable(i) for i in range(r)]
         for k in range(1, r + 1):
-            assert schur_bialternant(Partition([k]), r) == complete_homogeneous(xs, k)
-            assert schur_bialternant(Partition([1] * k), r) == elementary_symmetric(xs, k)
+            # (k) has the index set {0..r-2} + {k+r-1}; (1^k) has {0..r-1}
+            # with its top k entries raised by one
+            h_set = (*range(r - 1), k + r - 1)
+            e_set = tuple(i + (i >= r - k) for i in range(r))
+            assert schur_bialternant(h_set) == complete_homogeneous(xs, k)
+            assert schur_bialternant(e_set) == elementary_symmetric(xs, k)
 
 
 def test_jacobi_trudi_examples():
@@ -106,40 +188,13 @@ def test_jacobi_trudi_matches_recurrence():
             assert jacobi_trudi_h(k, forms) == complete_homogeneous(forms, k), (r, k)
 
 
-def test_pieri_examples():
-    assert pieri_multiply(Partition(), 1, 2) == [Partition([1])]
-    assert sorted(pieri_multiply(Partition([1]), 1, 2), key=lambda p: p.parts) == [
-        Partition([1, 1]),
-        Partition([2]),
-    ]
-    assert pieri_multiply(Partition([2, 2]), 2, 2) == [Partition([3, 3])]
-    assert pieri_multiply(Partition([1]), 0, 2) == [Partition([1])]
-
-
-def test_pieri_agrees_with_decomposition():
-    for r in (2, 3):
-        for weight in range(4):
-            for lam in enumerate_partitions(weight, r):
-                s_lam = schur_bialternant(lam, r)
-                for k in range(r + 1):
-                    e_k = elementary_symmetric(
-                        [x_space(r).variable(i) for i in range(r)], k
-                    )
-                    expansion = schur_decompose(s_lam * e_k)
-                    expected = {gamma: 1 for gamma in pieri_multiply(lam, k, r)}
-                    assert expansion == expected, (lam, k, r)
-
-
 def test_schur_decompose_examples():
     sp = x_space(2)
     x1, x2 = sp.variable(0), sp.variable(1)
     h2_forms = SparsePolynomial(sp, {(2, 0): 7, (1, 1): 10, (0, 2): 7})
-    assert schur_decompose(h2_forms) == {Partition([2]): 7, Partition([1, 1]): 3}
-    assert schur_decompose(x1 * x2) == {Partition([1, 1]): 1}
-    assert schur_decompose((x1 + x2) * (x1 + x2)) == {
-        Partition([2]): 1,
-        Partition([1, 1]): 1,
-    }
+    assert schur_decompose(h2_forms) == {(0, 3): 7, (1, 2): 3}
+    assert schur_decompose(x1 * x2) == {(1, 2): 1}
+    assert schur_decompose((x1 + x2) * (x1 + x2)) == {(0, 3): 1, (1, 2): 1}
 
 
 def test_schur_decompose_rejects_asymmetric():
@@ -148,11 +203,20 @@ def test_schur_decompose_rejects_asymmetric():
         schur_decompose(sp.variable(0))
 
 
+def test_schur_decompose_raises_on_a_peel_that_keeps_the_leading_term(monkeypatch):
+    # a wrong Schur polynomial must fail the decomposition, not hang it
+    real = checks.schur_bialternant
+    monkeypatch.setattr(checks, "schur_bialternant", lambda indices: real(indices) * 2)
+    sp = x_space(2)
+    with pytest.raises(ArithmeticError):
+        schur_decompose(sp.variable(0) * sp.variable(1))
+
+
 def test_schur_decompose_inverts_bialternant():
     for r in (2, 3):
         for weight in range(6):
-            for lam in enumerate_partitions(weight, r):
-                assert schur_decompose(schur_bialternant(lam, r)) == {lam: 1}
+            for I in index_sets(weight, r):
+                assert schur_decompose(schur_bialternant(I)) == {I: 1}
 
 
 def test_pascal_minor_examples():
@@ -178,10 +242,10 @@ def test_psi_hockey_stick_closed_form():
 
 
 def test_h_schur_expansion_examples():
-    assert h_schur_expansion(2, 2) == {Partition([2]): 7, Partition([1, 1]): 3}
+    assert h_schur_expansion(2, 2) == {(0, 3): 7, (1, 2): 3}
     for r in (1, 2, 3):
-        assert h_schur_expansion(0, r) == {Partition(): 1}
-    assert h_schur_expansion(1, 2) == {Partition([1]): 3}
+        assert h_schur_expansion(0, r) == {tuple(range(r)): 1}
+    assert h_schur_expansion(1, 2) == {(0, 2): 3}
 
 
 def test_h_schur_expansion_matches_symbolic():
@@ -193,8 +257,8 @@ def test_h_schur_expansion_matches_symbolic():
 
 
 def test_vandermonde_square_coefficient():
-    # coefficient of x^((n-1)^r) in s_lam * prod_{j != i}(x_i - x_j):
-    # r! exactly when lam is the full rectangle, 0 otherwise
+    # coefficient of x^((n-1)^r) in s_I * prod_{j != i}(x_i - x_j):
+    # r! exactly when I = {n-r..n-1}, the full rectangle, 0 otherwise
     for r in (1, 2):
         sp = x_space(r)
         vsq = sp.one()
@@ -204,16 +268,17 @@ def test_vandermonde_square_coefficient():
                     vsq = vsq * (sp.variable(i) - sp.variable(j))
         for n in range(r + 1, 5):
             target = (n - 1,) * r
-            for lam in enumerate_partitions(r * (n - r), r):
-                coeff = (schur_bialternant(lam, r) * vsq).coefficient_of(target)
-                if lam == Partition((n - r,) * r):
-                    assert coeff == factorial(r), (lam, n)
+            for I in index_sets(r * (n - r), r):
+                coeff = (schur_bialternant(I) * vsq).coefficient_of(target)
+                if I == tuple(range(n - r, n)):
+                    assert coeff == factorial(r), (I, n)
                 else:
-                    assert coeff == 0, (lam, n)
+                    assert coeff == 0, (I, n)
 
 
 def test_psi_rectangle_strip_closed_form():
     for r in range(1, 5):
         for k in range(r + 1):
-            lam = Partition((2,) * (r - k) + (1,) * k)
-            assert psi(index_set_of(lam, r)) == (k + 1) * comb(r + 3, k + 3), (r, k)
+            # the index set of the partition (2^(r-k), 1^k)
+            I = tuple(i for i in range(1, r + 2) if i != k + 1)
+            assert psi(I) == (k + 1) * comb(r + 3, k + 3), (r, k)
