@@ -2,17 +2,18 @@
 used as ground truth by the verify suites (defined here) and the tests.
 
 Everything here favors transparency over speed: root tuples and subsets are
-enumerated outright, products are formed without caps, determinants are
-expanded over signed permutations, and none of it reuses the optimized
-degree algorithms these checks validate.  Only the CLI's `verify` command
-and the tests import this module.  `random_polynomial` draws the seeded
-test polynomials.
+enumerated outright, products are formed without caps, determinants go
+through the signed-permutation expansion `permutation_det`, and none of it
+reuses the optimized degree algorithms these checks validate.  Only the
+CLI's `verify` command and the tests import this module.
+`random_polynomial` draws the seeded test polynomials.
 
 Besides the brute-force oracles it holds the Schur-basis constructions,
 labelled by index sets (the strictly increasing tuples `psi` takes), which
 `index_sets` lists: Schur polynomials as alternant quotients
 (`schur_bialternant`), the symmetry test and Schur-basis decomposition
-(`is_symmetric`, `schur_decompose`), the psi-weighted expansion of h_d over
+(`is_symmetric`, `schur_decompose`, which reads every Schur coefficient of p
+off the one product a_delta * p), the psi-weighted expansion of h_d over
 pairwise sums (`h_schur_expansion`), elementary symmetric polynomials and
 the Jacobi-Trudi determinant.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .degree import (
     delta_closed,
@@ -220,34 +221,20 @@ def random_doubly_symmetric(
     return SparsePolynomial(space, symmetrized)
 
 
-def _det_expand(entries: list[list[Union[SparsePolynomial, None]]],
-                space: VariableSpace) -> SparsePolynomial:
-    """Signed permutation expansion (DFS over columns, zero entries pruned)."""
-    k = len(entries)
-    total = space.zero()
-    used = [False] * k
+def permutation_det(matrix: Sequence[Sequence[Any]], one: Any) -> Any:
+    """Determinant by the Leibniz formula, sum_p sign(p) * prod_i matrix[i][p(i)].
 
-    def walk(col: int, sign: int, partial: SparsePolynomial) -> None:
-        nonlocal total
-        if col == k:
-            total = total + (partial if sign > 0 else -partial)
-            return
-        flips = 0
-        for row in range(k):
-            if used[row]:
-                flips += 1
-                continue
-            entry = entries[row][col]
-            if entry is None or entry.is_zero():
-                continue
-            used[row] = True
-            # row - flips = unused rows above this one; each will pair with a
-            # later column to form an inversion, so the accumulated sign over
-            # a complete assignment is the permutation parity.
-            walk(col + 1, sign * (-1) ** (row - flips), partial * entry)
-            used[row] = False
-
-    walk(0, 1, space.one())
+    The sign is the parity of the inversion count, and a permutation that
+    meets a falsy (zero) entry is skipped, so entries may be ints or
+    polynomials; `one` is their unit, and the determinant of the empty matrix.
+    """
+    total = one - one  # the zero of the entries' ring
+    for perm in permutations(range(len(matrix))):
+        entries = [row[j] for row, j in zip(matrix, perm)]
+        if all(entries):
+            term = prod(entries, start=one)
+            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+            total = total - term if odd else total + term
     return total
 
 
@@ -282,25 +269,23 @@ def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomia
     if not forms:
         raise ValueError("need at least one form")
     space = forms[0].space
-    if k == 0:
-        return space.one()
     es = [elementary_symmetric(forms, i) for i in range(k + 1)]
-    entries: list[list[Union[SparsePolynomial, None]]] = [
-        [es[j - i + 1] if j - i + 1 >= 0 else None for j in range(k)]
+    entries = [
+        [es[j - i + 1] if j - i + 1 >= 0 else space.zero() for j in range(k)]
         for i in range(k)
     ]
-    return _det_expand(entries, space)
+    return permutation_det(entries, space.one())
 
 
 def _alternant(space: VariableSpace, exponents: Sequence[int]) -> SparsePolynomial:
     """det(x_i ^ exponents_j), expanded over signed permutations."""
     r = space.arity
-    entries: list[list[Union[SparsePolynomial, None]]] = [
+    entries = [
         [SparsePolynomial(space, {tuple(e if v == i else 0 for v in range(r)): 1})
          for e in exponents]
         for i in range(r)
     ]
-    return _det_expand(entries, space)
+    return permutation_det(entries, space.one())
 
 
 def _divide_exact(num: SparsePolynomial, den: SparsePolynomial) -> SparsePolynomial:
@@ -357,29 +342,22 @@ def is_symmetric(p: SparsePolynomial) -> bool:
 def schur_decompose(p: SparsePolynomial) -> SchurExpansion:
     """Exact expansion of a symmetric polynomial in the Schur basis.
 
-    Peels the graded-lex leading term: for symmetric p it is x^alpha with
-    alpha weakly decreasing, and subtracting that multiple of s_I, where
-    I = (alpha_r, alpha_(r-1) + 1, ..., alpha_1 + r - 1), strictly lowers the
-    leading term, so this terminates.  A peel that does not lower it raises
-    ArithmeticError.
+    By the bialternant identity a_delta * p = sum_I c_I * a_I, where
+    a_I = det(x_i^(I_j)) and delta = (0, 1, ..., r-1), each coefficient c_I
+    is the coefficient of x^I in the one product a_delta * p (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3).  The monomials of a_I are
+    the permutations of I, so alternants of distinct index sets share no
+    monomial, and x^I, with coefficient 1, is the only one of them whose
+    exponents increase strictly.  The result is keyed by index set, in
+    ascending order.
     """
     if not is_symmetric(p):
         raise ValueError("polynomial is not symmetric under variable permutations")
-    r = p.space.arity
-    out: SchurExpansion = {}
-    rem = p
-    while not rem.is_zero():
-        alpha = rem.leading_monomial()
-        if any(alpha[i] < alpha[i + 1] for i in range(r - 1)):
-            raise ValueError(f"leading exponent {alpha} is not weakly decreasing")
-        indices = tuple(alpha[r - 1 - j] + j for j in range(r))
-        c = rem.coefficient_of(alpha)
-        out[indices] = c
-        rem = rem - schur_bialternant(indices) * c
-        lead = rem.leading_monomial()
-        if lead is not None and (sum(lead), lead) >= (sum(alpha), alpha):
-            raise ArithmeticError(f"peeling s_{indices} left the leading term x^{lead}")
-    return out
+    antisymmetric = _alternant(p.space, range(p.space.arity)) * p
+    return {
+        I: c for I, c in sorted(antisymmetric.terms.items())
+        if all(a < b for a, b in zip(I, I[1:]))
+    }
 
 
 def h_schur_expansion(d: int, r: int) -> SchurExpansion:

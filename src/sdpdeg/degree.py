@@ -105,6 +105,8 @@ class PatakiTriple:
             raise ValueError("inconsistent lower slack")
         if self.k + self.ell != self.r * (self.n - self.r):
             raise ValueError("slacks must sum to r(n-r)")
+        if not (1 <= self.r <= self.n - 1 and self.k >= 0 and self.ell >= 0):
+            raise ValueError("triple outside the Pataki window")
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,18 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "counterexample" in captured.err
 
 
+def test_verify_reports_a_wrong_schur_polynomial(capsys, monkeypatch):
+    # a wrong s_I must fail the identities suite, not crash the CLI
+    import sdpdeg.checks as checks
+
+    real = checks.schur_bialternant
+    monkeypatch.setattr(checks, "schur_bialternant", lambda indices: real(indices) * 2)
+    assert main(["verify", "--suite", "identities"]) == 1
+    captured = capsys.readouterr()
+    assert "identities: 93/102 passed" in captured.out
+    assert "coefficient of x^(1,) from s_(1,)" in captured.err
+
+
 def test_verify_rejects_max_n_outside_2_to_6(capsys):
     for max_n in ("1", "0", "-3", "7", "100"):
         argv = ["verify", "--suite", "cross-methods", "--max-n", max_n]

@@ -60,6 +60,10 @@ def test_triple_slacks_sum_rule():
 def test_triple_consistency_enforced():
     with pytest.raises(ValueError):
         PatakiTriple(m=3, n=4, r=2, k=1, ell=4)
+    # consistent slacks, but outside the Pataki window
+    for args in ((100, 4, 2, 97, -93), (10, 4, 0, 0, 0), (3, 4, 0, -7, 7)):
+        with pytest.raises(ValueError, match="outside the Pataki window"):
+            PatakiTriple(*args)
 
 
 def test_valid_triples_ordering_and_count():
