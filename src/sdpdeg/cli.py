@@ -67,11 +67,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     results = [delta(t, method=args.method) for t in valid_triples(args.n)]
 
     if args.check_duality:
-        by_key = {(res.triple.m, res.triple.r): res for res in results}
+        by_triple = {res.triple: res for res in results}
         violations = []
         for res in results:
             partner = duality_partner(res.triple)
-            other = by_key[(partner.m, partner.r)]
+            other = by_triple[partner]
             if other.method in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
                 # Both rows of a closed-form pair evaluate the same formula.
                 other = delta(partner, method="residue")

@@ -21,9 +21,9 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     m in {3, 4} at r = n-2, reached directly or through the duality
     delta(m,n,r) = delta(C(n+1,2)-m, n, n-r).
 
-Here k = m - C(n-r+1,2) and l = C(n+1,2) - C(r+1,2) - m are the slacks of m
-against the two Pataki bounds ("ell" in code); k + ell = r(n-r).  Every
-result is asserted to be a positive integer; all arithmetic is exact.
+Here k = m - lower and l = upper - m are the slacks of m against the two
+Pataki bounds ("ell" in code); k + ell = r(n-r).  Every result is asserted
+to be a positive integer; all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -46,6 +46,15 @@ from .polynomial import (
     xy_space,
 )
 from .schur import bareiss_det
+
+#: The delta API, re-exported by the package.
+__all__ = [
+    "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
+    "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
+    "default_sample_points", "delta", "delta_closed", "delta_residue",
+    "delta_theorem1", "duality_partner", "random_sample_points",
+    "valid_triples", "validate_triple",
+]
 
 
 class InvalidTripleError(ValueError):
@@ -86,27 +95,55 @@ class Method(enum.Enum):
     DUALITY_REDUCED = "duality_reduced"
 
 
+def _pataki_bounds(n: int, r: int) -> tuple[int, int]:
+    """The lower and upper Pataki bounds on m at (n, r)."""
+    return comb(n - r + 1, 2), comb(n + 1, 2) - comb(r + 1, 2)
+
+
+def _check_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidTripleError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PatakiTriple:
-    """A validated (m, n, r) with its slacks against the Pataki bounds.
+    """A triple (m, n, r) inside the Pataki window; construction checks it.
 
-    k is the slack over the lower bound, ell the slack under the upper one;
-    k + ell = r(n-r) always.  Construct through validate_triple.
+    Degenerate ranks r = 0 and r = n are rejected: the window collapses and
+    the degree is about rank-r optima of a nontrivial problem.  k is the
+    slack over the lower bound, ell the slack under the upper one; both are
+    derived, and k + ell = r(n-r).
     """
 
     m: int
     n: int
     r: int
-    k: int
-    ell: int
 
     def __post_init__(self):
-        if self.k != self.m - comb(self.n - self.r + 1, 2):
-            raise ValueError("inconsistent lower slack")
-        if self.k + self.ell != self.r * (self.n - self.r):
-            raise ValueError("slacks must sum to r(n-r)")
-        if not (1 <= self.r <= self.n - 1 and self.k >= 0 and self.ell >= 0):
-            raise ValueError("triple outside the Pataki window")
+        m, n, r = self.m, self.n, self.r
+        for name, value in (("m", m), ("n", n), ("r", r)):
+            _check_int(name, value)
+        if m < 1 or n < 1:
+            raise InvalidTripleError(f"m and n must be positive, got m={m}, n={n}")
+        if not 1 <= r <= n - 1:
+            raise UnsupportedRankError(f"rank r={r} outside the supported range [1, {n - 1}]")
+        lower, upper = _pataki_bounds(n, r)
+        if m < lower:
+            raise PatakiBoundError(
+                f"m={m} below the lower Pataki bound {lower} for (n={n}, r={r})"
+            )
+        if m > upper:
+            raise PatakiBoundError(
+                f"m={m} above the upper Pataki bound {upper} for (n={n}, r={r})"
+            )
+
+    @property
+    def k(self) -> int:
+        return self.m - _pataki_bounds(self.n, self.r)[0]
+
+    @property
+    def ell(self) -> int:
+        return _pataki_bounds(self.n, self.r)[1] - self.m
 
 
 @dataclass(frozen=True)
@@ -127,47 +164,25 @@ SamplePoints = tuple[Coeff, ...]
 
 
 def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
-    """Check the Pataki window and derive the slacks, or raise.
-
-    Degenerate ranks r = 0 and r = n are rejected: the window collapses and
-    the degree is about rank-r optima of a nontrivial problem.
-    """
-    for name, value in (("m", m), ("n", n), ("r", r)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidTripleError(f"{name} must be a positive integer, got {value!r}")
-    if m < 1 or n < 1:
-        raise InvalidTripleError(f"m and n must be positive, got m={m}, n={n}")
-    if not 1 <= r <= n - 1:
-        raise UnsupportedRankError(f"rank r={r} outside the supported range [1, {n - 1}]")
-    lower = comb(n - r + 1, 2)
-    upper = comb(n + 1, 2) - comb(r + 1, 2)
-    if m < lower:
-        raise PatakiBoundError(
-            f"m={m} below the lower Pataki bound {lower} for (n={n}, r={r})"
-        )
-    if m > upper:
-        raise PatakiBoundError(
-            f"m={m} above the upper Pataki bound {upper} for (n={n}, r={r})"
-        )
-    return PatakiTriple(m, n, r, k=m - lower, ell=upper - m)
+    """The triple (m, n, r), or InvalidTripleError naming what is wrong."""
+    return PatakiTriple(m, n, r)
 
 
 def valid_triples(n: int) -> list[PatakiTriple]:
     """Every Pataki-valid triple at this n, ordered by (r, m)."""
+    _check_int("n", n)
     if n < 2:
         raise InvalidTripleError(f"need n >= 2, got {n}")
     out = []
     for r in range(1, n):
-        lower = comb(n - r + 1, 2)
-        upper = comb(n + 1, 2) - comb(r + 1, 2)
-        for m in range(lower, upper + 1):
-            out.append(validate_triple(m, n, r))
+        lower, upper = _pataki_bounds(n, r)
+        out += (PatakiTriple(m, n, r) for m in range(lower, upper + 1))
     return out
 
 
 def duality_partner(t: PatakiTriple) -> PatakiTriple:
     """The dual triple (C(n+1,2) - m, n, n - r); an involution."""
-    return validate_triple(comb(t.n + 1, 2) - t.m, t.n, t.n - t.r)
+    return PatakiTriple(comb(t.n + 1, 2) - t.m, t.n, t.n - t.r)
 
 
 def default_sample_points(n: int) -> SamplePoints:
@@ -284,19 +299,19 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     through the e-determinant route, independent of the recurrence used by
     the coefficient-extraction path.
     """
-    n, r = t.n, t.r
+    n, r, k, ell = t.n, t.r, t.k, t.ell
     pts = _sample_points(n, points)
 
     total = Fraction(0)
     for subset in combinations(range(n), r):
         chosen = set(subset)
         rest = tuple(j for j in range(n) if j not in chosen)
-        h_ell = h_determinant(pairwise_sums([pts[i] for i in subset]), t.ell)
-        h_k = h_determinant(pairwise_sums([pts[j] for j in rest]), t.k)
+        h_ell = h_determinant(pairwise_sums([pts[i] for i in subset]), ell)
+        h_k = h_determinant(pairwise_sums([pts[j] for j in rest]), k)
         denom = prod(pts[i] - pts[j] for i in subset for j in rest)
         total += Fraction(h_ell * h_k) / denom
 
-    value = (-1) ** t.k * total
+    value = (-1) ** k * total
     delta_value = _as_positive_integer(value, f"residue sum on {t}")
     return DegreeResult(t, delta_value, Method.RESIDUE)
 

@@ -1,6 +1,7 @@
 """Tests for the three degree algorithms and their dispatcher."""
 
 import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -14,6 +15,7 @@ from sdpdeg.degree import (
     METHODS,
     CrossCheckError,
     DegreeResult,
+    InvalidTripleError,
     Method,
     PatakiBoundError,
     PatakiTriple,
@@ -39,6 +41,9 @@ def test_validate_triple_examples():
         validate_triple(2, 4, 2)
     with pytest.raises(PatakiBoundError, match="upper Pataki bound 7"):
         validate_triple(8, 4, 2)
+    for bad in (4.0, True, "4"):
+        with pytest.raises(InvalidTripleError, match="n must be a positive integer"):
+            validate_triple(3, bad, 2)
 
 
 def test_validate_triple_rank_range():
@@ -57,19 +62,51 @@ def test_triple_slacks_sum_rule():
             assert t.k + t.ell == t.r * (n - t.r)
 
 
-def test_triple_consistency_enforced():
-    with pytest.raises(ValueError):
-        PatakiTriple(m=3, n=4, r=2, k=1, ell=4)
-    # consistent slacks, but outside the Pataki window
-    for args in ((100, 4, 2, 97, -93), (10, 4, 0, 0, 0), (3, 4, 0, -7, 7)):
-        with pytest.raises(ValueError, match="outside the Pataki window"):
-            PatakiTriple(*args)
+def test_triple_fields_are_m_n_r():
+    assert [f.name for f in fields(PatakiTriple)] == ["m", "n", "r"]
+
+
+def test_triple_accepts_exactly_the_valid_triples():
+    for n in range(-1, 9):
+        valid = set(valid_triples(n)) if n >= 2 else set()
+        accepted = set()
+        for r in range(-1, n + 2):
+            for m in range(-1, comb(n + 1, 2) + 3):
+                if m < 1 or n < 1:
+                    expected = InvalidTripleError
+                elif not 1 <= r <= n - 1:
+                    expected = UnsupportedRankError
+                else:
+                    expected = PatakiBoundError
+                try:
+                    accepted.add(validate_triple(m, n, r))
+                except InvalidTripleError as exc:
+                    assert type(exc) is expected, (m, n, r, exc)
+        assert accepted == valid, n
+
+
+def test_triple_outside_the_window_is_rejected():
+    with pytest.raises(PatakiBoundError, match="upper Pataki bound 7"):
+        PatakiTriple(100, 4, 2)
+    for m in (10, 3):
+        with pytest.raises(UnsupportedRankError):
+            PatakiTriple(m, 4, 0)
+
+
+def test_equal_triples_hash_the_same():
+    t = validate_triple(3, 4, 2)
+    assert t == PatakiTriple(3, 4, 2)
+    assert hash(t) == hash(PatakiTriple(3, 4, 2))
+    assert len({t, PatakiTriple(3, 4, 2), duality_partner(duality_partner(t))}) == 1
 
 
 def test_valid_triples_ordering_and_count():
     triples = valid_triples(4)
     assert [(t.r, t.m) for t in triples] == sorted((t.r, t.m) for t in triples)
     assert len(triples) == 13  # r=1: m 6..9, r=2: m 3..7, r=3: m 1..4
+    for n in (1, 4.0, True, "4"):
+        with pytest.raises(InvalidTripleError):
+            valid_triples(n)
 
 
 def test_duality_partner():
