@@ -7,10 +7,10 @@ point is used anywhere.
 
 The package exports the delta API of `sdpdeg.degree`, as listed in its
 `__all__`.  The lower-level pieces are imported from their own modules: the
-numeric kernels (`h_determinant`, `pairwise_sums`) from `sdpdeg.degree`,
-sparse polynomials and their forms from `sdpdeg.polynomial`, determinants
-and the Pascal-minor psi from `sdpdeg.schur`, and the test-only oracles from
-`sdpdeg.checks`.
+numeric kernels (`h_recurrence`, `pairwise_sums`) and the determinant oracle
+`h_determinant` from `sdpdeg.degree`, sparse polynomials and their forms
+from `sdpdeg.polynomial`, determinants and the Pascal-minor psi from
+`sdpdeg.schur`, and the test-only oracles from `sdpdeg.checks`.
 """
 
 from . import degree

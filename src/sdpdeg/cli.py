@@ -2,7 +2,8 @@
 self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
-3 cross-check or duality disagreement.
+3 cross-check or duality disagreement.  A RuntimeWarning the library issues
+(theorem1 at large n) goes to standard error as one `warning: ...` line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -187,11 +189,19 @@ def _attach_lambda(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Union[Sequence[str], None] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_lambda(argv))
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # "default" prints each distinct message once per call of main.
+            warnings.simplefilter("default", RuntimeWarning)
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -13,9 +13,11 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
     h_l(Lambda_I) * h_k(Lambda_{I^c}) / prod_{i in I, j not in I}(l_i - l_j)
     and multiply by (-1)^k, where Lambda_I is the multiset of pairwise sums
-    of the chosen values and each h is evaluated as a determinant in
-    elementary symmetric values (fraction-free Bareiss), deliberately NOT
-    through the recurrence the coefficient path uses;
+    of the chosen values and each h is evaluated on those numbers from
+    their elementary symmetric values by the identity
+    sum_{i=0}^{j} (-1)^i e_i h_{j-i} = 0 (Macdonald I.2.6'), in O(k^2)
+    operations.  It never forms a polynomial, so it shares no code with
+    the form-level multiset DP by which the coefficient path builds h;
 
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
@@ -31,6 +33,7 @@ from __future__ import annotations
 import enum
 import random
 import time
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -225,11 +228,31 @@ def _elementary_values(values: Sequence[Coeff], kmax: int) -> list[Coeff]:
     return e
 
 
+def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
+    """h_k of a multiset of numbers from e_1..e_k, in O(k^2) operations.
+
+    h_j = sum_{i=1}^{j} (-1)^(i-1) e_i h_{j-i} with h_0 = 1 (Macdonald
+    I.2.6'): the first-column expansion of `h_determinant`'s matrix.
+    """
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    e = _elementary_values(values, k)
+    h: list[Coeff] = [1]
+    for j in range(1, k + 1):
+        total: Coeff = 0
+        for i in range(1, j + 1):
+            term = e[i] * h[j - i]
+            total = total + term if i % 2 else total - term
+        h.append(total)
+    return h[k]
+
+
 def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     """h_k of a multiset of numbers as the k x k determinant in e_1..e_k.
 
     Entry (i, j) is e_{j-i+1} (1 on the subdiagonal, 0 below), evaluated by
-    fraction-free Bareiss; h_0 is the empty determinant 1.
+    fraction-free Bareiss; h_0 is the empty determinant 1.  The residue sum
+    uses `h_recurrence`; this O(k^3) evaluation is its test oracle.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -295,9 +318,9 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
 def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
     """Degree by the exact residue sum over r-subsets of the sample points.
 
-    Any pairwise-distinct points give the same value; the h factors go
-    through the e-determinant route, independent of the recurrence used by
-    the coefficient-extraction path.
+    Any pairwise-distinct points give the same value.  Both h factors are
+    numbers from `h_recurrence`, so the sum shares nothing with the
+    form-level h of the coefficient-extraction path, which it checks.
     """
     n, r, k, ell = t.n, t.r, t.k, t.ell
     pts = _sample_points(n, points)
@@ -306,8 +329,8 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     for subset in combinations(range(n), r):
         chosen = set(subset)
         rest = tuple(j for j in range(n) if j not in chosen)
-        h_ell = h_determinant(pairwise_sums([pts[i] for i in subset]), ell)
-        h_k = h_determinant(pairwise_sums([pts[j] for j in rest]), k)
+        h_ell = h_recurrence(pairwise_sums([pts[i] for i in subset]), ell)
+        h_k = h_recurrence(pairwise_sums([pts[j] for j in rest]), k)
         denom = prod(pts[i] - pts[j] for i in subset for j in rest)
         total += Fraction(h_ell * h_k) / denom
 
@@ -354,12 +377,28 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
     return result
 
 
+#: The smallest n at which `theorem1` warns before it starts: its capped
+#: expansion grows like n^n, and (18, 8, 4) took about 2 minutes.
+_THEOREM1_WARN_N = 8
+
+
+def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
+    """`delta_theorem1`, as the requested method or as the checker, warned about at large n."""
+    if t.n >= _THEOREM1_WARN_N:
+        warnings.warn(
+            f"theorem1 at n={t.n} expands a product of up to n^n terms "
+            "and may run for minutes (n=8 took about 2 minutes)",
+            RuntimeWarning,
+        )
+    return delta_theorem1(t)
+
+
 #: The methods `delta` accepts by name.  Entries name the kernels through this
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
     "auto": lambda t, points: delta_closed(t) or delta_residue(t, points),
-    "theorem1": lambda t, points: delta_theorem1(t),
+    "theorem1": _theorem1,
     "residue": lambda t, points: delta_residue(t, points),
     "closed": _closed,
 }
@@ -368,7 +407,7 @@ METHODS: dict[str, Callable[..., DegreeResult]] = {
 _SECOND_OPINION: dict[Method, Callable[..., DegreeResult]] = {
     Method.CLOSED_FORM: METHODS["residue"],
     Method.DUALITY_REDUCED: METHODS["residue"],
-    Method.RESIDUE: lambda t, points: delta_closed(t) or delta_theorem1(t),
+    Method.RESIDUE: lambda t, points: delta_closed(t) or _theorem1(t),
     Method.THEOREM1: METHODS["residue"],
 }
 

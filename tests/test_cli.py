@@ -93,6 +93,38 @@ def test_value_cross_check_disagreement_exits_3(capsys, monkeypatch):
     assert "disagreement" in capsys.readouterr().err
 
 
+def _warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def test_theorem1_warns_up_front_from_n_8(capsys, monkeypatch):
+    # theorem1 grows like n^n: at n >= 8 it warns, as the requested method or
+    # as the checker, before it starts.  The fake keeps the test fast.
+    started = []
+
+    def fake_theorem1(t):
+        started.append(_warnings(capsys.readouterr().err))
+        return DegreeResult(t, degree_mod.delta_residue(t).delta, Method.THEOREM1)
+
+    monkeypatch.setattr(degree_mod, "delta_theorem1", fake_theorem1)
+    assert main(["value", "18", "8", "4", "--check"]) == 0
+    assert len(started) == 1 and len(started[0]) == 1
+    assert "n=8" in started[0][0] and "minutes" in started[0][0]
+    assert _fields(capsys.readouterr().out.strip())["delta"] == "4763094"
+
+    assert main(["value", "16", "7", "3", "--check"]) == 0
+    captured = capsys.readouterr()
+    assert _fields(captured.out.strip())["delta"] == "99596"
+    assert _warnings(captured.err) == [] and len(started) == 2
+
+    # once per n, however many triples run theorem1
+    started.clear()
+    assert main(["table", "8", "--method", "theorem1"]) == 0
+    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
+    assert len(started) == len(degree_mod.valid_triples(8))
+    assert len(warned) == 1 and "n=8" in warned[0], warned
+
+
 def test_table_csv(capsys):
     assert main(["table", "3"]) == 0
     out = capsys.readouterr().out

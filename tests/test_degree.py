@@ -1,10 +1,13 @@
 """Tests for the three degree algorithms and their dispatcher."""
 
+import json
+import random
 import time
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from sdpdeg.degree import (
     delta_theorem1,
     duality_partner,
     h_determinant,
+    h_recurrence,
     pairwise_sums,
     random_sample_points,
     valid_triples,
@@ -134,26 +138,81 @@ def test_pairwise_sums():
     assert pairwise_sums([5]) == [10]
 
 
-def test_h_determinant_against_multiset_enumeration():
-    from itertools import combinations_with_replacement
-    import random
+def _h_by_enumeration(values, k):
+    return sum(prod(c) for c in combinations_with_replacement(values, k)) if k else 1
 
+
+def test_h_determinant_against_multiset_enumeration():
     rng = random.Random(2)
     for _ in range(30):
         values = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
         for k in range(4):
-            brute = (
-                sum(prod(c) for c in combinations_with_replacement(values, k))
-                if k
-                else 1
-            )
-            assert h_determinant(values, k) == brute, (values, k)
+            assert h_determinant(values, k) == _h_by_enumeration(values, k), (values, k)
     # zero e_1 exercises the Bareiss pivoting path
     assert h_determinant([-2, 0, 2], 2) == sum(
         a * b for a, b in [(-2, -2), (-2, 0), (-2, 2), (0, 0), (0, 2), (2, 2)]
     )
     with pytest.raises(ValueError, match="nonnegative"):
         h_determinant([1, 2], -1)
+
+
+def test_h_recurrence_against_determinant_and_multiset_enumeration():
+    rng = random.Random(11)
+    for _ in range(20):
+        size = rng.randint(1, 4)
+        ints = [rng.randint(-5, 5) for _ in range(size)]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+        for values in (ints, fracs):
+            for k in range(13):
+                h = h_recurrence(values, k)
+                assert h == h_determinant(values, k), (values, k)
+                assert h == _h_by_enumeration(values, k), (values, k)
+                if all(isinstance(v, int) for v in values):
+                    assert isinstance(h, int), (values, k)
+    for k in range(13):
+        assert h_recurrence([], k) == h_determinant([], k) == (1 if k == 0 else 0)
+    for values in ([1, 2], [], [Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            h_recurrence(values, -1)
+
+
+def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
+    # Each subset costs exactly two O(k^2) recurrences and no determinant.
+    def refuse(*args):
+        raise AssertionError("the residue sum must not evaluate a determinant")
+
+    calls = []
+
+    def counted(values, k):
+        calls.append(k)
+        return h_recurrence(values, k)
+
+    monkeypatch.setattr(degree_mod, "h_determinant", refuse)
+    monkeypatch.setattr(degree_mod, "bareiss_det", refuse)
+    monkeypatch.setattr(degree_mod, "h_recurrence", counted)
+    pts = (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 5), 4, Fraction(-5, 7))
+    for (m, n, r), points, expected in (
+        ((9, 5, 2), None, 290),
+        ((6, 5, 3), None, 290),
+        ((10, 6, 3), None, 5184),
+        ((10, 6, 3), pts, 5184),
+        ((16, 7, 3), None, 99596),
+    ):
+        calls.clear()
+        assert delta_residue(validate_triple(m, n, r), points).delta == expected
+        assert len(calls) == 2 * comb(n, r), (m, n, r, points)
+
+
+def test_residue_matches_the_reference_table():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+    reference = {
+        (row["m"], row["n"], row["r"]): int(row["delta"])
+        for row in json.loads(path.read_text())["triples"]
+    }
+    triples = [t for n in range(2, 9) for t in valid_triples(n)]
+    assert len(triples) == sum(1 for (m, n, r) in reference if n <= 8)
+    for t in triples:
+        assert delta_residue(t).delta == reference[(t.m, t.n, t.r)], t
 
 
 def test_theorem1_examples():
