@@ -4,10 +4,18 @@ For a triple (m, n, r) inside the Pataki window
 C(n-r+1,2) <= m <= C(n+1,2) - C(r+1,2), the degree delta(m,n,r) of the
 univariate polynomials behind a generic rank-r optimum is computed by:
 
-  * coefficient extraction ("theorem1"): expand
-    h_l(X) * h_k(Y) * prod(x_i - x_j) * prod(y_i - y_j) * prod(y_i - x_j)
-    over x1..xr, y1..y_{n-r} with every exponent capped at n-1, read the
-    coefficient c of (x1...y_{n-r})^(n-1), and return (-1)^k * c / (r!(n-r)!);
+  * coefficient extraction ("theorem1"): the paper's Theorem 1 reads delta
+    off the coefficient of (x1...y_{n-r})^(n-1) in
+    h_l(X) * h_k(Y) * prod_{i!=j}(x_i - x_j) * prod_{i!=j}(y_i - y_j) *
+    prod(y_i - x_j), divided by r!(n-r)!.  Each prod_{i!=j} is
+    (-1)^C(t,2) a_delta^2 for the alternant a_delta = prod_{i<j}, and every
+    other factor is symmetric within each block, so one alternant per block
+    carries the division: expand
+    h_l(X) * h_k(Y) * prod_{i<j}(x_i - x_j) * prod_{i<j}(y_i - y_j) * prod(y_i - x_j)
+    over x1..xr, y1..y_{n-r}, capping each variable at its own target
+    exponent (n-1) - delta_i, with delta = (r-1, ..., 0) on x and
+    (n-r-1, ..., 0) on y; read the coefficient c of that target, and return
+    (-1)^(k + C(r,2) + C(n-r,2)) * c, with no division;
 
   * the residue subset sum ("residue"): for pairwise-distinct sample values
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
@@ -37,7 +45,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Callable, Sequence, Union
 
 from .polynomial import (
@@ -277,40 +285,37 @@ def _as_positive_integer(value: Coeff, context: str) -> int:
 
 
 def delta_theorem1(t: PatakiTriple) -> DegreeResult:
-    """Degree by coefficient extraction from the capped symmetric product.
+    """Degree by coefficient extraction, through one alternant per block.
 
-    Factors are multiplied in ascending sparsity order (linear differences
-    first, h blocks last) with every exponent capped at n-1; the cap is
-    sound because no factor has a negative exponent.  The final h block is
+    The product is a_delta(x) * a_delta(y) * prod(y_i - x_j) * h_l * h_k,
+    with one Vandermonde prod_{i<j} per block.  Each variable is capped at
+    its own target exponent (n-1) - delta_i, where delta = (r-1, ..., 0) on
+    x and (n-r-1, ..., 0) on y; the cap is sound because no factor has a
+    negative exponent.  Factors are multiplied in ascending sparsity order
+    (linear differences first, h blocks last), and the final h block is
     folded in by single-coefficient convolution instead of a full product.
     """
     r, s, n = t.r, t.n - t.r, t.n
     space = xy_space(r, s)
-    cap = (n - 1,) * n
-    target = (n - 1,) * n
+    target = tuple(range(n - r, n)) + tuple(range(r, n))
 
     acc = space.one()
     xs = [space.variable(i) for i in range(r)]
     ys = [space.variable(r + i) for i in range(s)]
-    for i in range(r):
-        for j in range(r):
-            if i != j:
-                acc = acc.mul(xs[i] - xs[j], cap)
-    for i in range(s):
-        for j in range(s):
-            if i != j:
-                acc = acc.mul(ys[i] - ys[j], cap)
+    for block in (xs, ys):
+        for a, b in combinations(block, 2):
+            acc = acc.mul(a - b, target)
     for i in range(s):
         for j in range(r):
-            acc = acc.mul(ys[i] - xs[j], cap)
+            acc = acc.mul(ys[i] - xs[j], target)
 
-    h_x = complete_homogeneous(pairwise_sum_forms(space, range(r)), t.ell, cap)
-    h_y = complete_homogeneous(pairwise_sum_forms(space, range(r, n)), t.k, cap)
+    h_x = complete_homogeneous(pairwise_sum_forms(space, range(r)), t.ell, target)
+    h_y = complete_homogeneous(pairwise_sum_forms(space, range(r, n)), t.k, target)
     first, last = (h_x, h_y) if len(h_x) <= len(h_y) else (h_y, h_x)
-    acc = acc.mul(first, cap)
+    acc = acc.mul(first, target)
     c = product_coefficient(acc, last, target)
 
-    value = Fraction((-1) ** t.k * c, factorial(r) * factorial(s))
+    value = (-1) ** (t.k + comb(r, 2) + comb(s, 2)) * c
     delta_value = _as_positive_integer(value, f"coefficient extraction on {t}")
     return DegreeResult(t, delta_value, Method.THEOREM1)
 
@@ -378,8 +383,9 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
 
 
 #: The smallest n at which `theorem1` warns before it starts: its capped
-#: expansion grows like n^n, and (18, 8, 4) took about 2 minutes.
-_THEOREM1_WARN_N = 8
+#: expansion grows like n^n; single values took up to about 2 s at n = 8
+#: and 0.9-19 s at n = 9.
+_THEOREM1_WARN_N = 9
 
 
 def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
@@ -387,7 +393,8 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
     if t.n >= _THEOREM1_WARN_N:
         warnings.warn(
             f"theorem1 at n={t.n} expands a product of up to n^n terms "
-            "and may run for minutes (n=8 took about 2 minutes)",
+            "and may run for tens of seconds or more "
+            "(single n=9 values took up to 19 s, n=8 values about 2 s)",
             RuntimeWarning,
         )
     return delta_theorem1(t)

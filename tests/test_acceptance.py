@@ -80,7 +80,7 @@ def test_criterion_3_duality():
 def test_criterion_4_cross_method_agreement():
     failures = []
     boundary_k0 = boundary_l0 = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for t in valid_triples(n):
             boundary_k0 += t.k == 0
             boundary_l0 += t.ell == 0
@@ -96,7 +96,7 @@ def test_criterion_4_cross_method_agreement():
                 )
     if boundary_k0 == 0 or boundary_l0 == 0:
         failures.append("boundary triples with k = 0 or l = 0 were not exercised")
-    _report(4, "theorem1 = residue on every valid triple, n <= 5", failures)
+    _report(4, "theorem1 = residue on every valid triple, n <= 6", failures)
 
 
 def test_criterion_5_sample_point_invariance():

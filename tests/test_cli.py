@@ -97,8 +97,8 @@ def _warnings(err):
     return [line for line in err.splitlines() if line.startswith("warning:")]
 
 
-def test_theorem1_warns_up_front_from_n_8(capsys, monkeypatch):
-    # theorem1 grows like n^n: at n >= 8 it warns, as the requested method or
+def test_theorem1_warns_up_front_from_n_9(capsys, monkeypatch):
+    # theorem1 grows like n^n: at n >= 9 it warns, as the requested method or
     # as the checker, before it starts.  The fake keeps the test fast.
     started = []
 
@@ -107,22 +107,23 @@ def test_theorem1_warns_up_front_from_n_8(capsys, monkeypatch):
         return DegreeResult(t, degree_mod.delta_residue(t).delta, Method.THEOREM1)
 
     monkeypatch.setattr(degree_mod, "delta_theorem1", fake_theorem1)
-    assert main(["value", "18", "8", "4", "--check"]) == 0
+    assert main(["value", "25", "9", "4", "--check"]) == 0
     assert len(started) == 1 and len(started[0]) == 1
-    assert "n=8" in started[0][0] and "minutes" in started[0][0]
-    assert _fields(capsys.readouterr().out.strip())["delta"] == "4763094"
+    assert "n=9" in started[0][0] and "seconds" in started[0][0]
+    assert _fields(capsys.readouterr().out.strip())["delta"] == "227546064"
 
-    assert main(["value", "16", "7", "3", "--check"]) == 0
+    # n = 8 takes about 2 s and no longer warns
+    assert main(["value", "18", "8", "4", "--check"]) == 0
     captured = capsys.readouterr()
-    assert _fields(captured.out.strip())["delta"] == "99596"
-    assert _warnings(captured.err) == [] and len(started) == 2
+    assert _fields(captured.out.strip())["delta"] == "4763094"
+    assert _warnings(captured.err) == [] and started[1:] == [[]]
 
     # once per n, however many triples run theorem1
     started.clear()
-    assert main(["table", "8", "--method", "theorem1"]) == 0
+    assert main(["table", "9", "--method", "theorem1"]) == 0
     warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-    assert len(started) == len(degree_mod.valid_triples(8))
-    assert len(warned) == 1 and "n=8" in warned[0], warned
+    assert len(started) == len(degree_mod.valid_triples(9))
+    assert len(warned) == 1 and "n=9" in warned[0], warned
 
 
 def test_table_csv(capsys):
@@ -247,8 +248,8 @@ def test_verify_reports_a_wrong_schur_polynomial(capsys, monkeypatch):
     assert "coefficient of x^(1,) from s_(1,)" in captured.err
 
 
-def test_verify_rejects_max_n_outside_2_to_6(capsys):
-    for max_n in ("1", "0", "-3", "7", "100"):
+def test_verify_rejects_max_n_outside_2_to_7(capsys):
+    for max_n in ("1", "0", "-3", "8", "100"):
         argv = ["verify", "--suite", "cross-methods", "--max-n", max_n]
         assert main(argv) == 2, max_n
         captured = capsys.readouterr()

@@ -36,6 +36,7 @@ from sdpdeg.degree import (
     valid_triples,
     validate_triple,
 )
+from sdpdeg.polynomial import SparsePolynomial
 
 
 def test_validate_triple_examples():
@@ -203,16 +204,62 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
         assert len(calls) == 2 * comb(n, r), (m, n, r, points)
 
 
-def test_residue_matches_the_reference_table():
+def _reference():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
-    reference = {
+    return {
         (row["m"], row["n"], row["r"]): int(row["delta"])
         for row in json.loads(path.read_text())["triples"]
     }
+
+
+def test_residue_matches_the_reference_table():
+    reference = _reference()
     triples = [t for n in range(2, 9) for t in valid_triples(n)]
     assert len(triples) == sum(1 for (m, n, r) in reference if n <= 8)
     for t in triples:
         assert delta_residue(t).delta == reference[(t.m, t.n, t.r)], t
+
+
+def test_theorem1_matches_the_reference_table():
+    reference = _reference()
+    # every triple with n <= 6, then the five slowest at n = 7
+    triples = [t for n in range(2, 7) for t in valid_triples(n)]
+    slowest = ((14, 4), (16, 3), (13, 3), (13, 4), (18, 3))
+    triples += [validate_triple(m, 7, r) for m, r in slowest]
+    for t in triples:
+        assert delta_theorem1(t).delta == reference[(t.m, t.n, t.r)], t
+
+
+def _is_difference(p):
+    # v_i - v_j: two terms of degree one with coefficients 1 and -1
+    return sorted(p.terms.values()) == [-1, 1] and all(sum(e) == 1 for e in p.terms)
+
+
+def test_theorem1_multiplies_one_vandermonde_per_block(monkeypatch):
+    # prod_{i<j} over each block, not prod_{i!=j}: the alternant squared
+    # is never formed, so no r!(n-r)! division follows.
+    mul = SparsePolynomial.mul
+    factors = []
+
+    def counted(self, other, cap=None):
+        if _is_difference(other):
+            factors.append(other)
+        return mul(self, other, cap)
+
+    monkeypatch.setattr(SparsePolynomial, "mul", counted)
+    for (m, n, r), expected in (
+        ((2, 3, 2), 6),
+        ((4, 4, 2), 30),
+        ((9, 5, 2), 290),
+        ((6, 5, 3), 290),
+        ((10, 6, 3), 5184),
+        ((16, 6, 1), 96),
+        ((3, 5, 4), 40),
+    ):
+        factors.clear()
+        assert delta_theorem1(validate_triple(m, n, r)).delta == expected
+        s = n - r
+        assert len(factors) == comb(r, 2) + comb(s, 2) + r * s, (m, n, r)
 
 
 def test_theorem1_examples():
