@@ -21,11 +21,11 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
     h_l(Lambda_I) * h_k(Lambda_{I^c}) / prod_{i in I, j not in I}(l_i - l_j)
     and multiply by (-1)^k, where Lambda_I is the multiset of pairwise sums
-    of the chosen values and each h is evaluated on those numbers from
-    their elementary symmetric values by the identity
-    sum_{i=0}^{j} (-1)^i e_i h_{j-i} = 0 (Macdonald I.2.6'), in O(k^2)
-    operations.  It never forms a polynomial, so it shares no code with
-    the form-level multiset DP by which the coefficient path builds h;
+    of the chosen values.  Each h is a number, read off the series
+    prod_v 1/(1 - v t) in one pass per value, and all terms share the one
+    denominator prod_{i<j}(l_i - l_j), divided out at the end.  It never
+    forms a polynomial, so it shares no code with the form-level multiset
+    DP by which the coefficient path builds h;
 
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
@@ -237,21 +237,18 @@ def _elementary_values(values: Sequence[Coeff], kmax: int) -> list[Coeff]:
 
 
 def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
-    """h_k of a multiset of numbers from e_1..e_k, in O(k^2) operations.
+    """h_k of a multiset of numbers, in len(values) * k multiply-adds.
 
-    h_j = sum_{i=1}^{j} (-1)^(i-1) e_i h_{j-i} with h_0 = 1 (Macdonald
-    I.2.6'): the first-column expansion of `h_determinant`'s matrix.
+    h_0..h_k are the coefficients of prod_v 1/(1 - v t) up to t^k, each value
+    multiplied in by h_j += v h_{j-1}, j ascending.  This numeric pass shares
+    no code with `polynomial.complete_homogeneous`, theorem1's form-level DP.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    e = _elementary_values(values, k)
-    h: list[Coeff] = [1]
-    for j in range(1, k + 1):
-        total: Coeff = 0
-        for i in range(1, j + 1):
-            term = e[i] * h[j - i]
-            total = total + term if i % 2 else total - term
-        h.append(total)
+    h: list[Coeff] = [1] + [0] * k
+    for v in values:
+        for j in range(1, k + 1):
+            h[j] += v * h[j - 1]
     return h[k]
 
 
@@ -323,23 +320,26 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
 def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
     """Degree by the exact residue sum over r-subsets of the sample points.
 
-    Any pairwise-distinct points give the same value.  Both h factors are
-    numbers from `h_recurrence`, so the sum shares nothing with the
-    form-level h of the coefficient-extraction path, which it checks.
+    Any pairwise-distinct points give the same value.  For the alternants
+    a(S) = prod_{i<j in S}(l_i - l_j), 1 / prod_{i in I, j not in I}(l_i - l_j)
+    is (-1)^(sum I - C(r,2)) a(I) a(I^c) / a([n]): the terms add up to one
+    numerator, and a([n]) and (-1)^C(r,2) are applied once.  Both h factors
+    come from `h_recurrence`, sharing nothing with the form-level h of theorem1.
     """
     n, r, k, ell = t.n, t.r, t.k, t.ell
     pts = _sample_points(n, points)
 
-    total = Fraction(0)
+    def alternant(indices: Sequence[int]) -> Coeff:
+        return prod(pts[i] - pts[j] for i, j in combinations(indices, 2))
+
+    numerator: Coeff = 0
     for subset in combinations(range(n), r):
-        chosen = set(subset)
-        rest = tuple(j for j in range(n) if j not in chosen)
+        rest = tuple(j for j in range(n) if j not in subset)
         h_ell = h_recurrence(pairwise_sums([pts[i] for i in subset]), ell)
         h_k = h_recurrence(pairwise_sums([pts[j] for j in rest]), k)
-        denom = prod(pts[i] - pts[j] for i in subset for j in rest)
-        total += Fraction(h_ell * h_k) / denom
+        numerator += (-1) ** sum(subset) * alternant(subset) * alternant(rest) * h_ell * h_k
 
-    value = (-1) ** k * total
+    value = (-1) ** (k + comb(r, 2)) * Fraction(numerator) / alternant(range(n))
     delta_value = _as_positive_integer(value, f"residue sum on {t}")
     return DegreeResult(t, delta_value, Method.RESIDUE)
 

@@ -6,7 +6,7 @@ import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -178,30 +178,72 @@ def test_h_recurrence_against_determinant_and_multiset_enumeration():
 
 
 def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
-    # Each subset costs exactly two O(k^2) recurrences and no determinant.
+    # Each subset costs exactly two series passes, with no e-values and no
+    # determinant; its term joins one numerator, so integer points build a
+    # Fraction only for the final division and its integrality check.
     def refuse(*args):
-        raise AssertionError("the residue sum must not evaluate a determinant")
+        raise AssertionError("the residue sum must not evaluate a determinant or e-values")
 
     calls = []
+    fractions = []
 
     def counted(values, k):
         calls.append(k)
         return h_recurrence(values, k)
 
+    def counted_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
     monkeypatch.setattr(degree_mod, "h_determinant", refuse)
     monkeypatch.setattr(degree_mod, "bareiss_det", refuse)
+    monkeypatch.setattr(degree_mod, "_elementary_values", refuse)
     monkeypatch.setattr(degree_mod, "h_recurrence", counted)
+    monkeypatch.setattr(degree_mod, "Fraction", counted_fraction)
     pts = (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 5), 4, Fraction(-5, 7))
     for (m, n, r), points, expected in (
         ((9, 5, 2), None, 290),
         ((6, 5, 3), None, 290),
         ((10, 6, 3), None, 5184),
+        ((10, 6, 3), random_sample_points(6, seed=5), 5184),
         ((10, 6, 3), pts, 5184),
         ((16, 7, 3), None, 99596),
     ):
         calls.clear()
+        fractions.clear()
         assert delta_residue(validate_triple(m, n, r), points).delta == expected
         assert len(calls) == 2 * comb(n, r), (m, n, r, points)
+        if points is not pts:
+            assert len(fractions) <= 2, (m, n, r, points)
+
+
+def _alternant(values):
+    return prod(a - b for a, b in combinations(values, 2))
+
+
+def test_residue_cofactor_is_the_vandermonde_over_the_cross_product():
+    # the identity that lets delta_residue sum over one common denominator
+    rng = random.Random(17)
+    for n in range(2, 9):
+        for seed in range(3):
+            ints = random_sample_points(n, seed=seed)
+            fracs = []
+            while len(fracs) < n:
+                value = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                if value not in fracs:
+                    fracs.append(value)
+            for pts in (ints, fracs):
+                whole = _alternant(pts)
+                for r in range(1, n):
+                    for subset in combinations(range(n), r):
+                        rest = [j for j in range(n) if j not in subset]
+                        cross = prod(pts[i] - pts[j] for i in subset for j in rest)
+                        cofactor = (
+                            (-1) ** (sum(subset) - comb(r, 2))
+                            * _alternant([pts[i] for i in subset])
+                            * _alternant([pts[j] for j in rest])
+                        )
+                        assert cofactor == Fraction(whole) / cross, (pts, subset)
 
 
 def _reference():
@@ -218,6 +260,24 @@ def test_residue_matches_the_reference_table():
     assert len(triples) == sum(1 for (m, n, r) in reference if n <= 8)
     for t in triples:
         assert delta_residue(t).delta == reference[(t.m, t.n, t.r)], t
+
+
+def _rational_points(rng, n):
+    # p/q in lowest terms, one for each q = 2..n+1: distinct denominators
+    # make the points distinct
+    return [
+        Fraction(rng.choice([p for p in range(-3 * q, 3 * q + 1) if gcd(p, q) == 1]), q)
+        for q in range(2, n + 2)
+    ]
+
+
+def test_residue_with_rational_points_matches_the_reference_table():
+    reference = _reference()
+    rng = random.Random(7)
+    for t in (t for n in range(2, 8) for t in valid_triples(n)):
+        points = _rational_points(rng, t.n)
+        assert len(set(points)) == t.n
+        assert delta_residue(t, points).delta == reference[(t.m, t.n, t.r)], (t, points)
 
 
 def test_theorem1_matches_the_reference_table():
@@ -426,13 +486,20 @@ def small_triples(draw, max_n=5):
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=small_triples(), data=st.data())
-def test_methods_duality_and_sample_points_agree(t, data):
+@given(t=small_triples())
+def test_methods_agree_under_cross_check(t):
+    # theorem1 runs here, as a method or as the checker: n <= 5 keeps it quick
     expected = delta(t).delta
     for method in METHODS:
         if method == "closed" and delta_closed(t) is None:
             continue
         assert delta(t, method, cross_check=True).delta == expected, method
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=small_triples(max_n=7), data=st.data())
+def test_duality_and_sample_points_agree(t, data):
+    expected = delta(t).delta
     assert delta(duality_partner(t)).delta == expected
     points = data.draw(st.lists(
         st.fractions(min_value=-10, max_value=10, max_denominator=6),
