@@ -2,11 +2,11 @@
 used as ground truth by the verify suites (defined here) and the tests.
 
 Everything here favors transparency over speed: root tuples and subsets are
-enumerated outright, products are formed without caps, determinants go
-through the signed-permutation expansion `permutation_det`, and none of it
-reuses the optimized degree algorithms these checks validate.  Only the
-CLI's `verify` command and the tests import this module.
-`random_polynomial` draws the seeded test polynomials.
+enumerated outright, products are formed without caps, alternants are
+written out by their definition, and none of it reuses the optimized degree
+algorithms these checks validate.  Only the CLI's `verify` command and the
+tests import this module.  `random_polynomial` draws the seeded test
+polynomials.
 
 Besides the brute-force oracles it holds the Schur-basis constructions,
 labelled by index sets (the strictly increasing tuples `psi` takes), which
@@ -14,8 +14,7 @@ labelled by index sets (the strictly increasing tuples `psi` takes), which
 (`schur_bialternant`), the symmetry test and Schur-basis decomposition
 (`is_symmetric`, `schur_decompose`, which reads every Schur coefficient of p
 off the one product a_delta * p), the psi-weighted expansion of h_d over
-pairwise sums (`h_schur_expansion`), elementary symmetric polynomials and
-the Jacobi-Trudi determinant.
+pairwise sums (`h_schur_expansion`) and elementary symmetric polynomials.
 
 The `SUITES` (`run_lemma21`, `run_prop22`, `run_identities`,
 `run_cross_methods`) pit two independent computations against each other
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .degree import (
     delta_closed,
@@ -221,21 +220,20 @@ def random_doubly_symmetric(
     return SparsePolynomial(space, symmetrized)
 
 
-def permutation_det(matrix: Sequence[Sequence[Any]], one: Any) -> Any:
+def _sign(perm: Sequence[int]) -> int:
+    """(-1) to the number of inversions of the permutation."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
+def permutation_det(matrix: Sequence[Sequence[Coeff]]) -> Coeff:
     """Determinant by the Leibniz formula, sum_p sign(p) * prod_i matrix[i][p(i)].
 
-    The sign is the parity of the inversion count, and a permutation that
-    meets a falsy (zero) entry is skipped, so entries may be ints or
-    polynomials; `one` is their unit, and the determinant of the empty matrix.
+    The numeric oracle for `bareiss_det`; the empty matrix has determinant 1.
     """
-    total = one - one  # the zero of the entries' ring
-    for perm in permutations(range(len(matrix))):
-        entries = [row[j] for row, j in zip(matrix, perm)]
-        if all(entries):
-            term = prod(entries, start=one)
-            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-            total = total - term if odd else total + term
-    return total
+    return sum(
+        _sign(perm) * prod(row[j] for row, j in zip(matrix, perm))
+        for perm in permutations(range(len(matrix)))
+    )
 
 
 def elementary_symmetric(forms: Sequence[SparsePolynomial], k: int) -> SparsePolynomial:
@@ -257,35 +255,13 @@ def elementary_symmetric(forms: Sequence[SparsePolynomial], k: int) -> SparsePol
     return e[k]
 
 
-def jacobi_trudi_h(k: int, forms: Sequence[SparsePolynomial]) -> SparsePolynomial:
-    """h_k over the forms as the k x k determinant with entries e_{j-i+1}.
-
-    Subdiagonal entries are 1 and everything below vanishes; the expansion
-    is by signed permutations, independent of the h recurrence this
-    determinant is cross-checked against.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if not forms:
-        raise ValueError("need at least one form")
-    space = forms[0].space
-    es = [elementary_symmetric(forms, i) for i in range(k + 1)]
-    entries = [
-        [es[j - i + 1] if j - i + 1 >= 0 else space.zero() for j in range(k)]
-        for i in range(k)
-    ]
-    return permutation_det(entries, space.one())
-
-
 def _alternant(space: VariableSpace, exponents: Sequence[int]) -> SparsePolynomial:
-    """det(x_i ^ exponents_j), expanded over signed permutations."""
-    r = space.arity
-    entries = [
-        [SparsePolynomial(space, {tuple(e if v == i else 0 for v in range(r)): 1})
-         for e in exponents]
-        for i in range(r)
-    ]
-    return permutation_det(entries, space.one())
+    """det(x_i ^ exponents_j): the term sign(p) * x^(exponents o p) for each
+    permutation p, all distinct because the exponents increase strictly."""
+    return SparsePolynomial(space, {
+        tuple(exponents[j] for j in perm): _sign(perm)
+        for perm in permutations(range(len(exponents)))
+    })
 
 
 def _divide_exact(num: SparsePolynomial, den: SparsePolynomial) -> SparsePolynomial:
@@ -296,7 +272,7 @@ def _divide_exact(num: SparsePolynomial, den: SparsePolynomial) -> SparsePolynom
     lc_den = den.coefficient_of(lead_den)
     quotient = num.space.zero()
     rem = num
-    while not rem.is_zero():
+    while rem:
         lead = rem.leading_monomial()
         shift = tuple(map(int.__sub__, lead, lead_den))
         if any(e < 0 for e in shift):
@@ -377,7 +353,6 @@ _PROP22_CASES = 50
 
 @dataclass
 class SuiteReport:
-    name: str
     passed: int = 0
     failed: int = 0
     first_failure: Union[str, None] = None
@@ -402,7 +377,7 @@ class SuiteReport:
 def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Root-tuple residue sums against direct coefficient extraction."""
     del max_n
-    report = SuiteReport("lemma21")
+    report = SuiteReport()
     rng = random.Random(seed)
     for case in range(_LEMMA21_CASES):
         nvars = rng.randint(1, 3)
@@ -428,7 +403,7 @@ def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
 def run_prop22(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Doubly symmetric subset sums against the target-monomial coefficient."""
     del max_n
-    report = SuiteReport("prop22")
+    report = SuiteReport()
     rng = random.Random(seed)
     for case in range(_PROP22_CASES):
         r = rng.randint(1, 2)
@@ -453,7 +428,7 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
     """Symmetric-polynomial identities: psi closed forms, the Schur expansion
     of h_d over pairwise sums, and the Vandermonde-square coefficient."""
     del seed, max_n
-    report = SuiteReport("identities")
+    report = SuiteReport()
 
     h2 = complete_homogeneous(pairwise_sum_forms(x_space(2)), 2)
     expansion = schur_decompose(h2)
@@ -524,7 +499,7 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
 def run_cross_methods(seed: int = 0, max_n: int = 4) -> SuiteReport:
     """Coefficient extraction vs residue sum (vs closed form where it applies)."""
     del seed
-    report = SuiteReport("cross-methods")
+    report = SuiteReport()
     for n in range(2, max_n + 1):
         for t in valid_triples(n):
             a = delta_theorem1(t).delta

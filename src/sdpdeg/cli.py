@@ -176,15 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_lambda(argv: Sequence[str]) -> list[str]:
-    """Rewrite `--lambda VALUE` as `--lambda=VALUE` when VALUE starts with '-'.
+    """Rewrite `--lambda VALUE` (or a prefix `--l`, `--la`, ...) as `--lambda=VALUE`.
 
-    argparse reads a separate value such as -3/2,1,2 as an unknown option and
-    exits with a usage error; attached with '=' it is read as the value.
+    argparse reads a separate value starting with '-', such as -3/2,1,2, as an
+    unknown option and exits with a usage error; attached with '=' it is read.
     """
     out = list(argv)
     for i in range(len(out) - 2, -1, -1):
-        value = out[i + 1]
-        if out[i] == "--lambda" and value.startswith("-") and not value.startswith("--"):
+        flag, value = out[i], out[i + 1]
+        if len(flag) > 2 and "--lambda".startswith(flag) and value[:1] == "-" and value[:2] != "--":
             out[i:i + 2] = [f"--lambda={value}"]
     return out
 

@@ -74,7 +74,7 @@ class VariableSpace:
         e = tuple(exponents)
         if len(e) != self.arity:
             raise ValueError(f"expected {self.arity} exponents, got {len(e)}")
-        if any(not isinstance(x, int) or x < 0 for x in e):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e):
             raise ValueError(f"exponents must be nonnegative integers: {e}")
         return e
 
@@ -140,9 +140,6 @@ class SparsePolynomial:
     def terms(self) -> Mapping[Monomial, Coeff]:
         """Read-only view of the term map."""
         return MappingProxyType(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

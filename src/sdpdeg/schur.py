@@ -4,7 +4,7 @@ Numeric determinants use fraction-free Bareiss elimination.  The
 Pascal-minor coefficients psi, indexed by the index sets `as_index_set`
 validates, reproduce the Schur expansion of complete homogeneous
 polynomials over pairwise-sum forms; the Schur-basis constructions that
-check it, with the Jacobi-Trudi determinant, live in `sdpdeg.checks`.
+check it live in `sdpdeg.checks`.
 """
 
 from __future__ import annotations

@@ -60,6 +60,15 @@ def test_value_custom_lambda(capsys):
         assert _fields(capsys.readouterr().out.strip())["delta"] == "6"
 
 
+def test_value_lambda_prefix_takes_a_negative_value(capsys):
+    # argparse accepts any unambiguous prefix of --lambda, so each must take a
+    # separate value starting with '-' just as --lambda does
+    for flag in ("--l", "--lam"):
+        argv = ["value", "3", "4", "2", "--method", "residue", flag, "-1,-2,-3,-4"]
+        assert main(argv) == 0, flag
+        assert _fields(capsys.readouterr().out.strip())["delta"] == "10", flag
+
+
 def test_value_lambda_validation(capsys):
     assert main(["value", "2", "3", "2", "--lambda", "1,2"]) == 2
     capsys.readouterr()
@@ -227,7 +236,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import sdpdeg.checks as verify_mod
 
     def broken(seed=0, max_n=4):
-        return verify_mod.SuiteReport("identities", 1, 1, "inputs: ...; values: 1 vs 2")
+        return verify_mod.SuiteReport(1, 1, "inputs: ...; values: 1 vs 2")
 
     monkeypatch.setitem(verify_mod.SUITES, "identities", broken)
     assert main(["verify", "--suite", "identities"]) == 1

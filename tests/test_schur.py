@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -12,7 +13,6 @@ from sdpdeg.checks import (
     h_schur_expansion,
     index_sets,
     is_symmetric,
-    jacobi_trudi_h,
     schur_bialternant,
     schur_decompose,
 )
@@ -96,18 +96,31 @@ def test_bareiss_det_against_permutation_expansion():
     for k in range(0, 6):
         for _ in range(10):
             m = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)]
-            assert bareiss_det(m) == checks.permutation_det(m, 1), m
+            assert bareiss_det(m) == checks.permutation_det(m), m
     assert bareiss_det([]) == 1
 
 
 def test_bareiss_det_zero_pivot_and_fractions():
     m = [[0, 1, 2], [3, 0, 1], [1, 1, 1]]
-    assert bareiss_det(m) == checks.permutation_det(m, 1)
+    assert bareiss_det(m) == checks.permutation_det(m)
     assert bareiss_det([[0, 0], [0, 5]]) == 0
     fm = [[Fraction(1, 2), 1], [1, Fraction(2, 3)]]
     assert bareiss_det(fm) == Fraction(1, 3) - 1
     with pytest.raises(ValueError):
         bareiss_det([[1, 2]])
+
+
+def test_alternant_is_its_definition():
+    # the alternant of (0, 1, ..., r-1) is the Vandermonde product over i < j
+    for r in range(1, 5):
+        sp = x_space(r)
+        vandermonde = sp.one()
+        for i, j in combinations(range(r), 2):
+            vandermonde = vandermonde * (sp.variable(j) - sp.variable(i))
+        assert checks._alternant(sp, range(r)) == vandermonde, r
+    sp = x_space(2)
+    x1, x2 = sp.variable(0), sp.variable(1)
+    assert checks._alternant(sp, (0, 2)) == x2 * x2 - x1 * x1
 
 
 def test_bialternant_small_cases():
@@ -139,21 +152,6 @@ def test_bialternant_matches_h_and_e_specializations():
             e_set = tuple(i + (i >= r - k) for i in range(r))
             assert schur_bialternant(h_set) == complete_homogeneous(xs, k)
             assert schur_bialternant(e_set) == elementary_symmetric(xs, k)
-
-
-def test_jacobi_trudi_examples():
-    forms = pairwise_sum_forms(x_space(2))
-    sp = forms[0].space
-    assert jacobi_trudi_h(0, forms) == sp.one()
-    assert jacobi_trudi_h(1, forms) == SparsePolynomial(sp, {(1, 0): 3, (0, 1): 3})
-    assert jacobi_trudi_h(2, forms) == SparsePolynomial(sp, {(2, 0): 7, (1, 1): 10, (0, 2): 7})
-
-
-def test_jacobi_trudi_matches_recurrence():
-    for r in (2, 3):
-        forms = pairwise_sum_forms(x_space(r))
-        for k in range(4):
-            assert jacobi_trudi_h(k, forms) == complete_homogeneous(forms, k), (r, k)
 
 
 def test_schur_decompose_examples():
