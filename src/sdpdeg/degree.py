@@ -383,9 +383,9 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
 
 
 #: The smallest n at which `theorem1` warns before it starts: its capped
-#: expansion grows like n^n; single values took up to about 2 s at n = 8
-#: and 0.9-19 s at n = 9.
-_THEOREM1_WARN_N = 9
+#: expansion grows like n^n; every n = 9 value took at most 3.6 s, and
+#: the two n = 10 values measured took 26 s and 40 s.
+_THEOREM1_WARN_N = 10
 
 
 def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
@@ -394,7 +394,7 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
         warnings.warn(
             f"theorem1 at n={t.n} expands a product of up to n^n terms "
             "and may run for tens of seconds or more "
-            "(single n=9 values took up to 19 s, n=8 values about 2 s)",
+            "(single n=10 values took 26-40 s, n=9 values at most 4 s)",
             RuntimeWarning,
         )
     return delta_theorem1(t)

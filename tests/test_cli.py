@@ -106,8 +106,8 @@ def _warnings(err):
     return [line for line in err.splitlines() if line.startswith("warning:")]
 
 
-def test_theorem1_warns_up_front_from_n_9(capsys, monkeypatch):
-    # theorem1 grows like n^n: at n >= 9 it warns, as the requested method or
+def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
+    # theorem1 grows like n^n: at n >= 10 it warns, as the requested method or
     # as the checker, before it starts.  The fake keeps the test fast.
     started = []
 
@@ -116,23 +116,23 @@ def test_theorem1_warns_up_front_from_n_9(capsys, monkeypatch):
         return DegreeResult(t, degree_mod.delta_residue(t).delta, Method.THEOREM1)
 
     monkeypatch.setattr(degree_mod, "delta_theorem1", fake_theorem1)
-    assert main(["value", "25", "9", "4", "--check"]) == 0
+    assert main(["value", "27", "10", "5", "--check"]) == 0
     assert len(started) == 1 and len(started[0]) == 1
-    assert "n=9" in started[0][0] and "seconds" in started[0][0]
-    assert _fields(capsys.readouterr().out.strip())["delta"] == "227546064"
+    assert "n=10" in started[0][0] and "seconds" in started[0][0]
+    assert _fields(capsys.readouterr().out.strip())["delta"] == "27161730960"
 
-    # n = 8 takes about 2 s and no longer warns
-    assert main(["value", "18", "8", "4", "--check"]) == 0
+    # n = 9 takes at most about 4 s and no longer warns
+    assert main(["value", "25", "9", "4", "--check"]) == 0
     captured = capsys.readouterr()
-    assert _fields(captured.out.strip())["delta"] == "4763094"
+    assert _fields(captured.out.strip())["delta"] == "227546064"
     assert _warnings(captured.err) == [] and started[1:] == [[]]
 
     # once per n, however many triples run theorem1
     started.clear()
-    assert main(["table", "9", "--method", "theorem1"]) == 0
+    assert main(["table", "10", "--method", "theorem1"]) == 0
     warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-    assert len(started) == len(degree_mod.valid_triples(9))
-    assert len(warned) == 1 and "n=9" in warned[0], warned
+    assert len(started) == len(degree_mod.valid_triples(10))
+    assert len(warned) == 1 and "n=10" in warned[0], warned
 
 
 def test_table_csv(capsys):

@@ -66,8 +66,18 @@ def test_mul_linear_difference():
 
 def test_mul_cap_prunes():
     sp = x_space(2)
-    x1 = sp.variable(0)
+    x1, x2 = sp.variable(0), sp.variable(1)
     assert not (x1 * x1).mul(x1, cap=(2, 2))
+    # a negative entry admits no term, whatever the other entries allow
+    assert not (x2 + 2 * x1 * x1 * x1).mul(sp.one() + x1 * x2, cap=(-40, 5))
+    assert not sp.one().mul(sp.one(), cap=(0, -1))
+
+
+def test_mul_checks_the_cap_length_before_anything_else():
+    sp = x_space(2)
+    for other in (sp.zero(), sp.variable(1)):
+        with pytest.raises(ValueError, match="cap length must equal the arity"):
+            sp.variable(0).mul(other, cap=(1, 2, 3))
 
 
 def test_mul_hand_expansion():
@@ -224,6 +234,49 @@ def test_capped_mul_agrees_with_truncation():
             },
         )
         assert a.mul(b, cap) == truncated
+
+
+def _tuple_loop_product(a, b, cap):
+    # The product term by term on exponent tuples: the oracle of the packed mul.
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            mono = tuple(x + y for x, y in zip(ea, eb))
+            if cap is None or all(x <= t for x, t in zip(mono, cap)):
+                out[mono] = out.get(mono, 0) + ca * cb
+    return SparsePolynomial(a.space, out)
+
+
+def test_packed_mul_matches_the_tuple_loop():
+    # Exponents sit at field-width edges 2^j - 1 and 2^j, one of them far past
+    # a machine word; coefficients in -2..2 make products cancel.
+    rng = random.Random(41)
+    edges = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 2**70 - 1, 2**70]
+
+    def edge_poly(space):
+        terms = {
+            tuple(rng.choice(edges[: rng.randint(2, len(edges))]) for _ in range(space.arity)):
+            rng.choice((-2, -1, 1, 2, Fraction(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        }
+        return SparsePolynomial(space, terms)
+
+    for arity in range(1, 10):
+        sp = x_space(arity)
+        for _ in range(12):
+            a, b = edge_poly(sp), edge_poly(sp)
+            a = a + _tuple_loop_product(a, b, None)  # products that cancel
+            top = max(map(max, a.terms), default=0) + max(map(max, b.terms), default=0)
+            caps = (
+                None,
+                (0,) * arity,
+                (top + 1,) * arity,
+                (2**75,) * arity,
+                tuple(rng.choice(edges + [top, top + 1]) for _ in range(arity)),
+            )
+            for cap in caps:
+                assert a.mul(b, cap) == _tuple_loop_product(a, b, cap), (arity, cap)
+                assert b.mul(a, cap) == _tuple_loop_product(a, b, cap), (arity, cap)
 
 
 def test_product_coefficient_pruning_soundness():
