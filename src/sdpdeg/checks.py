@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .degree import (
     delta_closed,
+    delta_psi_product,
     delta_residue,
     delta_theorem1,
     random_sample_points,
@@ -497,20 +498,22 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
 
 
 def run_cross_methods(seed: int = 0, max_n: int = 4) -> SuiteReport:
-    """Coefficient extraction vs residue sum (vs closed form where it applies)."""
+    """Coefficient extraction vs residue sum vs psi-product (vs closed form
+    where it applies)."""
     del seed
     report = SuiteReport()
     for n in range(2, max_n + 1):
         for t in valid_triples(n):
             a = delta_theorem1(t).delta
             b = delta_residue(t).delta
+            c = delta_psi_product(t).delta
             closed = delta_closed(t)
-            agree = a == b and (closed is None or closed.delta == a)
+            agree = a == b == c and (closed is None or closed.delta == a)
             report.check(
                 agree,
                 lambda: (
                     f"(m={t.m}, n={t.n}, r={t.r}): coefficient extraction {a}, "
-                    f"residue {b}"
+                    f"residue {b}, psi-product {c}"
                     + (f", closed form {closed.delta}" if closed else "")
                 ),
             )

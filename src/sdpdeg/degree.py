@@ -1,4 +1,4 @@
-"""The algebraic degree of semidefinite programming, by three exact algorithms.
+"""The algebraic degree of semidefinite programming, by four exact algorithms.
 
 For a triple (m, n, r) inside the Pataki window
 C(n-r+1,2) <= m <= C(n+1,2) - C(r+1,2), the degree delta(m,n,r) of the
@@ -27,6 +27,11 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     forms a polynomial, so it shares no code with the form-level multiset
     DP by which the coefficient path builds h;
 
+  * the psi-product ("psi_product"), von Bothmer and Ranestad's formula:
+    the sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
+    sum(I) - C(r,2) = l, where psi_I is a Pfaffian of integers (see
+    `psi_pfaffian`), evaluated once per subset reached within one call;
+
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
     delta(m,n,r) = delta(C(n+1,2)-m, n, n-r).
@@ -39,6 +44,7 @@ to be a positive integer; all arithmetic is exact.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import time
 import warnings
@@ -62,8 +68,8 @@ from .schur import bareiss_det
 __all__ = [
     "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
     "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
-    "default_sample_points", "delta", "delta_closed", "delta_residue",
-    "delta_theorem1", "duality_partner", "random_sample_points",
+    "default_sample_points", "delta", "delta_closed", "delta_psi_product",
+    "delta_residue", "delta_theorem1", "duality_partner", "random_sample_points",
     "valid_triples", "validate_triple",
 ]
 
@@ -102,6 +108,7 @@ class Method(enum.Enum):
 
     THEOREM1 = "theorem1"
     RESIDUE = "residue"
+    PSI_PRODUCT = "psi_product"
     CLOSED_FORM = "closed_form"
     DUALITY_REDUCED = "duality_reduced"
 
@@ -344,6 +351,60 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     return DegreeResult(t, delta_value, Method.RESIDUE)
 
 
+def psi_pfaffian(n: int) -> Callable[[int], int]:
+    """A fresh memo psi(mask) of the Pascal-minor sums psi_I, for I within {0..n-1}.
+
+    I is given as a bitmask (bit i set when i is in I), and psi_I is the
+    Pfaffian of the skew matrix with entries psi_{ij} = sum_{u=i}^{j-1} C(i+j, u)
+    for i < j, bordered by psi_i = 2^i when |I| is odd.  psi_() = 1; an even
+    I expands along its smallest index i0, psi_I = sum_b (-1)^b psi_{i0 j_b}
+    psi_{I - {i0, j_b}}, an odd I along the border, psi_I = sum_b (-1)^b
+    2^(i_b) psi_{I - {i_b}}.  Integers only; each mask is evaluated once per
+    memo.  `schur.psi` sums the Pascal minors outright and is its test oracle.
+    """
+    pair = [[sum(comb(i + j, u) for u in range(i, j)) for j in range(n)] for i in range(n)]
+
+    @functools.cache
+    def psi(mask: int) -> int:
+        indices = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        if not indices:
+            return 1
+        total, sign = 0, 1
+        if len(indices) % 2:
+            for i in indices:
+                total += sign * (1 << i) * psi(mask ^ (1 << i))
+                sign = -sign
+            return total
+        first, *rest = indices
+        mask ^= 1 << first
+        for j in rest:
+            total += sign * pair[first][j] * psi(mask ^ (1 << j))
+            sign = -sign
+        return total
+
+    return psi
+
+
+def delta_psi_product(t: PatakiTriple) -> DegreeResult:
+    """Degree by the psi-product of von Bothmer and Ranestad.
+
+    delta = sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
+    sum(I) - C(r,2) = ell, where I^c is the complement of I.  Both factors
+    come from one `psi_pfaffian` memo, which lives for this call only.
+    """
+    n, r = t.n, t.r
+    psi = psi_pfaffian(n)
+    full = (1 << n) - 1
+    weight = t.ell + comb(r, 2)
+    total = 0
+    for subset in combinations(range(n), r):
+        if sum(subset) == weight:
+            mask = sum(1 << i for i in subset)
+            total += psi(mask) * psi(full ^ mask)
+    delta_value = _as_positive_integer(total, f"psi-product on {t}")
+    return DegreeResult(t, delta_value, Method.PSI_PRODUCT)
+
+
 def _closed_pattern(m: int, n: int, r: int) -> Union[int, None]:
     if r == n - 1:
         return 2 ** (m - 1) * comb(n, m)
@@ -377,7 +438,7 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
     if result is None:
         raise ValueError(
             f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
-            "use auto, residue, or theorem1"
+            "use auto, psi_product, residue, or theorem1"
         )
     return result
 
@@ -404,9 +465,10 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
-    "auto": lambda t, points: delta_closed(t) or delta_residue(t, points),
+    "auto": lambda t, points: delta_closed(t) or delta_psi_product(t),
     "theorem1": _theorem1,
     "residue": lambda t, points: delta_residue(t, points),
+    "psi_product": lambda t, points: delta_psi_product(t),
     "closed": _closed,
 }
 
@@ -414,7 +476,8 @@ METHODS: dict[str, Callable[..., DegreeResult]] = {
 _SECOND_OPINION: dict[Method, Callable[..., DegreeResult]] = {
     Method.CLOSED_FORM: METHODS["residue"],
     Method.DUALITY_REDUCED: METHODS["residue"],
-    Method.RESIDUE: lambda t, points: delta_closed(t) or _theorem1(t),
+    Method.RESIDUE: METHODS["psi_product"],
+    Method.PSI_PRODUCT: _theorem1,
     Method.THEOREM1: METHODS["residue"],
 }
 
@@ -427,14 +490,16 @@ def delta(
 ) -> DegreeResult:
     """Compute the degree, optionally verifying it with a second algorithm.
 
-    "auto" prefers a closed form, otherwise runs the residue sum on the
+    "auto" prefers a closed form, otherwise runs the psi-product on the
     triple itself (the duality partner's sum runs over the same subset
     pairs, so computing the partner instead saves nothing).  With
     cross_check a second, independent method must agree exactly, else
-    CrossCheckError carrying both results is raised.  Only this function
-    times a result: elapsed covers dispatch and the cross-check.  Given
-    sample points are checked whichever method runs, even one that does not
-    use them.
+    CrossCheckError carrying both results is raised: the residue sum checks
+    closed forms and theorem1, the psi-product checks the residue sum, and
+    theorem1 checks the psi-product.  Only this function times a result:
+    elapsed covers dispatch and the cross-check.  Only the residue sum uses
+    sample points; given ones are checked whichever method runs, "auto"
+    included, even one that does not use them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")

@@ -4,7 +4,9 @@ Numeric determinants use fraction-free Bareiss elimination.  The
 Pascal-minor coefficients psi, indexed by the index sets `as_index_set`
 validates, reproduce the Schur expansion of complete homogeneous
 polynomials over pairwise-sum forms; the Schur-basis constructions that
-check it live in `sdpdeg.checks`.
+check it live in `sdpdeg.checks`.  The psi-product computes the same psi
+as a Pfaffian (`degree.psi_pfaffian`); the minor sums here are its test
+oracle, off the production path.
 """
 
 from __future__ import annotations

@@ -83,6 +83,13 @@ def test_value_lambda_validation(capsys):
     assert "sample points" in capsys.readouterr().err
 
 
+def test_value_auto_ignores_the_sample_points(capsys):
+    # auto checks --lambda but runs the psi-product, which takes no points
+    assert main(["value", "6", "5", "3", "--lambda=1,2,3,4,5"]) == 0
+    out = _fields(capsys.readouterr().out.strip())
+    assert (out["delta"], out["method"]) == ("290", "psi_product")
+
+
 def test_value_accepts_every_method_name(capsys):
     for method in degree_mod.METHODS:
         assert main(["value", "3", "4", "2", "--method", method]) == 0, method
@@ -205,6 +212,22 @@ def test_table_check_duality_catches_a_wrong_closed_form(capsys, monkeypatch):
     assert "duality violated" in captured.err
 
 
+def test_table_check_duality_catches_a_wrong_psi_product(capsys, monkeypatch):
+    # A psi-product row and its partner's row are one sum with I and I^c
+    # swapped, so a wrong kernel agrees with itself; the residue sum does not.
+    psi_product = degree_mod.delta_psi_product
+
+    def plus_one(t):
+        result = psi_product(t)
+        return DegreeResult(t, result.delta + 1, result.method)
+
+    monkeypatch.setattr(degree_mod, "delta_psi_product", plus_one)
+    assert main(["table", "5", "--check-duality"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duality violated" in captured.err
+
+
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     def fake_delta(t, **kwargs):
         return DegreeResult(t, t.m, Method.RESIDUE, 0.0)
@@ -243,6 +266,22 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "1/2 passed" in captured.out
     assert "counterexample" in captured.err
+
+
+def test_verify_cross_methods_compares_the_psi_product(capsys, monkeypatch):
+    import sdpdeg.checks as checks
+
+    real = checks.delta_psi_product
+
+    def plus_one(t):
+        result = real(t)
+        return DegreeResult(t, result.delta + 1, result.method)
+
+    monkeypatch.setattr(checks, "delta_psi_product", plus_one)
+    assert main(["verify", "--suite", "cross-methods", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "cross-methods: 0/" in captured.out
+    assert "psi-product" in captured.err
 
 
 def test_verify_reports_a_wrong_schur_polynomial(capsys, monkeypatch):
@@ -325,10 +364,11 @@ def test_public_api_is_the_delta_api():
     public = [
         "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
         "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
-        "default_sample_points", "delta", "delta_closed", "delta_residue",
-        "delta_theorem1", "duality_partner", "random_sample_points",
+        "default_sample_points", "delta", "delta_closed", "delta_psi_product",
+        "delta_residue", "delta_theorem1", "duality_partner", "random_sample_points",
         "valid_triples", "validate_triple",
     ]
+    assert len(public) == 18
     assert sorted(sdpdeg.__all__) == public
     for name in public:
         assert getattr(sdpdeg, name) is getattr(degree_mod, name), name

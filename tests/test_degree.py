@@ -1,4 +1,4 @@
-"""Tests for the three degree algorithms and their dispatcher."""
+"""Tests for the four degree algorithms and their dispatcher."""
 
 import json
 import random
@@ -26,17 +26,20 @@ from sdpdeg.degree import (
     default_sample_points,
     delta,
     delta_closed,
+    delta_psi_product,
     delta_residue,
     delta_theorem1,
     duality_partner,
     h_determinant,
     h_recurrence,
     pairwise_sums,
+    psi_pfaffian,
     random_sample_points,
     valid_triples,
     validate_triple,
 )
 from sdpdeg.polynomial import SparsePolynomial
+from sdpdeg.schur import psi
 
 
 def test_validate_triple_examples():
@@ -280,6 +283,26 @@ def test_residue_with_rational_points_matches_the_reference_table():
         assert delta_residue(t, points).delta == reference[(t.m, t.n, t.r)], (t, points)
 
 
+def test_psi_pfaffian_equals_the_pascal_minor_sums():
+    memo = psi_pfaffian(9)
+    for size in range(6):
+        for indices in combinations(range(9), size):
+            mask = sum(1 << i for i in indices)
+            assert memo(mask) == psi(indices), indices
+
+
+def test_psi_product_matches_the_reference_table():
+    reference = _reference()
+    assert len(reference) == 366
+    for (m, n, r), expected in reference.items():
+        assert delta_psi_product(validate_triple(m, n, r)).delta == expected, (m, n, r)
+
+
+def test_psi_product_matches_the_residue_sum_at_n_10():
+    for t in valid_triples(10):
+        assert delta_psi_product(t).delta == delta_residue(t).delta, t
+
+
 def test_theorem1_matches_the_reference_table():
     reference = _reference()
     for t in (t for n in range(2, 8) for t in valid_triples(n)):
@@ -374,12 +397,35 @@ def test_dispatcher_auto_and_check():
 
 
 def test_dispatcher_duality_routing():
-    # no closed form, r > n - r: auto runs the residue sum on the triple itself
+    # no closed form, r > n - r: auto runs the psi-product on the triple itself
     t = validate_triple(6, 5, 3)
     routed = delta(t)
-    assert routed.method is Method.RESIDUE
+    assert routed.method is Method.PSI_PRODUCT
     assert routed.triple == t
-    assert routed.delta == delta_residue(t).delta
+    assert routed.delta == delta_psi_product(t).delta == delta_residue(t).delta
+
+
+def test_second_opinions(monkeypatch):
+    # closed form and theorem1 are checked by the residue sum, the residue sum
+    # by the psi-product, and the psi-product by theorem1
+    ran = []
+    for name in ("delta_residue", "delta_psi_product", "delta_theorem1"):
+        kernel = getattr(degree_mod, name)
+
+        def recorded(*args, _name=name, _kernel=kernel):
+            ran.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(degree_mod, name, recorded)
+    for (m, n, r), method, expected in (
+        ((4, 4, 2), "auto", ["delta_residue"]),
+        ((6, 5, 3), "auto", ["delta_psi_product", "delta_theorem1"]),
+        ((6, 5, 3), "residue", ["delta_residue", "delta_psi_product"]),
+        ((6, 5, 3), "theorem1", ["delta_theorem1", "delta_residue"]),
+    ):
+        ran.clear()
+        delta(validate_triple(m, n, r), method, cross_check=True)
+        assert ran == expected, (m, n, r, method)
 
 
 def test_dispatcher_rejects_bad_method():
@@ -391,31 +437,44 @@ def test_dispatcher_rejects_bad_method():
 
 
 def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
+    # auto and psi_product run the psi-product kernel, residue the residue
+    # kernel, each looked up on the module at call time
     calls = []
 
-    def fake(t, points=None):
-        calls.append((t.m, t.n, t.r))
-        return DegreeResult(t, 1, Method.RESIDUE, 0.0)
+    def fake(method):
+        def kernel(t, points=None):
+            calls.append((method, (t.m, t.n, t.r)))
+            return DegreeResult(t, 1, method, 0.0)
 
-    monkeypatch.setattr(degree_mod, "delta_residue", fake)
+        return kernel
+
+    monkeypatch.setattr(degree_mod, "delta_residue", fake(Method.RESIDUE))
+    monkeypatch.setattr(degree_mod, "delta_psi_product", fake(Method.PSI_PRODUCT))
     low_rank = validate_triple(9, 5, 2)  # no closed form, r <= n - r
     high_rank = validate_triple(6, 5, 3)  # no closed form, r > n - r
     assert delta(low_rank).delta == 1
     result = delta(high_rank)
     assert (result.delta, result.triple) == (1, high_rank)
     assert delta(high_rank, "residue").delta == 1
-    assert calls == [(9, 5, 2), (6, 5, 3), (6, 5, 3)]
+    assert delta(high_rank, "psi_product").delta == 1
+    assert calls == [
+        (Method.PSI_PRODUCT, (9, 5, 2)),
+        (Method.PSI_PRODUCT, (6, 5, 3)),
+        (Method.RESIDUE, (6, 5, 3)),
+        (Method.PSI_PRODUCT, (6, 5, 3)),
+    ]
 
 
 def test_elapsed_covers_the_cross_check(monkeypatch):
+    # the psi-product is the residue sum's second opinion
     t = validate_triple(10, 6, 3)
     value = delta_residue(t).delta
 
-    def slow_theorem1(triple):
+    def slow_psi_product(triple):
         time.sleep(0.05)
-        return DegreeResult(triple, value, Method.THEOREM1, 0.05)
+        return DegreeResult(triple, value, Method.PSI_PRODUCT, 0.05)
 
-    monkeypatch.setattr(degree_mod, "delta_theorem1", slow_theorem1)
+    monkeypatch.setattr(degree_mod, "delta_psi_product", slow_psi_product)
     assert delta(t, method="residue", cross_check=True).elapsed >= 0.05
 
 
@@ -456,7 +515,7 @@ def test_method_agreement_small():
         for t in valid_triples(n):
             a = delta_theorem1(t).delta
             b = delta_residue(t).delta
-            assert a == b, t
+            assert a == b == delta_psi_product(t).delta, t
             closed = delta_closed(t)
             if closed is not None:
                 assert closed.delta == a, t
@@ -469,7 +528,7 @@ def test_results_carry_timing_and_method():
     assert res.method is Method.RESIDUE
     assert isinstance(res.delta, int)
     # only delta reads the clock; a kernel called directly is not timed
-    for kernel in (delta_residue, delta_theorem1, delta_closed):
+    for kernel in (delta_residue, delta_psi_product, delta_theorem1, delta_closed):
         assert kernel(t).elapsed is None, kernel.__name__
 
 
