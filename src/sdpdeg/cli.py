@@ -106,7 +106,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}"
         )
     # The cross-methods suite runs theorem1 on every triple up to max_n: about
-    # 2 s in all at n = 7, but the n = 8 triples alone take about 16 s.
+    # 1 s in all at n = 7, but theorem1 over the n = 8 triples alone takes
+    # about 7 s.
     if not 2 <= args.max_n <= 7:
         raise ValueError(f"--max-n must lie in [2, 7], got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]

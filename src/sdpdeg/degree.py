@@ -8,14 +8,13 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     off the coefficient of (x1...y_{n-r})^(n-1) in
     h_l(X) * h_k(Y) * prod_{i!=j}(x_i - x_j) * prod_{i!=j}(y_i - y_j) *
     prod(y_i - x_j), divided by r!(n-r)!.  Each prod_{i!=j} is
-    (-1)^C(t,2) a_delta^2 for the alternant a_delta = prod_{i<j}, and every
-    other factor is symmetric within each block, so one alternant per block
-    carries the division: expand
-    h_l(X) * h_k(Y) * prod_{i<j}(x_i - x_j) * prod_{i<j}(y_i - y_j) * prod(y_i - x_j)
-    over x1..xr, y1..y_{n-r}, capping each variable at its own target
-    exponent (n-1) - delta_i, with delta = (r-1, ..., 0) on x and
-    (n-r-1, ..., 0) on y; read the coefficient c of that target, and return
-    (-1)^(k + C(r,2) + C(n-r,2)) * c, with no division;
+    (-1)^C(t,2) a^2 for the alternant a = prod_{i<j}, and every other
+    factor is symmetric within each block, so one alternant per block
+    carries the division.  The alternants and prod(y_i - x_j) together are,
+    up to sign, the Vandermonde of z = (x1..xr, y1..y_{n-r}), the signed
+    sum of z^e over the permutations e of (0, ..., n-1).  Since each h
+    lives in one block, delta is the signed sum over e of one coefficient
+    of h_l(X) times one of h_k(Y), with no division;
 
   * the residue subset sum ("residue"): for pairwise-distinct sample values
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
@@ -50,18 +49,11 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, prod
 from typing import Callable, Sequence, Union
 
-from .polynomial import (
-    Coeff,
-    _check_coeff,
-    complete_homogeneous,
-    pairwise_sum_forms,
-    product_coefficient,
-    xy_space,
-)
+from .polynomial import Coeff, _check_coeff, complete_homogeneous, pairwise_sum_forms, x_space
 from .schur import bareiss_det
 
 #: The delta API, re-exported by the package.
@@ -209,10 +201,14 @@ def default_sample_points(n: int) -> SamplePoints:
 
 
 def _sample_points(n: int, points: Union[Sequence[Coeff], None]) -> SamplePoints:
-    """The default points, or the given ones checked: n exact, pairwise-distinct values."""
+    """The default points, or the given ones checked: n exact, pairwise-distinct values.
+
+    A value with denominator 1 becomes an int, so integral points keep the
+    residue sum in integer arithmetic.
+    """
     if points is None:
         return default_sample_points(n)
-    pts = tuple(map(_check_coeff, points))
+    pts = tuple(p.numerator if p.denominator == 1 else p for p in map(_check_coeff, points))
     if len(pts) != n:
         raise ValueError(f"need {n} sample points, got {len(pts)}")
     if len(set(pts)) != n:
@@ -288,39 +284,40 @@ def _as_positive_integer(value: Coeff, context: str) -> int:
     return result
 
 
-def delta_theorem1(t: PatakiTriple) -> DegreeResult:
-    """Degree by coefficient extraction, through one alternant per block.
+def _sign(e: Sequence[int]) -> int:
+    """(-1) to the number of inversions of e."""
+    return (-1) ** sum(a > b for a, b in combinations(e, 2))
 
-    The product is a_delta(x) * a_delta(y) * prod(y_i - x_j) * h_l * h_k,
-    with one Vandermonde prod_{i<j} per block.  Each variable is capped at
-    its own target exponent (n-1) - delta_i, where delta = (r-1, ..., 0) on
-    x and (n-r-1, ..., 0) on y; the cap is sound because no factor has a
-    negative exponent.  Factors are multiplied in ascending sparsity order
-    (linear differences first, h blocks last), and the final h block is
-    folded in by single-coefficient convolution instead of a full product.
+
+def delta_theorem1(t: PatakiTriple) -> DegreeResult:
+    """Degree by coefficient extraction, as one signed sum over the Vandermonde.
+
+    Over z = (x1..xr, y1..ys), a(x) * a(y) * prod(y_i - x_j) is
+    (-1)^(rs + C(n,2)) sum_e sgn(e) z^e, e running over the permutations of
+    (0, ..., n-1).  The target is tx = (n-r, ..., n-1) on x and
+    ty = (r, ..., n-1) on y, so the coefficient splits into one coefficient
+    of each h block, each built in its own ring and capped at its target:
+    delta = (-1)^k sum_e sgn(e) [x^(tx - e_x)] h_l(X) * [y^(ty - e_y)] h_k(Y).
+    e_x is read off each term of h_l(X), which is skipped when an exponent
+    repeats; e_y runs over the permutations of the exponents left.
     """
     r, s, n = t.r, t.n - t.r, t.n
-    space = xy_space(r, s)
-    target = tuple(range(n - r, n)) + tuple(range(r, n))
+    tx, ty = tuple(range(s, n)), tuple(range(r, n))
+    h_x = complete_homogeneous(pairwise_sum_forms(x_space(r)), t.ell, tx)
+    h_y = complete_homogeneous(pairwise_sum_forms(x_space(s)), t.k, ty).terms
 
-    acc = space.one()
-    xs = [space.variable(i) for i in range(r)]
-    ys = [space.variable(r + i) for i in range(s)]
-    for block in (xs, ys):
-        for a, b in combinations(block, 2):
-            acc = acc.mul(a - b, target)
-    for i in range(s):
-        for j in range(r):
-            acc = acc.mul(ys[i] - xs[j], target)
+    total = 0
+    for alpha, c in h_x.terms.items():
+        e_x = tuple(map(int.__sub__, tx, alpha))
+        if len(set(e_x)) < r:
+            continue
+        rest = [i for i in range(n) if i not in e_x]
+        for e_y in permutations(rest):
+            c_y = h_y.get(tuple(map(int.__sub__, ty, e_y)))
+            if c_y is not None:
+                total += _sign(e_x + e_y) * c * c_y
 
-    h_x = complete_homogeneous(pairwise_sum_forms(space, range(r)), t.ell, target)
-    h_y = complete_homogeneous(pairwise_sum_forms(space, range(r, n)), t.k, target)
-    first, last = (h_x, h_y) if len(h_x) <= len(h_y) else (h_y, h_x)
-    acc = acc.mul(first, target)
-    c = product_coefficient(acc, last, target)
-
-    value = (-1) ** (t.k + comb(r, 2) + comb(s, 2)) * c
-    delta_value = _as_positive_integer(value, f"coefficient extraction on {t}")
+    delta_value = _as_positive_integer((-1) ** t.k * total, f"coefficient extraction on {t}")
     return DegreeResult(t, delta_value, Method.THEOREM1)
 
 
@@ -443,9 +440,10 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
     return result
 
 
-#: The smallest n at which `theorem1` warns before it starts: its capped
-#: expansion grows like n^n; every n = 9 value took at most 3.6 s, and
-#: the two n = 10 values measured took 26 s and 40 s.
+#: The smallest n at which `theorem1` warns before it starts: its capped h
+#: blocks grow like n^n; every n = 9 value takes at most about 5 s, and
+#: n = 10 values range from 0.4 s at (40, 10, 2) and 0.5 s at (27, 10, 5)
+#: to 44 s at (3, 10, 8).
 _THEOREM1_WARN_N = 10
 
 
@@ -453,9 +451,9 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
     """`delta_theorem1`, as the requested method or as the checker, warned about at large n."""
     if t.n >= _THEOREM1_WARN_N:
         warnings.warn(
-            f"theorem1 at n={t.n} expands a product of up to n^n terms "
+            f"theorem1 at n={t.n} expands h blocks of up to n^n terms "
             "and may run for tens of seconds or more "
-            "(single n=10 values took 26-40 s, n=9 values at most 4 s)",
+            "(single n=10 values took 0.4-44 s, n=9 values at most 5 s)",
             RuntimeWarning,
         )
     return delta_theorem1(t)

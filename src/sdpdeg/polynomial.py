@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from operator import lshift
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -214,58 +213,30 @@ class SparsePolynomial:
     def mul(self, other: SparsePolynomial, cap: ExponentCap = None) -> SparsePolynomial:
         """Product, discarding every term that exceeds `cap` in some variable.
 
-        Exponent vectors are packed into ints, one field of w bits per
-        variable, so two monomials multiply as one integer addition.  w
-        holds the largest exponent sum below the field's top (guard) bit,
-        and each field is offset by (2^(w-1) - 1) - cap_i: an exponent x_i
-        reaches the guard bit exactly when x_i > cap_i, with no carry into
-        the next field.  One mask test then checks the cap for a product,
-        or drops an input term that already exceeds it.
+        The cap length is checked first; a negative cap entry admits no term.
         """
         if other.space != self.space:
             raise ValueError("polynomials live in different variable spaces")
-        arity = self.space.arity
         if cap is not None:
-            if len(cap) != arity:
+            if len(cap) != self.space.arity:
                 raise ValueError("cap length must equal the arity")
             if min(cap) < 0:
                 return self.space.zero()
         a, b = self._terms, other._terms
-        if not a or not b:
-            return self.space.zero()
         if len(a) > len(b):
             a, b = b, a
-
-        w = (max(map(max, a)) + max(map(max, b))).bit_length() + 1
-        shifts = range(0, arity * w, w)
-        limit = (1 << (w - 1)) - 1
-        guard = sum((limit + 1) << s for s in shifts)
-        bound = (limit,) * arity if cap is None else (min(t, limit) for t in cap)
-        off = sum((limit - t) << s for t, s in zip(bound, shifts))
-        # The offset rides on the outer keys, so a product key k is the packed
-        # sum plus off, and k & guard is its whole cap test.
-        outer = [
-            (k, c) for e, c in a.items() if not (k := sum(map(lshift, e, shifts)) + off) & guard
-        ]
-        inner = [
-            (k, c) for e, c in b.items() if not ((k := sum(map(lshift, e, shifts))) + off) & guard
-        ]
-
-        out: dict[int, Coeff] = {}
-        for ka, ca in outer:
-            for kb, cb in inner:
-                k = ka + kb
-                if k & guard:
+        out: dict[Monomial, Coeff] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                mono = tuple(map(int.__add__, ea, eb))
+                if cap is not None and any(map(int.__gt__, mono, cap)):
                     continue
-                s = out.get(k, 0) + ca * cb
+                s = out.get(mono, 0) + ca * cb
                 if s:
-                    out[k] = s
+                    out[mono] = s
                 else:
-                    del out[k]
-
-        keys = [k - off for k in out]
-        columns = [[(k >> s) & limit for k in keys] for s in shifts]
-        return SparsePolynomial._raw(self.space, dict(zip(zip(*columns), out.values())))
+                    del out[mono]
+        return SparsePolynomial._raw(self.space, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePolynomial):

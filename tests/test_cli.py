@@ -128,7 +128,7 @@ def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
     assert "n=10" in started[0][0] and "seconds" in started[0][0]
     assert _fields(capsys.readouterr().out.strip())["delta"] == "27161730960"
 
-    # n = 9 takes at most about 4 s and no longer warns
+    # n = 9 takes at most about 5 s and no longer warns
     assert main(["value", "25", "9", "4", "--check"]) == 0
     captured = capsys.readouterr()
     assert _fields(captured.out.strip())["delta"] == "227546064"

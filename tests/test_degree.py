@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpdeg.degree as degree_mod
+import sdpdeg.polynomial as polynomial_mod
 from sdpdeg.degree import (
     METHODS,
     CrossCheckError,
@@ -183,15 +184,18 @@ def test_h_recurrence_against_determinant_and_multiset_enumeration():
 def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
     # Each subset costs exactly two series passes, with no e-values and no
     # determinant; its term joins one numerator, so integer points build a
-    # Fraction only for the final division and its integrality check.
+    # Fraction only for the final division and its integrality check, and
+    # integral points given as Fractions are summed as ints.
     def refuse(*args):
         raise AssertionError("the residue sum must not evaluate a determinant or e-values")
 
     calls = []
+    kinds = set()
     fractions = []
 
     def counted(values, k):
         calls.append(k)
+        kinds.update(map(type, values))
         return h_recurrence(values, k)
 
     def counted_fraction(*args):
@@ -210,14 +214,16 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
         ((10, 6, 3), None, 5184),
         ((10, 6, 3), random_sample_points(6, seed=5), 5184),
         ((10, 6, 3), pts, 5184),
+        ((10, 6, 3), tuple(map(Fraction, random_sample_points(6, seed=5))), 5184),
         ((16, 7, 3), None, 99596),
     ):
         calls.clear()
+        kinds.clear()
         fractions.clear()
         assert delta_residue(validate_triple(m, n, r), points).delta == expected
         assert len(calls) == 2 * comb(n, r), (m, n, r, points)
         if points is not pts:
-            assert len(fractions) <= 2, (m, n, r, points)
+            assert len(fractions) <= 2 and kinds == {int}, (m, n, r, points, kinds)
 
 
 def _alternant(values):
@@ -314,18 +320,24 @@ def _is_difference(p):
     return sorted(p.terms.values()) == [-1, 1] and all(sum(e) == 1 for e in p.terms)
 
 
-def test_theorem1_multiplies_one_vandermonde_per_block(monkeypatch):
-    # prod_{i<j} over each block, not prod_{i!=j}: the alternant squared
-    # is never formed, so no r!(n-r)! division follows.
+def test_theorem1_multiplies_within_one_block(monkeypatch):
+    # The linear factors are summed over as one Vandermonde, never multiplied
+    # in: every product lives in the ring of one h block, and no coefficient
+    # of a product of the two blocks is read.
+    def refuse(*args):
+        raise AssertionError("theorem1 must not fold two blocks into one coefficient")
+
     mul = SparsePolynomial.mul
-    factors = []
+    arities = []
 
     def counted(self, other, cap=None):
-        if _is_difference(other):
-            factors.append(other)
+        assert not _is_difference(self) and not _is_difference(other)
+        arities.append(self.space.arity)
         return mul(self, other, cap)
 
     monkeypatch.setattr(SparsePolynomial, "mul", counted)
+    for module in (polynomial_mod, degree_mod):
+        monkeypatch.setattr(module, "product_coefficient", refuse, raising=False)
     for (m, n, r), expected in (
         ((2, 3, 2), 6),
         ((4, 4, 2), 30),
@@ -335,16 +347,17 @@ def test_theorem1_multiplies_one_vandermonde_per_block(monkeypatch):
         ((16, 6, 1), 96),
         ((3, 5, 4), 40),
     ):
-        factors.clear()
+        arities.clear()
         assert delta_theorem1(validate_triple(m, n, r)).delta == expected
-        s = n - r
-        assert len(factors) == comb(r, 2) + comb(s, 2) + r * s, (m, n, r)
+        assert arities and set(arities) <= {r, n - r}, (m, n, r, set(arities))
 
 
 def test_theorem1_examples():
     assert delta_theorem1(validate_triple(2, 3, 2)).delta == 6
     assert delta_theorem1(validate_triple(3, 4, 2)).delta == 10
     assert delta_theorem1(validate_triple(4, 4, 2)).delta == 30
+    assert delta_theorem1(validate_triple(25, 9, 4)).delta == 227546064
+    assert delta_theorem1(validate_triple(27, 10, 5)).delta == 27161730960
 
 
 def test_residue_examples():
