@@ -3,7 +3,8 @@ self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
 3 cross-check or duality disagreement.  A RuntimeWarning the library issues
-(theorem1 at large n) goes to standard error as one `warning: ...` line.
+(theorem1 or the residue sum at large n) goes to standard error as one
+`warning: ...` line.
 """
 
 from __future__ import annotations
@@ -143,13 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     value.add_argument("--method", choices=tuple(METHODS), default="auto")
     value.add_argument(
         "--check", action="store_true",
-        help="cross-check with a second independent method",
+        help=(
+            "cross-check with a second independent method: the residue sum "
+            "checks psi_product and theorem1, the psi-product checks residue "
+            "and closed forms"
+        ),
     )
     value.add_argument(
         "--lambda", dest="lambda_points", metavar="L1,...,LN",
         help=(
-            "comma-separated distinct rationals; only the residue method uses "
-            "them, but every method checks them"
+            "comma-separated distinct rationals for the residue sum, as the "
+            "method or as the --check of a psi_product or theorem1 value; "
+            "every method checks them"
         ),
     )
     value.set_defaults(func=cmd_value)

@@ -440,15 +440,21 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
     return result
 
 
-#: The smallest n at which `theorem1` warns before it starts: its capped h
-#: blocks grow like n^n; every n = 9 value takes at most about 5 s, and
-#: n = 10 values range from 0.4 s at (40, 10, 2) and 0.5 s at (27, 10, 5)
+#: The smallest n at which a requested `theorem1` warns before it starts: its
+#: capped h blocks grow like n^n; every n = 9 value takes at most about 5 s,
+#: and n = 10 values range from 0.4 s at (40, 10, 2) and 0.5 s at (27, 10, 5)
 #: to 44 s at (3, 10, 8).
 _THEOREM1_WARN_N = 10
 
+#: The smallest n at which the residue sum warns before it starts, as the
+#: requested method or as the checker: it runs over all C(n, r) subsets, and
+#: a balanced value takes about 4 s at (80, 16, 8), 11 s at (81, 17, 8) and
+#: 30 s at (85, 18, 9).
+_RESIDUE_WARN_N = 18
+
 
 def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
-    """`delta_theorem1`, as the requested method or as the checker, warned about at large n."""
+    """`delta_theorem1` as the requested method, warned about at large n."""
     if t.n >= _THEOREM1_WARN_N:
         warnings.warn(
             f"theorem1 at n={t.n} expands h blocks of up to n^n terms "
@@ -459,23 +465,37 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
     return delta_theorem1(t)
 
 
+def _residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
+    """`delta_residue`, as the requested method or as the checker, warned about at large n."""
+    if t.n >= _RESIDUE_WARN_N:
+        warnings.warn(
+            f"the residue sum at n={t.n} runs over C(n, r) subsets "
+            "and may run for tens of seconds or more "
+            "(balanced values took 11 s at n=17, 30 s at n=18)",
+            RuntimeWarning,
+        )
+    return delta_residue(t, points)
+
+
 #: The methods `delta` accepts by name.  Entries name the kernels through this
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
     "auto": lambda t, points: delta_closed(t) or delta_psi_product(t),
     "theorem1": _theorem1,
-    "residue": lambda t, points: delta_residue(t, points),
+    "residue": _residue,
     "psi_product": lambda t, points: delta_psi_product(t),
     "closed": _closed,
 }
 
-# The independent method that confirms a result, by the method that produced it.
+# The independent method that confirms a result, by the method that produced
+# it.  The psi-product and the residue sum check each other, so theorem1 runs
+# only when it is requested.
 _SECOND_OPINION: dict[Method, Callable[..., DegreeResult]] = {
-    Method.CLOSED_FORM: METHODS["residue"],
-    Method.DUALITY_REDUCED: METHODS["residue"],
+    Method.CLOSED_FORM: METHODS["psi_product"],
+    Method.DUALITY_REDUCED: METHODS["psi_product"],
     Method.RESIDUE: METHODS["psi_product"],
-    Method.PSI_PRODUCT: _theorem1,
+    Method.PSI_PRODUCT: METHODS["residue"],
     Method.THEOREM1: METHODS["residue"],
 }
 
@@ -493,11 +513,12 @@ def delta(
     pairs, so computing the partner instead saves nothing).  With
     cross_check a second, independent method must agree exactly, else
     CrossCheckError carrying both results is raised: the residue sum checks
-    closed forms and theorem1, the psi-product checks the residue sum, and
-    theorem1 checks the psi-product.  Only this function times a result:
-    elapsed covers dispatch and the cross-check.  Only the residue sum uses
-    sample points; given ones are checked whichever method runs, "auto"
-    included, even one that does not use them.
+    the psi-product and theorem1, and the psi-product checks the residue sum
+    and closed forms, so theorem1 runs only when it is requested.  Only this
+    function times a result: elapsed covers dispatch and the cross-check.
+    Only the residue sum uses sample points, as the method or as the checker
+    of a psi-product or theorem1 value; given ones are checked whichever
+    method runs, "auto" included, even one that does not use them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import sdpdeg
@@ -114,8 +115,8 @@ def _warnings(err):
 
 
 def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
-    # theorem1 grows like n^n: at n >= 10 it warns, as the requested method or
-    # as the checker, before it starts.  The fake keeps the test fast.
+    # theorem1 grows like n^n: at n >= 10 a requested theorem1 warns before it
+    # starts.  The fake keeps the test fast.
     started = []
 
     def fake_theorem1(t):
@@ -123,16 +124,23 @@ def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
         return DegreeResult(t, degree_mod.delta_residue(t).delta, Method.THEOREM1)
 
     monkeypatch.setattr(degree_mod, "delta_theorem1", fake_theorem1)
-    assert main(["value", "27", "10", "5", "--check"]) == 0
+    assert main(["value", "27", "10", "5", "--method", "theorem1"]) == 0
     assert len(started) == 1 and len(started[0]) == 1
     assert "n=10" in started[0][0] and "seconds" in started[0][0]
     assert _fields(capsys.readouterr().out.strip())["delta"] == "27161730960"
 
-    # n = 9 takes at most about 5 s and no longer warns
-    assert main(["value", "25", "9", "4", "--check"]) == 0
+    # the checker of a psi-product value is the residue sum: no theorem1, no warning
+    started.clear()
+    assert main(["value", "27", "10", "5", "--check"]) == 0
+    captured = capsys.readouterr()
+    assert _fields(captured.out.strip())["delta"] == "27161730960"
+    assert _warnings(captured.err) == [] and started == []
+
+    # n = 9 takes at most about 5 s and does not warn
+    assert main(["value", "25", "9", "4", "--method", "theorem1"]) == 0
     captured = capsys.readouterr()
     assert _fields(captured.out.strip())["delta"] == "227546064"
-    assert _warnings(captured.err) == [] and started[1:] == [[]]
+    assert _warnings(captured.err) == [] and started == [[]]
 
     # once per n, however many triples run theorem1
     started.clear()
@@ -140,6 +148,75 @@ def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
     warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
     assert len(started) == len(degree_mod.valid_triples(10))
     assert len(warned) == 1 and "n=10" in warned[0], warned
+
+
+_DELTA_85_18_9 = "3016773596586712638984949358180496"
+
+
+def test_residue_warns_up_front_from_n_18(capsys, monkeypatch):
+    # the residue sum runs over C(n, r) subsets: at n >= 18 it warns before it
+    # starts, as the requested method or as the checker.  The fake keeps the
+    # test fast.
+    started = []
+
+    def fake_residue(t, points=None):
+        started.append(_warnings(capsys.readouterr().err))
+        return DegreeResult(t, degree_mod.delta_psi_product(t).delta, Method.RESIDUE)
+
+    monkeypatch.setattr(degree_mod, "delta_residue", fake_residue)
+    for argv in (["85", "18", "9", "--method", "residue"], ["85", "18", "9", "--check"]):
+        started.clear()
+        assert main(["value", *argv]) == 0, argv
+        assert len(started) == 1 and len(started[0]) == 1, argv
+        assert "n=18" in started[0][0] and "residue" in started[0][0], argv
+        assert _fields(capsys.readouterr().out.strip())["delta"] == _DELTA_85_18_9, argv
+
+    # n = 17 does not warn
+    started.clear()
+    assert main(["value", "81", "17", "8", "--check"]) == 0
+    assert _warnings(capsys.readouterr().err) == [] and started == [[]]
+
+    # once per n, however many triples run the residue sum
+    def cheap_residue(t, points=None):
+        started.append(_warnings(capsys.readouterr().err))
+        return DegreeResult(t, 1, Method.RESIDUE)
+
+    monkeypatch.setattr(degree_mod, "delta_residue", cheap_residue)
+    started.clear()
+    assert main(["table", "18", "--method", "residue"]) == 0
+    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
+    assert len(started) == len(degree_mod.valid_triples(18))
+    assert len(warned) == 1 and "n=18" in warned[0], warned
+
+
+def test_check_never_runs_theorem1_unless_requested(capsys, monkeypatch):
+    def no_theorem1(t):
+        raise AssertionError(f"theorem1 ran on {t}")
+
+    monkeypatch.setattr(degree_mod, "delta_theorem1", no_theorem1)
+    runs = [
+        (triple, method)
+        for triple in (("6", "10", "7"), ("3", "10", "8"), ("27", "10", "5"))
+        for method in ("auto", "residue", "psi_product")
+    ] + [(("3", "10", "8"), "closed")]
+    for triple, method in runs:
+        assert main(["value", *triple, "--method", method, "--check"]) == 0, (triple, method)
+        assert _warnings(capsys.readouterr().err) == [], (triple, method)
+
+
+def test_value_check_feeds_the_sample_points_to_the_residue_check(capsys, monkeypatch):
+    residue = degree_mod.delta_residue
+    seen = []
+
+    def spy(t, points=None):
+        seen.append(points)
+        return residue(t, points)
+
+    monkeypatch.setattr(degree_mod, "delta_residue", spy)
+    assert main(["value", "6", "5", "3", "--check", "--lambda=-3/2,1,2,7,11"]) == 0
+    out = _fields(capsys.readouterr().out.strip())
+    assert (out["delta"], out["method"]) == ("290", "psi_product")
+    assert seen == [(Fraction(-3, 2), 1, 2, 7, 11)]
 
 
 def test_table_csv(capsys):

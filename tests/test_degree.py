@@ -309,6 +309,18 @@ def test_psi_product_matches_the_residue_sum_at_n_10():
         assert delta_psi_product(t).delta == delta_residue(t).delta, t
 
 
+def test_psi_product_matches_the_residue_sum_below_n_10():
+    # the two routes that check each other under --check, on every triple
+    # with n <= 9 at the default points and with n <= 7 at seeded ones
+    for n in range(2, 10):
+        for t in valid_triples(n):
+            expected = delta_psi_product(t).delta
+            assert expected == delta_residue(t).delta, t
+            if n <= 7:
+                points = random_sample_points(n, seed=100 * n + t.m)
+                assert expected == delta_residue(t, points).delta, (t, points)
+
+
 def test_theorem1_matches_the_reference_table():
     reference = _reference()
     for t in (t for n in range(2, 8) for t in valid_triples(n)):
@@ -419,8 +431,8 @@ def test_dispatcher_duality_routing():
 
 
 def test_second_opinions(monkeypatch):
-    # closed form and theorem1 are checked by the residue sum, the residue sum
-    # by the psi-product, and the psi-product by theorem1
+    # the psi-product and the residue sum check each other, the psi-product
+    # also checks closed forms, and theorem1 runs only when requested
     ran = []
     for name in ("delta_residue", "delta_psi_product", "delta_theorem1"):
         kernel = getattr(degree_mod, name)
@@ -431,8 +443,8 @@ def test_second_opinions(monkeypatch):
 
         monkeypatch.setattr(degree_mod, name, recorded)
     for (m, n, r), method, expected in (
-        ((4, 4, 2), "auto", ["delta_residue"]),
-        ((6, 5, 3), "auto", ["delta_psi_product", "delta_theorem1"]),
+        ((4, 4, 2), "auto", ["delta_psi_product"]),
+        ((6, 5, 3), "auto", ["delta_psi_product", "delta_residue"]),
         ((6, 5, 3), "residue", ["delta_residue", "delta_psi_product"]),
         ((6, 5, 3), "theorem1", ["delta_theorem1", "delta_residue"]),
     ):
@@ -556,7 +568,7 @@ def small_triples(draw, max_n=5):
 @settings(max_examples=60, deadline=None)
 @given(t=small_triples())
 def test_methods_agree_under_cross_check(t):
-    # theorem1 runs here, as a method or as the checker: n <= 5 keeps it quick
+    # theorem1 runs here as a method: n <= 5 keeps it quick
     expected = delta(t).delta
     for method in METHODS:
         if method == "closed" and delta_closed(t) is None:
