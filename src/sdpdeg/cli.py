@@ -2,7 +2,7 @@
 self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
-3 cross-check or duality disagreement.  A RuntimeWarning the library issues
+3 cross-check disagreement.  A RuntimeWarning the library issues
 (theorem1 or the residue sum at large n) goes to standard error as one
 `warning: ...` line.
 """
@@ -22,7 +22,6 @@ from .degree import (
     CrossCheckError,
     DegreeResult,
     delta,
-    duality_partner,
     valid_triples,
     validate_triple,
 )
@@ -66,28 +65,11 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    results = [delta(t, method=args.method) for t in valid_triples(args.n)]
-
-    if args.check_duality:
-        # A psi-product row and its partner's row are one sum with I and I^c
-        # swapped, and closed-form rows share a formula: each row meets an
-        # independent residue sum on its partner instead.
-        violations = []
-        for res in results:
-            partner = duality_partner(res.triple)
-            other = delta(partner, method="residue")
-            if other.delta != res.delta:
-                violations.append(
-                    f"duality violated: delta(m={res.triple.m}, n={args.n}, "
-                    f"r={res.triple.r}) = {res.delta} but the partner "
-                    f"(m={partner.m}, r={partner.r}) gives {other.delta}"
-                )
-        if violations:
-            for line in violations:
-                print(line, file=sys.stderr)
-            return EXIT_DISAGREEMENT
-
-    records = [_record(res) for res in results]
+    # Every row is computed, and checked, before anything is printed.
+    records = [
+        _record(delta(t, method=args.method, cross_check=args.check))
+        for t in valid_triples(args.n)
+    ]
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:
@@ -136,20 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    check_help = (
+        "cross-check with a second independent method: the residue sum "
+        "checks psi_product and theorem1, the psi-product checks residue "
+        "and closed forms"
+    )
 
     value = sub.add_parser("value", help="compute delta(m, n, r)")
     value.add_argument("m", type=int)
     value.add_argument("n", type=int)
     value.add_argument("r", type=int)
     value.add_argument("--method", choices=tuple(METHODS), default="auto")
-    value.add_argument(
-        "--check", action="store_true",
-        help=(
-            "cross-check with a second independent method: the residue sum "
-            "checks psi_product and theorem1, the psi-product checks residue "
-            "and closed forms"
-        ),
-    )
+    value.add_argument("--check", action="store_true", help=check_help)
     value.add_argument(
         "--lambda", dest="lambda_points", metavar="L1,...,LN",
         help=(
@@ -164,10 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("n", type=int)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--method", choices=tuple(METHODS), default="auto")
-    table.add_argument(
-        "--check-duality", action="store_true",
-        help="compare each row with a residue sum on its duality partner",
-    )
+    table.add_argument("--check", action="store_true", help=check_help)
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the self-verification suites")

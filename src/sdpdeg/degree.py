@@ -446,11 +446,18 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
 #: to 44 s at (3, 10, 8).
 _THEOREM1_WARN_N = 10
 
-#: The smallest n at which the residue sum warns before it starts, as the
-#: requested method or as the checker: it runs over all C(n, r) subsets, and
-#: a balanced value takes about 4 s at (80, 16, 8), 11 s at (81, 17, 8) and
-#: 30 s at (85, 18, 9).
-_RESIDUE_WARN_N = 18
+
+def _residue_cost(t: PatakiTriple) -> int:
+    """The multiply-adds of `delta_residue`'s h recurrences on t: per r-subset,
+    h_ell over C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2)."""
+    return comb(t.n, t.r) * (comb(t.r + 1, 2) * t.ell + comb(t.n - t.r + 1, 2) * t.k)
+
+
+#: The `_residue_cost` from which the residue sum warns before it starts, as
+#: the requested method or as the checker: the cost of (81, 17, 8), about
+#: 7.09e7, which takes about 11 s.  (80, 16, 8) costs 2.97e7 and takes 4 s,
+#: (85, 18, 9) 1.77e8 and 30 s; no triple with n <= 16 reaches it.
+_RESIDUE_WARN_COST = 70_887_960
 
 
 def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
@@ -466,8 +473,11 @@ def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> D
 
 
 def _residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
-    """`delta_residue`, as the requested method or as the checker, warned about at large n."""
-    if t.n >= _RESIDUE_WARN_N:
+    """`delta_residue`, as the requested method or as the checker, warned about when costly.
+
+    The warning names n only, so a table warns once per n, not once per row.
+    """
+    if _residue_cost(t) >= _RESIDUE_WARN_COST:
         warnings.warn(
             f"the residue sum at n={t.n} runs over C(n, r) subsets "
             "and may run for tens of seconds or more "

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,12 +153,13 @@ def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
 
 
 _DELTA_85_18_9 = "3016773596586712638984949358180496"
+_DELTA_81_17_8 = "648429130301955511785243555928"
 
 
-def test_residue_warns_up_front_from_n_18(capsys, monkeypatch):
-    # the residue sum runs over C(n, r) subsets: at n >= 18 it warns before it
-    # starts, as the requested method or as the checker.  The fake keeps the
-    # test fast.
+def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
+    # the residue sum runs over C(n, r) subsets: from the multiply-add count of
+    # (81, 17, 8) on it warns before it starts, as the requested method or as
+    # the checker.  The fake keeps the test fast.
     started = []
 
     def fake_residue(t, points=None):
@@ -164,17 +167,23 @@ def test_residue_warns_up_front_from_n_18(capsys, monkeypatch):
         return DegreeResult(t, degree_mod.delta_psi_product(t).delta, Method.RESIDUE)
 
     monkeypatch.setattr(degree_mod, "delta_residue", fake_residue)
-    for argv in (["85", "18", "9", "--method", "residue"], ["85", "18", "9", "--check"]):
+    runs = [
+        (["85", "18", "9", "--method", "residue"], "n=18", _DELTA_85_18_9),
+        (["85", "18", "9", "--check"], "n=18", _DELTA_85_18_9),
+        (["81", "17", "8", "--check"], "n=17", _DELTA_81_17_8),
+    ]
+    for argv, n_text, value in runs:
         started.clear()
         assert main(["value", *argv]) == 0, argv
         assert len(started) == 1 and len(started[0]) == 1, argv
-        assert "n=18" in started[0][0] and "residue" in started[0][0], argv
-        assert _fields(capsys.readouterr().out.strip())["delta"] == _DELTA_85_18_9, argv
+        assert n_text in started[0][0] and "residue" in started[0][0], argv
+        assert _fields(capsys.readouterr().out.strip())["delta"] == value, argv
 
-    # n = 17 does not warn
-    started.clear()
-    assert main(["value", "81", "17", "8", "--check"]) == 0
-    assert _warnings(capsys.readouterr().err) == [] and started == [[]]
+    # a cheaper triple does not warn, however large its n
+    for argv in (["80", "16", "8", "--check"], ["160", "18", "1", "--method", "residue"]):
+        started.clear()
+        assert main(["value", *argv]) == 0, argv
+        assert _warnings(capsys.readouterr().err) == [] and started == [[]], argv
 
     # once per n, however many triples run the residue sum
     def cheap_residue(t, points=None):
@@ -232,8 +241,19 @@ def test_table_csv(capsys):
 
 
 def test_table_check_duality(capsys):
-    assert main(["table", "4", "--check-duality"]) == 0
+    # every row meets its second opinion on its own triple, so a table that
+    # passes also confirms duality row by row
+    assert main(["table", "4", "--check"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 14  # header + 13 triples
+
+
+def test_table_check_prints_the_unchecked_table(capsys):
+    for n in range(2, 8):
+        assert main(["table", str(n)]) == 0
+        plain = capsys.readouterr()
+        assert main(["table", str(n), "--check"]) == 0
+        checked = capsys.readouterr()
+        assert checked.out == plain.out and checked.err == "", n
 
 
 def test_table_json_round_trips_csv(capsys):
@@ -269,13 +289,15 @@ def test_table_check_duality_compares_separate_residue_sums(capsys, monkeypatch)
         return result
 
     monkeypatch.setattr(degree_mod, "delta_residue", wrong_above_half_rank)
-    assert main(["table", "5", "--check-duality"]) == 3
-    assert "duality violated" in capsys.readouterr().err
+    assert main(["table", "5", "--check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "method disagreement" in captured.err
 
 
 def test_table_check_duality_catches_a_wrong_closed_form(capsys, monkeypatch):
     # Both rows of a closed-form pair evaluate the same formula, so a wrong
-    # formula agrees with itself; each row must meet an independent residue sum.
+    # formula agrees with itself; each row must meet an independent psi-product.
     closed_pattern = degree_mod._closed_pattern
 
     def off_by_one(m, n, r):
@@ -283,10 +305,10 @@ def test_table_check_duality_catches_a_wrong_closed_form(capsys, monkeypatch):
         return None if value is None else value + 1
 
     monkeypatch.setattr(degree_mod, "_closed_pattern", off_by_one)
-    assert main(["table", "5", "--check-duality"]) == 3
+    assert main(["table", "5", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "duality violated" in captured.err
+    assert "method disagreement" in captured.err
 
 
 def test_table_check_duality_catches_a_wrong_psi_product(capsys, monkeypatch):
@@ -299,21 +321,46 @@ def test_table_check_duality_catches_a_wrong_psi_product(capsys, monkeypatch):
         return DegreeResult(t, result.delta + 1, result.method)
 
     monkeypatch.setattr(degree_mod, "delta_psi_product", plus_one)
-    assert main(["table", "5", "--check-duality"]) == 3
+    assert main(["table", "5", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "duality violated" in captured.err
+    assert "method disagreement" in captured.err
 
 
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
-    def fake_delta(t, **kwargs):
-        return DegreeResult(t, t.m, Method.RESIDUE, 0.0)
+    # the last row fails its check: the rows before it are not printed either
+    last = degree_mod.valid_triples(3)[-1]
+
+    def fake_delta(t, cross_check=False, **kwargs):
+        first = DegreeResult(t, t.m, Method.RESIDUE, 0.0)
+        if cross_check and t == last:
+            raise degree_mod.CrossCheckError(first, replace(first, delta=t.m + 1))
+        return first
 
     monkeypatch.setattr(cli, "delta", fake_delta)
-    assert main(["table", "3", "--check-duality"]) == 3
+    assert main(["table", "3", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "duality violated" in captured.err
+    assert "method disagreement" in captured.err
+
+
+def test_readme_command_lines_parse():
+    # every command in the README's command-line block must parse, so that a
+    # removed flag cannot stay documented; none of them is run
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("sdpdeg ")
+    ]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(cli._attach_lambda(argv))
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: sdpdeg {shlex.join(argv)}")
 
 
 def test_verify_suites(capsys):

@@ -577,7 +577,7 @@ def test_methods_agree_under_cross_check(t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=small_triples(max_n=7), data=st.data())
+@given(t=small_triples(max_n=10), data=st.data())
 def test_duality_and_sample_points_agree(t, data):
     expected = delta(t).delta
     assert delta(duality_partner(t)).delta == expected
