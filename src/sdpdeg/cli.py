@@ -3,8 +3,8 @@ self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
 3 cross-check disagreement.  A RuntimeWarning the library issues
-(theorem1 or the residue sum at large n) goes to standard error as one
-`warning: ...` line.
+(theorem1, the residue sum or the psi-product at large n) goes to standard
+error as one `warning: ...` line.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .degree import (
     delta,
     valid_triples,
     validate_triple,
+    warn_psi_cost,
 )
 
 EXIT_OK = 0
@@ -65,11 +66,13 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    triples = valid_triples(args.n)
+    # The psi-product runs on the rows as the method (auto's too) or as the
+    # checker of every method but theorem1; one estimate covers the table.
+    if args.method in ("auto", "psi_product") or args.check and args.method != "theorem1":
+        warn_psi_cost(args.n, len(triples))
     # Every row is computed, and checked, before anything is printed.
-    records = [
-        _record(delta(t, method=args.method, cross_check=args.check))
-        for t in valid_triples(args.n)
-    ]
+    records = [_record(delta(t, method=args.method, cross_check=args.check)) for t in triples]
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:

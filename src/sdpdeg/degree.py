@@ -53,9 +53,6 @@ from itertools import combinations, permutations
 from math import comb, prod
 from typing import Callable, Sequence, Union
 
-from .polynomial import Coeff, _check_coeff, complete_homogeneous, pairwise_sum_forms, x_space
-from .schur import bareiss_det
-
 #: The delta API, re-exported by the package.
 __all__ = [
     "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
@@ -64,6 +61,19 @@ __all__ = [
     "delta_residue", "delta_theorem1", "duality_partner", "random_sample_points",
     "valid_triples", "validate_triple",
 ]
+
+
+#: An exact value: floats are rejected everywhere.
+Coeff = Union[int, Fraction]
+SamplePoints = tuple[Coeff, ...]
+# Bound at import, so that a test patching this module's `Fraction` keeps the check.
+_EXACT_TYPES = (int, Fraction)
+
+
+def _check_coeff(c: object) -> Coeff:
+    if isinstance(c, bool) or not isinstance(c, _EXACT_TYPES):
+        raise TypeError(f"exact values must be int or Fraction, got {type(c).__name__}")
+    return c
 
 
 class InvalidTripleError(ValueError):
@@ -170,9 +180,6 @@ class DegreeResult:
     elapsed: Union[float, None] = None
 
 
-SamplePoints = tuple[Coeff, ...]
-
-
 def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
     """The triple (m, n, r), or InvalidTripleError naming what is wrong."""
     return PatakiTriple(m, n, r)
@@ -266,6 +273,8 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
         raise ValueError("degree must be nonnegative")
     if k == 0:
         return 1
+    from .schur import bareiss_det
+
     e = _elementary_values(values, k)
     matrix = [
         [e[j - i + 1] if j - i + 1 >= 0 else 0 for j in range(k)]
@@ -301,6 +310,8 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
     e_x is read off each term of h_l(X), which is skipped when an exponent
     repeats; e_y runs over the permutations of the exponents left.
     """
+    from .polynomial import complete_homogeneous, pairwise_sum_forms, x_space
+
     r, s, n = t.r, t.n - t.r, t.n
     tx, ty = tuple(range(s, n)), tuple(range(r, n))
     h_x = complete_homogeneous(pairwise_sum_forms(x_space(r)), t.ell, tx)
@@ -460,6 +471,40 @@ def _residue_cost(t: PatakiTriple) -> int:
 _RESIDUE_WARN_COST = 70_887_960
 
 
+def _psi_cost(n: int) -> int:
+    """A bound on the work of one `delta_psi_product` call at n: its memo holds
+    at most 2^n masks, each expanded over at most n indices."""
+    return n << n
+
+
+#: The summed `_psi_cost` from which psi-products warn before they start, for
+#: one value or for all rows of a table: about 11 s at about 18 ns a unit,
+#: process start included.  table 16 costs 695 * 16 * 2^16 = 7.29e8 and took
+#: 12.6-14.2 s, table 15 2.82e8 and 5.2-6.4 s; one balanced value costs 4.03e8
+#: and took 8 s at (150, 24, 12), 8.39e8 and 40 s at (169, 25, 12).
+_PSI_WARN_COST = 600_000_000
+
+
+def warn_psi_cost(n: int, calls: int = 1) -> None:
+    """Warn when `calls` psi-products at n would cross the budget.
+
+    The warning names n only, so a table warns once per n, not once per row.
+    """
+    if calls * _psi_cost(n) >= _PSI_WARN_COST:
+        warnings.warn(
+            f"the psi-product at n={n} evaluates up to 2^n Pfaffians per value "
+            "and may run for tens of seconds or more "
+            "(table 16 took 13 s, table 17 36 s; one value 8 s at n=24, 40 s at n=25)",
+            RuntimeWarning,
+        )
+
+
+def _psi_product(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
+    """`delta_psi_product`, as the requested method or as the checker, warned about when costly."""
+    warn_psi_cost(t.n)
+    return delta_psi_product(t)
+
+
 def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
     """`delta_theorem1` as the requested method, warned about at large n."""
     if t.n >= _THEOREM1_WARN_N:
@@ -491,10 +536,10 @@ def _residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> De
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
-    "auto": lambda t, points: delta_closed(t) or delta_psi_product(t),
+    "auto": lambda t, points: delta_closed(t) or _psi_product(t),
     "theorem1": _theorem1,
     "residue": _residue,
-    "psi_product": lambda t, points: delta_psi_product(t),
+    "psi_product": _psi_product,
     "closed": _closed,
 }
 

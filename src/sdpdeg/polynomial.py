@@ -28,19 +28,14 @@ from math import prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
+from .degree import Coeff, _check_coeff
+
 Monomial = tuple[int, ...]
-Coeff = Union[int, Fraction]
 # Per-variable exponent bounds, or None for no pruning.
 ExponentCap = Union[tuple[int, ...], None]
 
 #: Order sentinel for the degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
-
-
-def _check_coeff(c: object) -> Coeff:
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"exact values must be int or Fraction, got {type(c).__name__}")
-    return c
 
 
 class VariableSpace:

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .polynomial import Coeff
+from .degree import Coeff
 
 
 def as_index_set(indices: Iterable[int]) -> tuple[int, ...]:

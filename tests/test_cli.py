@@ -12,6 +12,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import sdpdeg
 import sdpdeg.cli as cli
 import sdpdeg.degree as degree_mod
@@ -196,6 +198,41 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
     warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
     assert len(started) == len(degree_mod.valid_triples(18))
     assert len(warned) == 1 and "n=18" in warned[0], warned
+
+
+def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
+    # a psi-product call can touch 2^n masks: a value or a whole table whose
+    # summed bound crosses the budget warns once, before its first row.  The
+    # fake keeps the test fast.
+    started = []
+
+    def fake_psi_product(t):
+        started.append(_warnings(capsys.readouterr().err))
+        return DegreeResult(t, 1, Method.PSI_PRODUCT)
+
+    monkeypatch.setattr(degree_mod, "delta_psi_product", fake_psi_product)
+    for argv, n_text in (
+        (["table", "16"], "n=16"),
+        (["table", "16", "--method", "psi_product", "--format", "json"], "n=16"),
+        (["table", "15"], None),
+        (["value", "169", "25", "12"], "n=25"),
+        (["value", "150", "24", "12", "--method", "psi_product"], None),
+    ):
+        started.clear()
+        assert main(argv) == 0, argv
+        warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
+        assert started[0] == warned, argv
+        if n_text is None:
+            assert warned == [], argv
+        else:
+            assert len(warned) == 1 and n_text in warned[0] and "psi-product" in warned[0], argv
+
+    # a table that runs no psi-product does not warn
+    started.clear()
+    monkeypatch.setattr(degree_mod, "delta_residue", lambda t, points=None: DegreeResult(
+        t, 1, Method.RESIDUE))
+    assert main(["table", "16", "--method", "residue"]) == 0
+    assert _warnings(capsys.readouterr().err) == [] and started == []
 
 
 def test_check_never_runs_theorem1_unless_requested(capsys, monkeypatch):
@@ -456,6 +493,41 @@ def test_import_loads_only_the_production_path():
     assert _fresh_python(probe, "src").split() == [
         "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.polynomial", "sdpdeg.schur",
     ]
+    # polynomial and schur are registered but execute on first use: theorem1
+    # needs polynomial, the production path neither.  vars() would execute
+    # them; the profiler sees every module body that runs.
+    probe = (
+        "import sys, types\n"
+        "ran = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if frame.f_code.co_name == '<module>':\n"
+        "        ran.add(frame.f_globals['__name__'])\n"
+        "sys.setprofile(profile)\n"
+        "import sdpdeg.cli\n"
+        "sys.setprofile(None)\n"
+        "print(*sorted(m for m in ran if m.startswith('sdpdeg')))\n"
+        "def executed():\n"
+        "    return [type(sys.modules[f'sdpdeg.{m}']) is types.ModuleType\n"
+        "            for m in ('polynomial', 'schur')]\n"
+        "print(*executed())\n"
+        "sdpdeg.cli.main(['table', '6', '--check'])\n"
+        "print(*executed())\n"
+        "sdpdeg.cli.main(['value', '6', '5', '3', '--method', 'theorem1'])\n"
+        "print(*executed())\n"
+    )
+    lines = _fresh_python(probe, "src").splitlines()
+    assert lines[0] == "sdpdeg sdpdeg.cli sdpdeg.degree"
+    assert [lines[1], lines[-3], lines[-1]] == ["False False", "False False", "True False"]
+
+
+@pytest.mark.parametrize("module", ["polynomial", "schur", "checks"])
+def test_each_module_imports_first(module):
+    # a circular import shows up only when the module is the first one loaded
+    probe = (
+        f"import types, sdpdeg.{module} as module; vars(module); "
+        "print(type(module) is types.ModuleType)"
+    )
+    assert _fresh_python(probe, "src").split() == ["True"]
 
 
 def test_verify_loads_only_the_production_path_and_checks():
@@ -482,6 +554,19 @@ def test_benchmark_trace_sites_resolve_after_importing_the_cli():
         "        print(name)\n"
     )
     assert _fresh_python(probe, "src", "benchmarks").split() == []
+
+
+def test_benchmark_tests_pass():
+    # Their traced tiny runs drive the tracer through the lazily registered
+    # modules.  A separate interpreter, because the benchmark re-imports sdpdeg.
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks/test_bench.py", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 def test_public_api_is_the_delta_api():

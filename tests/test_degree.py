@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sdpdeg.degree as degree_mod
 import sdpdeg.polynomial as polynomial_mod
+import sdpdeg.schur as schur_mod
 from sdpdeg.degree import (
     METHODS,
     CrossCheckError,
@@ -203,7 +204,7 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(degree_mod, "h_determinant", refuse)
-    monkeypatch.setattr(degree_mod, "bareiss_det", refuse)
+    monkeypatch.setattr(schur_mod, "bareiss_det", refuse)
     monkeypatch.setattr(degree_mod, "_elementary_values", refuse)
     monkeypatch.setattr(degree_mod, "h_recurrence", counted)
     monkeypatch.setattr(degree_mod, "Fraction", counted_fraction)
