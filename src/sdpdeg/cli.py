@@ -2,8 +2,8 @@
 self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
-3 cross-check disagreement.  A RuntimeWarning the library issues
-(theorem1, the residue sum or the psi-product at large n) goes to standard
+3 cross-check disagreement.  A RuntimeWarning the library issues (a value
+or a table estimated at 11 s or more, before it starts) goes to standard
 error as one `warning: ...` line.
 """
 
@@ -17,15 +17,7 @@ import warnings
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .degree import (
-    METHODS,
-    CrossCheckError,
-    DegreeResult,
-    delta,
-    valid_triples,
-    validate_triple,
-    warn_psi_cost,
-)
+from .degree import METHODS, CrossCheckError, DegreeResult, delta, delta_table, validate_triple
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,13 +58,8 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    triples = valid_triples(args.n)
-    # The psi-product runs on the rows as the method (auto's too) or as the
-    # checker of every method but theorem1; one estimate covers the table.
-    if args.method in ("auto", "psi_product") or args.check and args.method != "theorem1":
-        warn_psi_cost(args.n, len(triples))
     # Every row is computed, and checked, before anything is printed.
-    records = [_record(delta(t, method=args.method, cross_check=args.check)) for t in triples]
+    records = [_record(result) for result in delta_table(args.n, args.method, args.check)]
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:

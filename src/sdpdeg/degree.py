@@ -50,7 +50,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Callable, Sequence, Union
 
 #: The delta API, re-exported by the package.
@@ -58,8 +58,8 @@ __all__ = [
     "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
     "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
     "default_sample_points", "delta", "delta_closed", "delta_psi_product",
-    "delta_residue", "delta_theorem1", "duality_partner", "random_sample_points",
-    "valid_triples", "validate_triple",
+    "delta_residue", "delta_table", "delta_theorem1", "duality_partner",
+    "random_sample_points", "valid_triples", "validate_triple",
 ]
 
 
@@ -451,108 +451,100 @@ def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResu
     return result
 
 
-#: The smallest n at which a requested `theorem1` warns before it starts: its
-#: capped h blocks grow like n^n; every n = 9 value takes at most about 5 s,
-#: and n = 10 values range from 0.4 s at (40, 10, 2) and 0.5 s at (27, 10, 5)
-#: to 44 s at (3, 10, 8).
-_THEOREM1_WARN_N = 10
-
-
-def _residue_cost(t: PatakiTriple) -> int:
-    """The multiply-adds of `delta_residue`'s h recurrences on t: per r-subset,
-    h_ell over C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2)."""
-    return comb(t.n, t.r) * (comb(t.r + 1, 2) * t.ell + comb(t.n - t.r + 1, 2) * t.k)
-
-
-#: The `_residue_cost` from which the residue sum warns before it starts, as
-#: the requested method or as the checker: the cost of (81, 17, 8), about
-#: 7.09e7, which takes about 11 s.  (80, 16, 8) costs 2.97e7 and takes 4 s,
-#: (85, 18, 9) 1.77e8 and 30 s; no triple with n <= 16 reaches it.
-_RESIDUE_WARN_COST = 70_887_960
-
-
-def _psi_cost(n: int) -> int:
-    """A bound on the work of one `delta_psi_product` call at n: its memo holds
-    at most 2^n masks, each expanded over at most n indices."""
-    return n << n
-
-
-#: The summed `_psi_cost` from which psi-products warn before they start, for
-#: one value or for all rows of a table: about 11 s at about 18 ns a unit,
-#: process start included.  table 16 costs 695 * 16 * 2^16 = 7.29e8 and took
-#: 12.6-14.2 s, table 15 2.82e8 and 5.2-6.4 s; one balanced value costs 4.03e8
-#: and took 8 s at (150, 24, 12), 8.39e8 and 40 s at (169, 25, 12).
-_PSI_WARN_COST = 600_000_000
-
-
-def warn_psi_cost(n: int, calls: int = 1) -> None:
-    """Warn when `calls` psi-products at n would cross the budget.
-
-    The warning names n only, so a table warns once per n, not once per row.
-    """
-    if calls * _psi_cost(n) >= _PSI_WARN_COST:
-        warnings.warn(
-            f"the psi-product at n={n} evaluates up to 2^n Pfaffians per value "
-            "and may run for tens of seconds or more "
-            "(table 16 took 13 s, table 17 36 s; one value 8 s at n=24, 40 s at n=25)",
-            RuntimeWarning,
-        )
-
-
-def _psi_product(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
-    """`delta_psi_product`, as the requested method or as the checker, warned about when costly."""
-    warn_psi_cost(t.n)
-    return delta_psi_product(t)
-
-
-def _theorem1(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
-    """`delta_theorem1` as the requested method, warned about at large n."""
-    if t.n >= _THEOREM1_WARN_N:
-        warnings.warn(
-            f"theorem1 at n={t.n} expands h blocks of up to n^n terms "
-            "and may run for tens of seconds or more "
-            "(single n=10 values took 0.4-44 s, n=9 values at most 5 s)",
-            RuntimeWarning,
-        )
-    return delta_theorem1(t)
-
-
-def _residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
-    """`delta_residue`, as the requested method or as the checker, warned about when costly.
-
-    The warning names n only, so a table warns once per n, not once per row.
-    """
-    if _residue_cost(t) >= _RESIDUE_WARN_COST:
-        warnings.warn(
-            f"the residue sum at n={t.n} runs over C(n, r) subsets "
-            "and may run for tens of seconds or more "
-            "(balanced values took 11 s at n=17, 30 s at n=18)",
-            RuntimeWarning,
-        )
-    return delta_residue(t, points)
-
-
 #: The methods `delta` accepts by name.  Entries name the kernels through this
 #: module's globals at call time, so that a kernel replaced on the module (a
 #: test fake, a tracing wrapper) is the one that runs.
 METHODS: dict[str, Callable[..., DegreeResult]] = {
-    "auto": lambda t, points: delta_closed(t) or _psi_product(t),
-    "theorem1": _theorem1,
-    "residue": _residue,
-    "psi_product": _psi_product,
+    "auto": lambda t, points: delta_closed(t) or delta_psi_product(t),
+    "theorem1": lambda t, points: delta_theorem1(t),
+    "residue": lambda t, points: delta_residue(t, points),
+    "psi_product": lambda t, points: delta_psi_product(t),
     "closed": _closed,
 }
 
-# The independent method that confirms a result, by the method that produced
-# it.  The psi-product and the residue sum check each other, so theorem1 runs
-# only when it is requested.
-_SECOND_OPINION: dict[Method, Callable[..., DegreeResult]] = {
-    Method.CLOSED_FORM: METHODS["psi_product"],
-    Method.DUALITY_REDUCED: METHODS["psi_product"],
-    Method.RESIDUE: METHODS["psi_product"],
-    Method.PSI_PRODUCT: METHODS["residue"],
-    Method.THEOREM1: METHODS["residue"],
+# The method that confirms a result, by the method that produced it.  The
+# psi-product and the residue sum check each other, so theorem1 runs only when
+# it is requested.
+_CHECKER: dict[Method, Method] = {
+    Method.CLOSED_FORM: Method.PSI_PRODUCT,
+    Method.DUALITY_REDUCED: Method.PSI_PRODUCT,
+    Method.RESIDUE: Method.PSI_PRODUCT,
+    Method.PSI_PRODUCT: Method.RESIDUE,
+    Method.THEOREM1: Method.RESIDUE,
 }
+
+#: The estimated nanoseconds from which a request warns before it starts.
+_BUDGET_NS = 11_000_000_000
+
+_NAMES = {
+    Method.CLOSED_FORM: "a closed form",
+    Method.PSI_PRODUCT: "the psi-product",
+    Method.RESIDUE: "the residue sum",
+    Method.THEOREM1: "theorem1",
+}
+
+
+def _cost_ns(method: Method, n: int, r: int, k: int, ell: int) -> int:
+    """The estimated nanoseconds of one `method` call on a triple: its work
+    units times the time per unit, calibrated on a 2-core Xeon VM with
+    process start included, so that the triples named below fall exactly on
+    their side of `_BUDGET_NS`."""
+    if method is Method.PSI_PRODUCT:
+        # At most 2^n memo masks, each expanded over at most n indices, 18 ns
+        # a unit: table 16 took 12.6-14.2 s, table 15 5.2-6.4 s; one value
+        # 8 s at (150, 24, 12), 40 s at (169, 25, 12).
+        return 18 * (n << n)
+    if method is Method.RESIDUE:
+        # The multiply-adds of the h recurrences, per r-subset h_ell over
+        # C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2), 156 ns each:
+        # (81, 17, 8) took 11 s, (80, 16, 8) 4 s, (85, 18, 9) 30 s.
+        return 156 * comb(n, r) * (comb(r + 1, 2) * ell + comb(n - r + 1, 2) * k)
+    if method is Method.THEOREM1:
+        # The n! terms of the Vandermonde, 3,032 ns each: n = 9 values took
+        # at most about 5 s, n = 10 values 0.4-44 s.
+        return 3032 * factorial(n)
+    return 0
+
+
+def _planned(method: str, cross_check: bool, m: int, n: int, r: int) -> tuple[Method, ...]:
+    """The methods `delta` runs on (m, n, r), checker last, predicted from
+    the closed patterns of the triple and its dual without running a kernel."""
+    if method in ("auto", "closed"):
+        dual = comb(n + 1, 2) - m
+        if _closed_pattern(m, n, r) is not None or _closed_pattern(dual, n, n - r) is not None:
+            first = Method.CLOSED_FORM
+        elif method == "auto":
+            first = Method.PSI_PRODUCT
+        else:
+            return ()  # no closed form: delta raises before any kernel runs
+    else:
+        first = Method(method)
+    return (first, _CHECKER[first]) if cross_check else (first,)
+
+
+def _warn_if_costly(triples: Sequence[PatakiTriple], method: str, cross_check: bool) -> None:
+    """Warn once when `delta` on all of `triples` is estimated to cross the
+    budget, naming the methods of the costliest triple, n and the estimate."""
+    total, top, costliest = 0, -1, ()
+    for t in triples:
+        m, n, r = t.m, t.n, t.r
+        lower, upper = _pataki_bounds(n, r)
+        planned = _planned(method, cross_check, m, n, r)
+        cost = sum(_cost_ns(p, n, r, m - lower, upper - m) for p in planned)
+        total += cost
+        if cost > top:
+            top, costliest = cost, planned
+    if total >= _BUDGET_NS:
+        warnings.warn(
+            f"{' checked by '.join(_NAMES[p] for p in costliest)} at n={n} "
+            f"is estimated to run for {total // 10**9} seconds",
+            RuntimeWarning,
+        )
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
 
 
 def delta(
@@ -569,20 +561,39 @@ def delta(
     cross_check a second, independent method must agree exactly, else
     CrossCheckError carrying both results is raised: the residue sum checks
     the psi-product and theorem1, and the psi-product checks the residue sum
-    and closed forms, so theorem1 runs only when it is requested.  Only this
-    function times a result: elapsed covers dispatch and the cross-check.
-    Only the residue sum uses sample points, as the method or as the checker
-    of a psi-product or theorem1 value; given ones are checked whichever
-    method runs, "auto" included, even one that does not use them.
+    and closed forms, so theorem1 runs only when it is requested.  A
+    request estimated at 11 s or more, checker included, issues one
+    RuntimeWarning before any kernel runs.  Only this function times a
+    result: elapsed covers dispatch and the cross-check.  Only the residue
+    sum uses sample points, as the method or as the checker of a
+    psi-product or theorem1 value; given ones are checked whichever method
+    runs, "auto" included, even one that does not use them.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    _check_method(method)
     if points is not None:
         points = _sample_points(t.n, points)
+    _warn_if_costly((t,), method, cross_check)
     start = time.perf_counter()
     result = METHODS[method](t, points)
     if cross_check:
-        second = _SECOND_OPINION[result.method](t, points)
+        second = METHODS[_CHECKER[result.method].value](t, points)
         if second.delta != result.delta:
             raise CrossCheckError(result, second)
     return replace(result, elapsed=time.perf_counter() - start)
+
+
+def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list[DegreeResult]:
+    """`delta` on every triple of `valid_triples(n)`, in that order.
+
+    The table warns once, before its first row, when the estimates of all
+    its rows, checkers included, add up to 11 s or more; the rows' own
+    warnings are suppressed.  A row that fails its check raises
+    CrossCheckError, so no partial table is returned.  The residue sum runs
+    on the default sample points.
+    """
+    _check_method(method)
+    triples = valid_triples(n)
+    _warn_if_costly(triples, method, cross_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [delta(t, method=method, cross_check=cross_check) for t in triples]

@@ -227,12 +227,51 @@ def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
         else:
             assert len(warned) == 1 and n_text in warned[0] and "psi-product" in warned[0], argv
 
-    # a table that runs no psi-product does not warn
+    # a table that runs no psi-product warns from its residue sums alone:
+    # table 16 is estimated at about 23 minutes, table 11 at about 5 s
+    def fake_residue(t, points=None):
+        started.append(_warnings(capsys.readouterr().err))
+        return DegreeResult(t, 1, Method.RESIDUE)
+
+    monkeypatch.setattr(degree_mod, "delta_residue", fake_residue)
+    for argv, n_text in ((["table", "16", "--method", "residue"], "n=16"),
+                         (["table", "11", "--method", "residue"], None)):
+        started.clear()
+        assert main(argv) == 0, argv
+        warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
+        assert started[0] == warned, argv
+        if n_text is None:
+            assert warned == [], argv
+        else:
+            assert len(warned) == 1 and n_text in warned[0] and "residue" in warned[0], argv
+            assert "psi-product" not in warned[0], argv
+
+
+def test_checked_tables_warn_up_front(capsys, monkeypatch):
+    # every row of a checked table runs the psi-product and the residue sum
+    # (a closed-form row the psi-product alone): the summed estimate warns
+    # once, before the first row, from table 12 on.  The fakes keep it fast.
+    started = []
+
+    def fake(method):
+        def kernel(t, points=None):
+            started.append(_warnings(capsys.readouterr().err))
+            return DegreeResult(t, 1, method)
+
+        return kernel
+
+    monkeypatch.setattr(degree_mod, "delta_psi_product", fake(Method.PSI_PRODUCT))
+    monkeypatch.setattr(degree_mod, "delta_residue", fake(Method.RESIDUE))
+    monkeypatch.setattr(degree_mod, "delta_closed", lambda t: None)
+    assert main(["table", "12", "--check"]) == 0
+    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
+    assert len(started) == 2 * len(degree_mod.valid_triples(12))
+    assert started[0] == warned and len(warned) == 1, warned
+    assert all(word in warned[0] for word in ("psi-product", "residue sum", "n=12")), warned
+
     started.clear()
-    monkeypatch.setattr(degree_mod, "delta_residue", lambda t, points=None: DegreeResult(
-        t, 1, Method.RESIDUE))
-    assert main(["table", "16", "--method", "residue"]) == 0
-    assert _warnings(capsys.readouterr().err) == [] and started == []
+    assert main(["table", "11", "--check"]) == 0
+    assert _warnings(capsys.readouterr().err) == [] and started[0] == []
 
 
 def test_check_never_runs_theorem1_unless_requested(capsys, monkeypatch):
@@ -374,11 +413,25 @@ def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
             raise degree_mod.CrossCheckError(first, replace(first, delta=t.m + 1))
         return first
 
-    monkeypatch.setattr(cli, "delta", fake_delta)
+    monkeypatch.setattr(degree_mod, "delta", fake_delta)
     assert main(["table", "3", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "method disagreement" in captured.err
+
+
+def test_cli_imports_only_the_delta_api_and_methods():
+    # cost policy (estimates, budgets, warnings) lives in degree: the CLI
+    # takes nothing from it beyond the public API and the method names
+    source = Path(cli.__file__).read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "degree" and node.level == 1
+        for alias in node.names
+    }
+    assert "delta_table" in imported
+    assert imported <= set(degree_mod.__all__) | {"METHODS"}, imported - set(degree_mod.__all__)
 
 
 def test_readme_command_lines_parse():
@@ -574,10 +627,10 @@ def test_public_api_is_the_delta_api():
         "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
         "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
         "default_sample_points", "delta", "delta_closed", "delta_psi_product",
-        "delta_residue", "delta_theorem1", "duality_partner", "random_sample_points",
-        "valid_triples", "validate_triple",
+        "delta_residue", "delta_table", "delta_theorem1", "duality_partner",
+        "random_sample_points", "valid_triples", "validate_triple",
     ]
-    assert len(public) == 18
+    assert len(public) == 19
     assert sorted(sdpdeg.__all__) == public
     for name in public:
         assert getattr(sdpdeg, name) is getattr(degree_mod, name), name

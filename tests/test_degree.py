@@ -30,6 +30,7 @@ from sdpdeg.degree import (
     delta_closed,
     delta_psi_product,
     delta_residue,
+    delta_table,
     delta_theorem1,
     duality_partner,
     h_determinant,
@@ -460,6 +461,26 @@ def test_dispatcher_rejects_bad_method():
         delta(t, method="closed")
     with pytest.raises(ValueError, match="unknown method"):
         delta(t, method="magic")
+
+
+def test_delta_table_is_delta_row_by_row():
+    def rows(results):
+        return [(res.triple, res.delta, res.method) for res in results]
+
+    runs = [(n, method) for n in range(2, 9) for method in ("auto", "residue", "psi_product")]
+    runs += [(n, "theorem1") for n in range(2, 8)]
+    for n, method in runs:
+        for cross_check in (False, True):
+            expected = [delta(t, method, cross_check) for t in valid_triples(n)]
+            assert rows(delta_table(n, method, cross_check)) == rows(expected), (n, method)
+
+
+def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
+    ran = []
+    monkeypatch.setattr(degree_mod, "delta", lambda *a, **k: ran.append(a))
+    with pytest.raises(ValueError, match="unknown method"):
+        delta_table(5, "magic")
+    assert ran == []
 
 
 def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
