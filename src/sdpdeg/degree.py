@@ -170,8 +170,9 @@ class PatakiTriple:
 class DegreeResult:
     """A degree value with the method that produced it.
 
-    elapsed is the time `delta` took, cross-check included, in seconds; a
-    kernel called directly leaves it None (not timed).
+    elapsed is the time `delta` or `delta_table` ran the row's planned
+    kernels, cross-check included, in seconds; a kernel called directly
+    leaves it None (not timed).
     """
 
     triple: PatakiTriple
@@ -428,38 +429,28 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
 
     Patterns: full-rank-minus-one r = n-1 gives 2^(m-1) C(n,m); at r = n-2,
     m = 3 gives C(n+1,3) and m = 4 gives 6 C(n+1,4).  If the triple itself
-    does not match, its duality partner is tried and the result tagged as
-    reduced through duality.
+    does not match, the patterns are tried on the values of its duality
+    partner (C(n+1,2) - m, n, n - r) and the result tagged as reduced
+    through duality.
     """
-    for method in (Method.CLOSED_FORM, Method.DUALITY_REDUCED):
-        # The partner is built only when the triple itself has no closed form.
-        source = t if method is Method.CLOSED_FORM else duality_partner(t)
-        value = _closed_pattern(source.m, source.n, source.r)
+    dual = comb(t.n + 1, 2) - t.m
+    for method, m, r in ((Method.CLOSED_FORM, t.m, t.r), (Method.DUALITY_REDUCED, dual, t.n - t.r)):
+        value = _closed_pattern(m, t.n, r)
         if value is not None:
-            delta_value = _as_positive_integer(value, f"{method.value} on {t}")
-            return DegreeResult(t, delta_value, method)
+            return DegreeResult(t, _as_positive_integer(value, f"{method.value} on {t}"), method)
     return None
 
 
-def _closed(t: PatakiTriple, points: Union[Sequence[Coeff], None]) -> DegreeResult:
-    result = delta_closed(t)
-    if result is None:
-        raise ValueError(
-            f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
-            "use auto, psi_product, residue, or theorem1"
-        )
-    return result
+#: The method names `delta` and `delta_table` accept.
+METHODS = ("auto", "theorem1", "residue", "psi_product", "closed")
 
-
-#: The methods `delta` accepts by name.  Entries name the kernels through this
-#: module's globals at call time, so that a kernel replaced on the module (a
-#: test fake, a tracing wrapper) is the one that runs.
-METHODS: dict[str, Callable[..., DegreeResult]] = {
-    "auto": lambda t, points: delta_closed(t) or delta_psi_product(t),
-    "theorem1": lambda t, points: delta_theorem1(t),
-    "residue": lambda t, points: delta_residue(t, points),
-    "psi_product": lambda t, points: delta_psi_product(t),
-    "closed": _closed,
+# The kernel of each planned method but a closed form, named through this
+# module's globals at call time, so that a kernel replaced on the module (a
+# test fake, a tracing wrapper) is the one that runs.
+_KERNELS: dict[Method, Callable[..., DegreeResult]] = {
+    Method.THEOREM1: lambda t, points: delta_theorem1(t),
+    Method.RESIDUE: lambda t, points: delta_residue(t, points),
+    Method.PSI_PRODUCT: lambda t, points: delta_psi_product(t),
 }
 
 # The method that confirms a result, by the method that produced it.  The
@@ -467,7 +458,6 @@ METHODS: dict[str, Callable[..., DegreeResult]] = {
 # it is requested.
 _CHECKER: dict[Method, Method] = {
     Method.CLOSED_FORM: Method.PSI_PRODUCT,
-    Method.DUALITY_REDUCED: Method.PSI_PRODUCT,
     Method.RESIDUE: Method.PSI_PRODUCT,
     Method.PSI_PRODUCT: Method.RESIDUE,
     Method.THEOREM1: Method.RESIDUE,
@@ -506,45 +496,69 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int) -> int:
     return 0
 
 
-def _planned(method: str, cross_check: bool, m: int, n: int, r: int) -> tuple[Method, ...]:
-    """The methods `delta` runs on (m, n, r), checker last, predicted from
-    the closed patterns of the triple and its dual without running a kernel."""
-    if method in ("auto", "closed"):
-        dual = comb(n + 1, 2) - m
-        if _closed_pattern(m, n, r) is not None or _closed_pattern(dual, n, n - r) is not None:
-            first = Method.CLOSED_FORM
-        elif method == "auto":
-            first = Method.PSI_PRODUCT
-        else:
-            return ()  # no closed form: delta raises before any kernel runs
-    else:
-        first = Method(method)
-    return (first, _CHECKER[first]) if cross_check else (first,)
-
-
-def _warn_if_costly(triples: Sequence[PatakiTriple], method: str, cross_check: bool) -> None:
-    """Warn once when `delta` on all of `triples` is estimated to cross the
-    budget, naming the methods of the costliest triple, n and the estimate."""
+def _warn_if_costly(plans: Sequence[tuple]) -> None:
+    """Warn once when the plans of all rows are estimated to cross the
+    budget, naming the methods of the costliest row, n and the estimate."""
     total, top, costliest = 0, -1, ()
-    for t in triples:
-        m, n, r = t.m, t.n, t.r
-        lower, upper = _pataki_bounds(n, r)
-        planned = _planned(method, cross_check, m, n, r)
-        cost = sum(_cost_ns(p, n, r, m - lower, upper - m) for p in planned)
+    for t, plan, _ in plans:
+        lower, upper = _pataki_bounds(t.n, t.r)
+        cost = sum(_cost_ns(p, t.n, t.r, t.m - lower, upper - t.m) for p in plan)
         total += cost
         if cost > top:
-            top, costliest = cost, planned
+            top, costliest = cost, plan
     if total >= _BUDGET_NS:
         warnings.warn(
-            f"{' checked by '.join(_NAMES[p] for p in costliest)} at n={n} "
+            f"{' checked by '.join(_NAMES[p] for p in costliest)} at n={t.n} "
             f"is estimated to run for {total // 10**9} seconds",
             RuntimeWarning,
         )
 
 
-def _check_method(method: str) -> None:
+def _evaluate(
+    rows: Callable[[], list[PatakiTriple]],
+    method: str,
+    cross_check: bool,
+    points: Union[Sequence[Coeff], None] = None,
+) -> list[DegreeResult]:
+    """`method` on every triple of `rows()`: each row planned, all estimated, each run.
+
+    A plan is the tuple of methods one row runs, checker last.  Planning an
+    "auto" or "closed" row computes its closed form, which costs nothing,
+    and keeps it; a "closed" row without one raises.  The method name is
+    checked before `rows()` and the sample points, and one warning from the
+    summed estimate of all plans precedes every kernel but the closed forms.
+    """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    triples = rows()
+    if points is not None:
+        points = _sample_points(triples[0].n, points)
+    plans = []
+    for t in triples:
+        closed = delta_closed(t) if method in ("auto", "closed") else None
+        if closed is not None:
+            first = Method.CLOSED_FORM
+        elif method == "auto":
+            first = Method.PSI_PRODUCT
+        elif method == "closed":
+            raise ValueError(
+                f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
+                "use auto, psi_product, residue, or theorem1"
+            )
+        else:
+            first = Method(method)
+        plans.append((t, (first, _CHECKER[first]) if cross_check else (first,), closed))
+    _warn_if_costly(plans)
+    results = []
+    for t, plan, closed in plans:
+        start = time.perf_counter()
+        result = closed or _KERNELS[plan[0]](t, points)
+        if cross_check:
+            second = _KERNELS[plan[1]](t, points)
+            if second.delta != result.delta:
+                raise CrossCheckError(result, second)
+        results.append(replace(result, elapsed=time.perf_counter() - start))
+    return results
 
 
 def delta(
@@ -563,37 +577,22 @@ def delta(
     the psi-product and theorem1, and the psi-product checks the residue sum
     and closed forms, so theorem1 runs only when it is requested.  A
     request estimated at 11 s or more, checker included, issues one
-    RuntimeWarning before any kernel runs.  Only this function times a
-    result: elapsed covers dispatch and the cross-check.  Only the residue
-    sum uses sample points, as the method or as the checker of a
-    psi-product or theorem1 value; given ones are checked whichever method
-    runs, "auto" included, even one that does not use them.
+    RuntimeWarning before any kernel but a closed form runs; elapsed covers
+    the kernels run after it.  Only the residue sum uses sample points, as
+    the method or as the checker of a psi-product or theorem1 value; given
+    ones are checked whichever method runs, "auto" included, even one that
+    does not use them.
     """
-    _check_method(method)
-    if points is not None:
-        points = _sample_points(t.n, points)
-    _warn_if_costly((t,), method, cross_check)
-    start = time.perf_counter()
-    result = METHODS[method](t, points)
-    if cross_check:
-        second = METHODS[_CHECKER[result.method].value](t, points)
-        if second.delta != result.delta:
-            raise CrossCheckError(result, second)
-    return replace(result, elapsed=time.perf_counter() - start)
+    return _evaluate(lambda: [t], method, cross_check, points)[0]
 
 
 def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list[DegreeResult]:
     """`delta` on every triple of `valid_triples(n)`, in that order.
 
-    The table warns once, before its first row, when the estimates of all
-    its rows, checkers included, add up to 11 s or more; the rows' own
-    warnings are suppressed.  A row that fails its check raises
-    CrossCheckError, so no partial table is returned.  The residue sum runs
-    on the default sample points.
+    Every row is planned before any runs, so `method="closed"` fails before
+    any other kernel when a row has no closed form, and the table warns
+    once when the estimates of all its rows, checkers included, add up to
+    11 s or more.  A row that fails its check raises CrossCheckError, so no
+    partial table is returned.  The residue sum uses the default points.
     """
-    _check_method(method)
-    triples = valid_triples(n)
-    _warn_if_costly(triples, method, cross_check)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return [delta(t, method=method, cross_check=cross_check) for t in triples]
+    return _evaluate(lambda: valid_triples(n), method, cross_check)

@@ -118,160 +118,84 @@ def _warnings(err):
     return [line for line in err.splitlines() if line.startswith("warning:")]
 
 
-def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
-    # theorem1 grows like n^n: at n >= 10 a requested theorem1 warns before it
-    # starts.  The fake keeps the test fast.
-    started = []
-
-    def fake_theorem1(t):
-        started.append(_warnings(capsys.readouterr().err))
-        return DegreeResult(t, degree_mod.delta_residue(t).delta, Method.THEOREM1)
-
-    monkeypatch.setattr(degree_mod, "delta_theorem1", fake_theorem1)
-    assert main(["value", "27", "10", "5", "--method", "theorem1"]) == 0
-    assert len(started) == 1 and len(started[0]) == 1
-    assert "n=10" in started[0][0] and "seconds" in started[0][0]
-    assert _fields(capsys.readouterr().out.strip())["delta"] == "27161730960"
-
-    # the checker of a psi-product value is the residue sum: no theorem1, no warning
-    started.clear()
-    assert main(["value", "27", "10", "5", "--check"]) == 0
-    captured = capsys.readouterr()
-    assert _fields(captured.out.strip())["delta"] == "27161730960"
-    assert _warnings(captured.err) == [] and started == []
-
-    # n = 9 takes at most about 5 s and does not warn
-    assert main(["value", "25", "9", "4", "--method", "theorem1"]) == 0
-    captured = capsys.readouterr()
-    assert _fields(captured.out.strip())["delta"] == "227546064"
-    assert _warnings(captured.err) == [] and started == [[]]
-
-    # once per n, however many triples run theorem1
-    started.clear()
-    assert main(["table", "10", "--method", "theorem1"]) == 0
-    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-    assert len(started) == len(degree_mod.valid_triples(10))
-    assert len(warned) == 1 and "n=10" in warned[0], warned
-
-
 _DELTA_85_18_9 = "3016773596586712638984949358180496"
 _DELTA_81_17_8 = "648429130301955511785243555928"
+_PSI, _RES, _T1 = Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
+
+# argv; the kernels each row runs, checker last; the n a warning names, or
+# None when the request must not warn; the delta a single value prints.
+_WARNING_CASES = [
+    # theorem1 grows like n!: from n = 10 a requested theorem1 warns, once per
+    # table however many rows run it.  The checker of a psi-product value is
+    # the residue sum, so --check runs no theorem1.
+    (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), "n=10", "27161730960"),
+    (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
+    (["value", "25", "9", "4", "--method", "theorem1"], (_T1,), None, "227546064"),
+    (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
+    # the residue sum runs over C(n, r) subsets: from the multiply-add count
+    # of (81, 17, 8) on it warns, as the requested method or as the checker,
+    # however large the n of a cheaper triple
+    (["value", "85", "18", "9", "--method", "residue"], (_RES,), "n=18", _DELTA_85_18_9),
+    (["value", "85", "18", "9", "--check"], (_PSI, _RES), "n=18", _DELTA_85_18_9),
+    (["value", "81", "17", "8", "--check"], (_PSI, _RES), "n=17", _DELTA_81_17_8),
+    (["value", "80", "16", "8", "--check"], (_PSI, _RES), None, None),
+    (["value", "160", "18", "1", "--method", "residue"], (_RES,), None, None),
+    (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
+    # a psi-product call can touch 2^n masks
+    (["table", "16"], (_PSI,), "n=16", None),
+    (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), "n=16", None),
+    (["table", "15"], (_PSI,), None, None),
+    (["value", "169", "25", "12"], (_PSI,), "n=25", None),
+    (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
+    # residue sums alone: table 16 is estimated at about 23 minutes, table 11
+    # at about 5 s
+    (["table", "16", "--method", "residue"], (_RES,), "n=16", None),
+    (["table", "11", "--method", "residue"], (_RES,), None, None),
+    # a checked table runs the psi-product and the residue sum on every row
+    (["table", "12", "--check"], (_PSI, _RES), "n=12", None),
+    (["table", "11", "--check"], (_PSI, _RES), None, None),
+]
 
 
-def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
-    # the residue sum runs over C(n, r) subsets: from the multiply-add count of
-    # (81, 17, 8) on it warns before it starts, as the requested method or as
-    # the checker.  The fake keeps the test fast.
-    started = []
-
-    def fake_residue(t, points=None):
-        started.append(_warnings(capsys.readouterr().err))
-        return DegreeResult(t, degree_mod.delta_psi_product(t).delta, Method.RESIDUE)
-
-    monkeypatch.setattr(degree_mod, "delta_residue", fake_residue)
-    runs = [
-        (["85", "18", "9", "--method", "residue"], "n=18", _DELTA_85_18_9),
-        (["85", "18", "9", "--check"], "n=18", _DELTA_85_18_9),
-        (["81", "17", "8", "--check"], "n=17", _DELTA_81_17_8),
-    ]
-    for argv, n_text, value in runs:
-        started.clear()
-        assert main(["value", *argv]) == 0, argv
-        assert len(started) == 1 and len(started[0]) == 1, argv
-        assert n_text in started[0][0] and "residue" in started[0][0], argv
-        assert _fields(capsys.readouterr().out.strip())["delta"] == value, argv
-
-    # a cheaper triple does not warn, however large its n
-    for argv in (["80", "16", "8", "--check"], ["160", "18", "1", "--method", "residue"]):
-        started.clear()
-        assert main(["value", *argv]) == 0, argv
-        assert _warnings(capsys.readouterr().err) == [] and started == [[]], argv
-
-    # once per n, however many triples run the residue sum
-    def cheap_residue(t, points=None):
-        started.append(_warnings(capsys.readouterr().err))
-        return DegreeResult(t, 1, Method.RESIDUE)
-
-    monkeypatch.setattr(degree_mod, "delta_residue", cheap_residue)
-    started.clear()
-    assert main(["table", "18", "--method", "residue"]) == 0
-    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-    assert len(started) == len(degree_mod.valid_triples(18))
-    assert len(warned) == 1 and "n=18" in warned[0], warned
-
-
-def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
-    # a psi-product call can touch 2^n masks: a value or a whole table whose
-    # summed bound crosses the budget warns once, before its first row.  The
-    # fake keeps the test fast.
-    started = []
-
-    def fake_psi_product(t):
-        started.append(_warnings(capsys.readouterr().err))
-        return DegreeResult(t, 1, Method.PSI_PRODUCT)
-
-    monkeypatch.setattr(degree_mod, "delta_psi_product", fake_psi_product)
-    for argv, n_text in (
-        (["table", "16"], "n=16"),
-        (["table", "16", "--method", "psi_product", "--format", "json"], "n=16"),
-        (["table", "15"], None),
-        (["value", "169", "25", "12"], "n=25"),
-        (["value", "150", "24", "12", "--method", "psi_product"], None),
-    ):
-        started.clear()
-        assert main(argv) == 0, argv
-        warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-        assert started[0] == warned, argv
-        if n_text is None:
-            assert warned == [], argv
-        else:
-            assert len(warned) == 1 and n_text in warned[0] and "psi-product" in warned[0], argv
-
-    # a table that runs no psi-product warns from its residue sums alone:
-    # table 16 is estimated at about 23 minutes, table 11 at about 5 s
-    def fake_residue(t, points=None):
-        started.append(_warnings(capsys.readouterr().err))
-        return DegreeResult(t, 1, Method.RESIDUE)
-
-    monkeypatch.setattr(degree_mod, "delta_residue", fake_residue)
-    for argv, n_text in ((["table", "16", "--method", "residue"], "n=16"),
-                         (["table", "11", "--method", "residue"], None)):
-        started.clear()
-        assert main(argv) == 0, argv
-        warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-        assert started[0] == warned, argv
-        if n_text is None:
-            assert warned == [], argv
-        else:
-            assert len(warned) == 1 and n_text in warned[0] and "residue" in warned[0], argv
-            assert "psi-product" not in warned[0], argv
-
-
-def test_checked_tables_warn_up_front(capsys, monkeypatch):
-    # every row of a checked table runs the psi-product and the residue sum
-    # (a closed-form row the psi-product alone): the summed estimate warns
-    # once, before the first row, from table 12 on.  The fakes keep it fast.
-    started = []
+def test_requests_warn_once_up_front_from_their_estimate(capsys, monkeypatch):
+    # A request warns at most once, before its first kernel, naming n and
+    # exactly the kernels it runs.  The fakes keep the test fast: a single
+    # value gets the real psi-product's delta, a table row 1.  With the closed
+    # forms off, every row of a table runs the same kernels.
+    singles = {degree_mod.validate_triple(*map(int, argv[1:4]))
+               for argv, *_, value in _WARNING_CASES if value is not None}
+    known = {t: degree_mod.delta_psi_product(t).delta for t in singles}
+    ran, started = [], []
 
     def fake(method):
         def kernel(t, points=None):
+            ran.append(method)
             started.append(_warnings(capsys.readouterr().err))
-            return DegreeResult(t, 1, method)
+            return DegreeResult(t, known.get(t, 1), method)
 
         return kernel
 
-    monkeypatch.setattr(degree_mod, "delta_psi_product", fake(Method.PSI_PRODUCT))
-    monkeypatch.setattr(degree_mod, "delta_residue", fake(Method.RESIDUE))
+    for name, method in (("delta_psi_product", _PSI), ("delta_residue", _RES),
+                         ("delta_theorem1", _T1)):
+        monkeypatch.setattr(degree_mod, name, fake(method))
     monkeypatch.setattr(degree_mod, "delta_closed", lambda t: None)
-    assert main(["table", "12", "--check"]) == 0
-    warned = [line for lines in started for line in lines] + _warnings(capsys.readouterr().err)
-    assert len(started) == 2 * len(degree_mod.valid_triples(12))
-    assert started[0] == warned and len(warned) == 1, warned
-    assert all(word in warned[0] for word in ("psi-product", "residue sum", "n=12")), warned
-
-    started.clear()
-    assert main(["table", "11", "--check"]) == 0
-    assert _warnings(capsys.readouterr().err) == [] and started[0] == []
+    for argv, kernels, n_text, value in _WARNING_CASES:
+        ran.clear()
+        started.clear()
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        rows = 1 if argv[0] == "value" else len(degree_mod.valid_triples(int(argv[1])))
+        assert ran == list(kernels) * rows, argv
+        warned = [line for lines in started for line in lines] + _warnings(captured.err)
+        assert started[0] == warned, argv
+        if n_text is None:
+            assert warned == [], argv
+        else:
+            assert len(warned) == 1 and n_text in warned[0] and "seconds" in warned[0], argv
+            for word, method in (("psi-product", _PSI), ("residue sum", _RES), ("theorem1", _T1)):
+                assert (word in warned[0]) == (method in kernels), (argv, warned)
+        if value is not None:
+            assert _fields(captured.out.strip())["delta"] == value, argv
 
 
 def test_check_never_runs_theorem1_unless_requested(capsys, monkeypatch):
@@ -316,7 +240,7 @@ def test_table_csv(capsys):
     assert keys == sorted(keys)  # ordered by (r, m)
 
 
-def test_table_check_duality(capsys):
+def test_table_check_confirms_every_row(capsys):
     # every row meets its second opinion on its own triple, so a table that
     # passes also confirms duality row by row
     assert main(["table", "4", "--check"]) == 0
@@ -353,50 +277,25 @@ def test_table_invalid_n(capsys):
     assert main(["table", "1"]) == 2
 
 
-def test_table_check_duality_compares_separate_residue_sums(capsys, monkeypatch):
-    # A residue kernel that is wrong only above half rank must be caught: each
-    # row is computed on its own triple, not copied from its duality partner.
-    residue = degree_mod.delta_residue
-
-    def wrong_above_half_rank(t, points=None):
-        result = residue(t, points)
-        if t.r > t.n - t.r:
-            return DegreeResult(t, result.delta + 1, Method.RESIDUE)
-        return result
-
-    monkeypatch.setattr(degree_mod, "delta_residue", wrong_above_half_rank)
-    assert main(["table", "5", "--check"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "method disagreement" in captured.err
+def _plus_one(result, wrong=True):
+    return replace(result, delta=result.delta + 1) if wrong else result
 
 
-def test_table_check_duality_catches_a_wrong_closed_form(capsys, monkeypatch):
-    # Both rows of a closed-form pair evaluate the same formula, so a wrong
-    # formula agrees with itself; each row must meet an independent psi-product.
-    closed_pattern = degree_mod._closed_pattern
-
-    def off_by_one(m, n, r):
-        value = closed_pattern(m, n, r)
-        return None if value is None else value + 1
-
-    monkeypatch.setattr(degree_mod, "_closed_pattern", off_by_one)
-    assert main(["table", "5", "--check"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "method disagreement" in captured.err
-
-
-def test_table_check_duality_catches_a_wrong_psi_product(capsys, monkeypatch):
-    # A psi-product row and its partner's row are one sum with I and I^c
-    # swapped, so a wrong kernel agrees with itself; the residue sum does not.
-    psi_product = degree_mod.delta_psi_product
-
-    def plus_one(t):
-        result = psi_product(t)
-        return DegreeResult(t, result.delta + 1, result.method)
-
-    monkeypatch.setattr(degree_mod, "delta_psi_product", plus_one)
+@pytest.mark.parametrize("kernel, make_wrong", [
+    # wrong only above half rank: each row is computed on its own triple, not
+    # copied from its duality partner
+    ("delta_residue", lambda real: lambda t, points=None: _plus_one(
+        real(t, points), t.r > t.n - t.r)),
+    # both rows of a closed-form pair evaluate the same formula, so a wrong
+    # formula agrees with itself; each row must meet an independent psi-product
+    ("_closed_pattern", lambda real: lambda m, n, r: (
+        None if real(m, n, r) is None else real(m, n, r) + 1)),
+    # a psi-product row and its partner's row are one sum with I and I^c
+    # swapped, so a wrong kernel agrees with itself; the residue sum does not
+    ("delta_psi_product", lambda real: lambda t: _plus_one(real(t))),
+], ids=("residue", "closed_form", "psi_product"))
+def test_table_check_catches_a_wrong_kernel(capsys, monkeypatch, kernel, make_wrong):
+    monkeypatch.setattr(degree_mod, kernel, make_wrong(getattr(degree_mod, kernel)))
     assert main(["table", "5", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -404,16 +303,12 @@ def test_table_check_duality_catches_a_wrong_psi_product(capsys, monkeypatch):
 
 
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
-    # the last row fails its check: the rows before it are not printed either
+    # the psi-product checks every row of table 3, all closed forms; it is
+    # wrong on the last row only, and the rows before it are not printed either
     last = degree_mod.valid_triples(3)[-1]
-
-    def fake_delta(t, cross_check=False, **kwargs):
-        first = DegreeResult(t, t.m, Method.RESIDUE, 0.0)
-        if cross_check and t == last:
-            raise degree_mod.CrossCheckError(first, replace(first, delta=t.m + 1))
-        return first
-
-    monkeypatch.setattr(degree_mod, "delta", fake_delta)
+    psi_product = degree_mod.delta_psi_product
+    monkeypatch.setattr(degree_mod, "delta_psi_product",
+                        lambda t: _plus_one(psi_product(t), t == last))
     assert main(["table", "3", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

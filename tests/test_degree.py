@@ -414,6 +414,27 @@ def test_closed_examples():
     assert delta_closed(validate_triple(6, 5, 3)) is None
 
 
+def test_closed_form_reads_the_dual_by_arithmetic(monkeypatch):
+    # the partner's pattern is tried on its values; no partner triple is built
+    triples = [t for n in range(2, 9) for t in valid_triples(n)]
+    expected = {}
+    for t in triples:
+        candidates = ((Method.CLOSED_FORM, t), (Method.DUALITY_REDUCED, duality_partner(t)))
+        for method, source in candidates:
+            value = degree_mod._closed_pattern(source.m, source.n, source.r)
+            if value is not None:
+                expected[t] = (value, method)
+                break
+
+    def refuse(t):
+        raise AssertionError(f"duality_partner built for {t}")
+
+    monkeypatch.setattr(degree_mod, "duality_partner", refuse)
+    for t in triples:
+        result = delta_closed(t)
+        assert (result and (result.delta, result.method)) == expected.get(t), t
+
+
 def test_dispatcher_auto_and_check():
     auto = delta(validate_triple(4, 4, 2))
     assert (auto.delta, auto.method) == (30, Method.CLOSED_FORM)
@@ -477,10 +498,44 @@ def test_delta_table_is_delta_row_by_row():
 
 def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
     ran = []
-    monkeypatch.setattr(degree_mod, "delta", lambda *a, **k: ran.append(a))
+    for name in ("delta_closed", "delta_psi_product", "delta_residue", "delta_theorem1"):
+        monkeypatch.setattr(degree_mod, name, lambda *a, **k: ran.append(a))
     with pytest.raises(ValueError, match="unknown method"):
         delta_table(5, "magic")
+    # before n and sample points are checked, too
+    with pytest.raises(ValueError, match="unknown method"):
+        delta_table(1, "magic")
+    with pytest.raises(ValueError, match="unknown method"):
+        delta(validate_triple(6, 5, 3), "magic", points=(1, 1))
     assert ran == []
+
+
+def test_delta_table_estimates_each_planned_method_once(monkeypatch):
+    # a row plans one method, two with its checker; each is estimated once
+    calls = []
+    cost_ns = degree_mod._cost_ns
+
+    def counted(method, *args):
+        calls.append(method)
+        return cost_ns(method, *args)
+
+    monkeypatch.setattr(degree_mod, "_cost_ns", counted)
+    rows = len(valid_triples(5))
+    for cross_check in (False, True):
+        calls.clear()
+        delta_table(5, cross_check=cross_check)
+        assert len(calls) == rows * (1 + cross_check), cross_check
+
+
+def test_closed_table_fails_before_any_other_kernel(monkeypatch):
+    # the leading rows of table 5 have closed forms, (6, 5, 2) has none
+    def refuse(*args):
+        raise AssertionError(f"a kernel ran on {args[0]}")
+
+    for name in ("delta_psi_product", "delta_residue", "delta_theorem1"):
+        monkeypatch.setattr(degree_mod, name, refuse)
+    with pytest.raises(ValueError, match=r"no closed form applies to \(m=6, n=5, r=2\)"):
+        delta_table(5, "closed", cross_check=True)
 
 
 def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
