@@ -122,48 +122,18 @@ _DELTA_85_18_9 = "3016773596586712638984949358180496"
 _DELTA_81_17_8 = "648429130301955511785243555928"
 _PSI, _RES, _T1 = Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
 
-# argv; the kernels each row runs, checker last; the n a warning names, or
-# None when the request must not warn; the delta a single value prints.
-_WARNING_CASES = [
-    # theorem1 grows like n!: from n = 10 a requested theorem1 warns, once per
-    # table however many rows run it.  The checker of a psi-product value is
-    # the residue sum, so --check runs no theorem1.
-    (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), "n=10", "27161730960"),
-    (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
-    (["value", "25", "9", "4", "--method", "theorem1"], (_T1,), None, "227546064"),
-    (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
-    # the residue sum runs over C(n, r) subsets: from the multiply-add count
-    # of (81, 17, 8) on it warns, as the requested method or as the checker,
-    # however large the n of a cheaper triple
-    (["value", "85", "18", "9", "--method", "residue"], (_RES,), "n=18", _DELTA_85_18_9),
-    (["value", "85", "18", "9", "--check"], (_PSI, _RES), "n=18", _DELTA_85_18_9),
-    (["value", "81", "17", "8", "--check"], (_PSI, _RES), "n=17", _DELTA_81_17_8),
-    (["value", "80", "16", "8", "--check"], (_PSI, _RES), None, None),
-    (["value", "160", "18", "1", "--method", "residue"], (_RES,), None, None),
-    (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
-    # a psi-product call can touch 2^n masks
-    (["table", "16"], (_PSI,), "n=16", None),
-    (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), "n=16", None),
-    (["table", "15"], (_PSI,), None, None),
-    (["value", "169", "25", "12"], (_PSI,), "n=25", None),
-    (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
-    # residue sums alone: table 16 is estimated at about 23 minutes, table 11
-    # at about 5 s
-    (["table", "16", "--method", "residue"], (_RES,), "n=16", None),
-    (["table", "11", "--method", "residue"], (_RES,), None, None),
-    # a checked table runs the psi-product and the residue sum on every row
-    (["table", "12", "--check"], (_PSI, _RES), "n=12", None),
-    (["table", "11", "--check"], (_PSI, _RES), None, None),
-]
+# Each warning case: argv; the kernels each row runs, checker last; the n a
+# warning names, or None when the request must not warn; the delta a single
+# value prints.
 
 
-def test_requests_warn_once_up_front_from_their_estimate(capsys, monkeypatch):
+def _check_warning_cases(capsys, monkeypatch, cases):
     # A request warns at most once, before its first kernel, naming n and
     # exactly the kernels it runs.  The fakes keep the test fast: a single
     # value gets the real psi-product's delta, a table row 1.  With the closed
     # forms off, every row of a table runs the same kernels.
     singles = {degree_mod.validate_triple(*map(int, argv[1:4]))
-               for argv, *_, value in _WARNING_CASES if value is not None}
+               for argv, *_, value in cases if value is not None}
     known = {t: degree_mod.delta_psi_product(t).delta for t in singles}
     ran, started = [], []
 
@@ -179,7 +149,7 @@ def test_requests_warn_once_up_front_from_their_estimate(capsys, monkeypatch):
                          ("delta_theorem1", _T1)):
         monkeypatch.setattr(degree_mod, name, fake(method))
     monkeypatch.setattr(degree_mod, "delta_closed", lambda t: None)
-    for argv, kernels, n_text, value in _WARNING_CASES:
+    for argv, kernels, n_text, value in cases:
         ran.clear()
         started.clear()
         assert main(argv) == 0, argv
@@ -196,6 +166,55 @@ def test_requests_warn_once_up_front_from_their_estimate(capsys, monkeypatch):
                 assert (word in warned[0]) == (method in kernels), (argv, warned)
         if value is not None:
             assert _fields(captured.out.strip())["delta"] == value, argv
+
+
+def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
+    # theorem1 grows like n!: from n = 10 a requested theorem1 warns, once per
+    # table however many rows run it.  The checker of a psi-product value is
+    # the residue sum, so --check runs no theorem1.
+    _check_warning_cases(capsys, monkeypatch, [
+        (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), "n=10", "27161730960"),
+        (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
+        (["value", "25", "9", "4", "--method", "theorem1"], (_T1,), None, "227546064"),
+        (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
+    ])
+
+
+def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
+    # the residue sum runs over C(n, r) subsets: from the multiply-add count
+    # of (81, 17, 8) on it warns, as the requested method or as the checker,
+    # however large the n of a cheaper triple
+    _check_warning_cases(capsys, monkeypatch, [
+        (["value", "85", "18", "9", "--method", "residue"], (_RES,), "n=18", _DELTA_85_18_9),
+        (["value", "85", "18", "9", "--check"], (_PSI, _RES), "n=18", _DELTA_85_18_9),
+        (["value", "81", "17", "8", "--check"], (_PSI, _RES), "n=17", _DELTA_81_17_8),
+        (["value", "80", "16", "8", "--check"], (_PSI, _RES), None, None),
+        (["value", "160", "18", "1", "--method", "residue"], (_RES,), None, None),
+        (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
+    ])
+
+
+def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
+    # a psi-product call can touch 2^n masks; a table that runs no
+    # psi-product warns from its residue sums alone: table 16 is estimated at
+    # about 23 minutes, table 11 at about 5 s
+    _check_warning_cases(capsys, monkeypatch, [
+        (["table", "16"], (_PSI,), "n=16", None),
+        (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), "n=16", None),
+        (["table", "15"], (_PSI,), None, None),
+        (["value", "169", "25", "12"], (_PSI,), "n=25", None),
+        (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
+        (["table", "16", "--method", "residue"], (_RES,), "n=16", None),
+        (["table", "11", "--method", "residue"], (_RES,), None, None),
+    ])
+
+
+def test_checked_tables_warn_up_front(capsys, monkeypatch):
+    # a checked table runs the psi-product and the residue sum on every row
+    _check_warning_cases(capsys, monkeypatch, [
+        (["table", "12", "--check"], (_PSI, _RES), "n=12", None),
+        (["table", "11", "--check"], (_PSI, _RES), None, None),
+    ])
 
 
 def test_check_never_runs_theorem1_unless_requested(capsys, monkeypatch):
