@@ -29,7 +29,9 @@ univariate polynomials behind a generic rank-r optimum is computed by:
   * the psi-product ("psi_product"), von Bothmer and Ranestad's formula:
     the sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
     sum(I) - C(r,2) = l, where psi_I is a Pfaffian of integers (see
-    `psi_pfaffian`), evaluated once per subset reached within one call;
+    `psi_pfaffian`).  A single value evaluates psi once per subset its own
+    sums reach; a table builds one psi memo for the call and sums each rank
+    in one pass over its r-subsets, keyed by sum(I);
 
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
@@ -172,7 +174,9 @@ class DegreeResult:
 
     elapsed is the time `delta` or `delta_table` ran the row's planned
     kernels, cross-check included, in seconds; a kernel called directly
-    leaves it None (not timed).
+    leaves it None (not timed).  In a table, the first psi-product row of
+    each rank carries that rank's whole subset pass, with the psi values it
+    is first to need, and the later rows of the rank a lookup.
     """
 
     triple: PatakiTriple
@@ -394,23 +398,45 @@ def psi_pfaffian(n: int) -> Callable[[int], int]:
     return psi
 
 
-def delta_psi_product(t: PatakiTriple) -> DegreeResult:
+def _psi_sums(
+    n: int, r: int, psi: Callable[[int], int], weight: Union[int, None] = None
+) -> dict[int, int]:
+    """The sums of psi_I * psi_{I^c} over the r-subsets I of {0..n-1}, keyed by sum(I).
+
+    Given a weight, only the subsets with sum(I) == weight are summed, so
+    `psi` is evaluated only on the masks those subsets reach.
+    """
+    full = (1 << n) - 1
+    sums: dict[int, int] = {}
+    for subset in combinations(range(n), r):
+        key = sum(subset)
+        if weight is None or key == weight:
+            mask = sum(1 << i for i in subset)
+            sums[key] = sums.get(key, 0) + psi(mask) * psi(full ^ mask)
+    return sums
+
+
+def delta_psi_product(t: PatakiTriple, shared: Union[dict, None] = None) -> DegreeResult:
     """Degree by the psi-product of von Bothmer and Ranestad.
 
     delta = sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
-    sum(I) - C(r,2) = ell, where I^c is the complement of I.  Both factors
-    come from one `psi_pfaffian` memo, which lives for this call only.
+    sum(I) - C(r,2) = ell, where I^c is the complement of I.  Alone, the call
+    builds its own `psi_pfaffian` memo and sums only the subsets of its ell.
+    The rows of one `delta_table` call share a dict: it holds one memo per n
+    and, per rank, one pass over all r-subsets summed by sum(I), so every
+    later row of that rank is a lookup.
     """
     n, r = t.n, t.r
-    psi = psi_pfaffian(n)
-    full = (1 << n) - 1
     weight = t.ell + comb(r, 2)
-    total = 0
-    for subset in combinations(range(n), r):
-        if sum(subset) == weight:
-            mask = sum(1 << i for i in subset)
-            total += psi(mask) * psi(full ^ mask)
-    delta_value = _as_positive_integer(total, f"psi-product on {t}")
+    if shared is None:
+        sums = _psi_sums(n, r, psi_pfaffian(n), weight)
+    else:
+        if (n, r) not in shared:
+            if n not in shared:
+                shared[n] = psi_pfaffian(n)
+            shared[n, r] = _psi_sums(n, r, shared[n])
+        sums = shared[n, r]
+    delta_value = _as_positive_integer(sums.get(weight, 0), f"psi-product on {t}")
     return DegreeResult(t, delta_value, Method.PSI_PRODUCT)
 
 
@@ -448,9 +474,11 @@ METHODS = ("auto", "theorem1", "residue", "psi_product", "closed")
 # module's globals at call time, so that a kernel replaced on the module (a
 # test fake, a tracing wrapper) is the one that runs.
 _KERNELS: dict[Method, Callable[..., DegreeResult]] = {
-    Method.THEOREM1: lambda t, points: delta_theorem1(t),
-    Method.RESIDUE: lambda t, points: delta_residue(t, points),
-    Method.PSI_PRODUCT: lambda t, points: delta_psi_product(t),
+    Method.THEOREM1: lambda t, points, shared: delta_theorem1(t),
+    Method.RESIDUE: lambda t, points, shared: delta_residue(t, points),
+    Method.PSI_PRODUCT: lambda t, points, shared: (
+        delta_psi_product(t) if shared is None else delta_psi_product(t, shared)
+    ),
 }
 
 # The method that confirms a result, by the method that produced it.  The
@@ -474,16 +502,35 @@ _NAMES = {
 }
 
 
-def _cost_ns(method: Method, n: int, r: int, k: int, ell: int) -> int:
+def _cost_ns(
+    method: Method, n: int, r: int, k: int, ell: int, counted: Union[set, None] = None
+) -> int:
     """The estimated nanoseconds of one `method` call on a triple: its work
     units times the time per unit, calibrated on a 2-core Xeon VM with
-    process start included, so that the triples named below fall exactly on
-    their side of `_BUDGET_NS`."""
+    process start included, so that the requests named below fall exactly
+    on their side of `_BUDGET_NS`.
+
+    A table passes `counted`, the psi memos (by n) and rank passes (by
+    (n, r)) its earlier rows already carry; a psi-product row is charged
+    only what it is first to need, as its elapsed is.
+    """
     if method is Method.PSI_PRODUCT:
-        # At most 2^n memo masks, each expanded over at most n indices, 18 ns
-        # a unit: table 16 took 12.6-14.2 s, table 15 5.2-6.4 s; one value
-        # 8 s at (150, 24, 12), 40 s at (169, 25, 12).
-        return 18 * (n << n)
+        if counted is None:
+            # At most 2^n memo masks, each expanded over at most n indices,
+            # 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s at
+            # (169, 25, 12).
+            return 18 * (n << n)
+        # A table fills its one memo, n*2^n units at 400 ns, and passes once
+        # per rank over C(n, r) subsets at 2,000 ns each: table 19 took
+        # 4.3 s, table 20 9.3 s, table 21 22.6 s.
+        cost = 0
+        if n not in counted:
+            counted.add(n)
+            cost += 400 * (n << n)
+        if (n, r) not in counted:
+            counted.add((n, r))
+            cost += 2000 * comb(n, r)
+        return cost
     if method is Method.RESIDUE:
         # The multiply-adds of the h recurrences, per r-subset h_ell over
         # C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2), 156 ns each:
@@ -496,13 +543,16 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int) -> int:
     return 0
 
 
-def _warn_if_costly(plans: Sequence[tuple]) -> None:
+def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
     """Warn once when the plans of all rows are estimated to cross the
-    budget, naming the methods of the costliest row, n and the estimate."""
+    budget, naming the methods of the costliest row, n and the estimate.
+    The psi-product rows of a table are estimated as sharing one memo and
+    one pass per rank."""
     total, top, costliest = 0, -1, ()
+    counted = set() if table else None
     for t, plan, _ in plans:
         lower, upper = _pataki_bounds(t.n, t.r)
-        cost = sum(_cost_ns(p, t.n, t.r, t.m - lower, upper - t.m) for p in plan)
+        cost = sum(_cost_ns(p, t.n, t.r, t.m - lower, upper - t.m, counted) for p in plan)
         total += cost
         if cost > top:
             top, costliest = cost, plan
@@ -519,6 +569,7 @@ def _evaluate(
     method: str,
     cross_check: bool,
     points: Union[Sequence[Coeff], None] = None,
+    shared: Union[dict, None] = None,
 ) -> list[DegreeResult]:
     """`method` on every triple of `rows()`: each row planned, all estimated, each run.
 
@@ -527,6 +578,7 @@ def _evaluate(
     and keeps it; a "closed" row without one raises.  The method name is
     checked before `rows()` and the sample points, and one warning from the
     summed estimate of all plans precedes every kernel but the closed forms.
+    A `shared` dict, given by a table, is passed to every psi-product row.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -548,13 +600,13 @@ def _evaluate(
         else:
             first = Method(method)
         plans.append((t, (first, _CHECKER[first]) if cross_check else (first,), closed))
-    _warn_if_costly(plans)
+    _warn_if_costly(plans, shared is not None)
     results = []
     for t, plan, closed in plans:
         start = time.perf_counter()
-        result = closed or _KERNELS[plan[0]](t, points)
+        result = closed or _KERNELS[plan[0]](t, points, shared)
         if cross_check:
-            second = _KERNELS[plan[1]](t, points)
+            second = _KERNELS[plan[1]](t, points, shared)
             if second.delta != result.delta:
                 raise CrossCheckError(result, second)
         results.append(replace(result, elapsed=time.perf_counter() - start))
@@ -594,5 +646,10 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     once when the estimates of all its rows, checkers included, add up to
     11 s or more.  A row that fails its check raises CrossCheckError, so no
     partial table is returned.  The residue sum uses the default points.
+
+    The psi-product rows share one `psi_pfaffian` memo, which lives for this
+    call and holds up to 2^n integers, and one pass per rank over its
+    r-subsets: the first psi-product row of each rank carries that pass in
+    its elapsed, and the later rows of the rank a lookup.
     """
-    return _evaluate(lambda: valid_triples(n), method, cross_check)
+    return _evaluate(lambda: valid_triples(n), method, cross_check, shared={})

@@ -138,7 +138,8 @@ def _check_warning_cases(capsys, monkeypatch, cases):
     ran, started = [], []
 
     def fake(method):
-        def kernel(t, points=None):
+        # a table's psi-product rows also pass the dict they share
+        def kernel(t, *args):
             ran.append(method)
             started.append(_warnings(capsys.readouterr().err))
             return DegreeResult(t, known.get(t, 1), method)
@@ -195,12 +196,15 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
 
 
 def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
-    # a psi-product call can touch 2^n masks; a table that runs no
-    # psi-product warns from its residue sums alone: table 16 is estimated at
-    # about 23 minutes, table 11 at about 5 s
+    # a psi-product value can touch 2^n masks; a table's rows share one memo
+    # of them and one pass per rank, so tables warn from n = 21.  A table
+    # that runs no psi-product warns from its residue sums alone: table 16 is
+    # estimated at about 23 minutes, table 11 at about 5 s
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "16"], (_PSI,), "n=16", None),
-        (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), "n=16", None),
+        (["table", "21"], (_PSI,), "n=21", None),
+        (["table", "20"], (_PSI,), None, None),
+        (["table", "16"], (_PSI,), None, None),
+        (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), None, None),
         (["table", "15"], (_PSI,), None, None),
         (["value", "169", "25", "12"], (_PSI,), "n=25", None),
         (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
@@ -311,7 +315,7 @@ def _plus_one(result, wrong=True):
         None if real(m, n, r) is None else real(m, n, r) + 1)),
     # a psi-product row and its partner's row are one sum with I and I^c
     # swapped, so a wrong kernel agrees with itself; the residue sum does not
-    ("delta_psi_product", lambda real: lambda t: _plus_one(real(t))),
+    ("delta_psi_product", lambda real: lambda t, shared=None: _plus_one(real(t, shared))),
 ], ids=("residue", "closed_form", "psi_product"))
 def test_table_check_catches_a_wrong_kernel(capsys, monkeypatch, kernel, make_wrong):
     monkeypatch.setattr(degree_mod, kernel, make_wrong(getattr(degree_mod, kernel)))
@@ -327,7 +331,7 @@ def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     last = degree_mod.valid_triples(3)[-1]
     psi_product = degree_mod.delta_psi_product
     monkeypatch.setattr(degree_mod, "delta_psi_product",
-                        lambda t: _plus_one(psi_product(t), t == last))
+                        lambda t, shared=None: _plus_one(psi_product(t, shared), t == last))
     assert main(["table", "3", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -488,12 +488,25 @@ def test_delta_table_is_delta_row_by_row():
     def rows(results):
         return [(res.triple, res.delta, res.method) for res in results]
 
-    runs = [(n, method) for n in range(2, 9) for method in ("auto", "residue", "psi_product")]
-    runs += [(n, "theorem1") for n in range(2, 8)]
-    for n, method in runs:
-        for cross_check in (False, True):
-            expected = [delta(t, method, cross_check) for t in valid_triples(n)]
-            assert rows(delta_table(n, method, cross_check)) == rows(expected), (n, method)
+    # a table's psi-product rows are read off one pass per rank, a value sums
+    # its own ell only: the two sums are compared up to n = 12
+    runs = [(n, method, cross_check) for n in range(2, 9)
+            for method in ("auto", "residue", "psi_product") for cross_check in (False, True)]
+    runs += [(n, "theorem1", cross_check) for n in range(2, 8) for cross_check in (False, True)]
+    runs += [(n, method, False) for n in range(9, 13) for method in ("auto", "psi_product")]
+    for n, method, cross_check in runs:
+        expected = [delta(t, method, cross_check) for t in valid_triples(n)]
+        assert rows(delta_table(n, method, cross_check)) == rows(expected), (n, method)
+
+
+def test_delta_table_matches_the_reference_table():
+    reference = _reference()
+    for n in range(2, 10):
+        table = delta_table(n)
+        assert len(table) == sum(1 for (m, n_ref, r) in reference if n_ref == n), n
+        for res in table:
+            t = res.triple
+            assert res.delta == reference[(t.m, t.n, t.r)], t
 
 
 def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
@@ -525,6 +538,47 @@ def test_delta_table_estimates_each_planned_method_once(monkeypatch):
         calls.clear()
         delta_table(5, cross_check=cross_check)
         assert len(calls) == rows * (1 + cross_check), cross_check
+
+
+def _counted_memos(monkeypatch):
+    # every psi_pfaffian memo built from now on; a memo's cache misses are
+    # the masks it evaluated
+    memos = []
+    psi_pfaffian_real = degree_mod.psi_pfaffian
+
+    def counted(n):
+        memos.append(psi_pfaffian_real(n))
+        return memos[-1]
+
+    monkeypatch.setattr(degree_mod, "psi_pfaffian", counted)
+    return memos
+
+
+def test_delta_table_builds_one_psi_memo(monkeypatch):
+    # a table's psi-product rows, as the method or as the checker, share one
+    # memo that evaluates each mask at most once
+    memos = _counted_memos(monkeypatch)
+    for n in range(5, 11):
+        for method, cross_check in (("auto", False), ("psi_product", False), ("residue", True)):
+            memos.clear()
+            delta_table(n, method, cross_check)
+            assert len(memos) == 1, (n, method)
+            assert memos[0].cache_info().misses <= 2**n, (n, method)
+
+
+def test_delta_table_memo_lives_for_one_call(monkeypatch):
+    memos = _counted_memos(monkeypatch)
+    delta_table(8)
+    delta_table(8)
+    assert len(memos) == 2
+
+
+def test_single_value_sums_only_its_own_subsets(monkeypatch):
+    # one memo per call, evaluated only on the masks the subsets of its ell reach
+    memos = _counted_memos(monkeypatch)
+    t = validate_triple(40, 12, 6)
+    assert delta(t).delta == delta(t).delta
+    assert [memo.cache_info().misses for memo in memos] == [377, 377]
 
 
 def test_closed_table_fails_before_any_other_kernel(monkeypatch):
@@ -572,7 +626,7 @@ def test_elapsed_covers_the_cross_check(monkeypatch):
     t = validate_triple(10, 6, 3)
     value = delta_residue(t).delta
 
-    def slow_psi_product(triple):
+    def slow_psi_product(triple, shared=None):
         time.sleep(0.05)
         return DegreeResult(triple, value, Method.PSI_PRODUCT, 0.05)
 
