@@ -29,17 +29,29 @@ CSV_FIELDS = ("m", "n", "r", "k", "l", "delta", "method")
 
 def _record(result: DegreeResult) -> dict:
     t = result.triple
+    k = t.k
     return {
         "m": t.m,
         "n": t.n,
         "r": t.r,
-        "k": t.k,
-        "l": t.ell,
+        "k": k,
+        "l": t.r * (t.n - t.r) - k,
         # Decimal string: values outgrow 64-bit consumers at larger n.
         "delta": str(result.delta),
         "method": result.method.value,
         "elapsed_ms": round(result.elapsed * 1000, 3),
     }
+
+
+def _json_table(records: list[dict]) -> str:
+    """json.dumps(records, indent=2), byte for byte, for a nonempty list of
+    flat records.  indent switches off the C encoder, so each record is
+    encoded without it and only its braces are indented here."""
+    body = ",\n".join(
+        "  {\n    " + json.dumps(rec, separators=(",\n    ", ": "))[1:-1] + "\n  }"
+        for rec in records
+    )
+    return f"[\n{body}\n]"
 
 
 def _parse_points(text: str) -> tuple[Fraction, ...]:
@@ -61,7 +73,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # Every row is computed, and checked, before anything is printed.
     records = [_record(result) for result in delta_table(args.n, args.method, args.check)]
     if args.format == "json":
-        print(json.dumps(records, indent=2))
+        print(_json_table(records))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_FIELDS)

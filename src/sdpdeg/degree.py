@@ -29,9 +29,9 @@ univariate polynomials behind a generic rank-r optimum is computed by:
   * the psi-product ("psi_product"), von Bothmer and Ranestad's formula:
     the sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
     sum(I) - C(r,2) = l, where psi_I is a Pfaffian of integers (see
-    `psi_pfaffian`).  A single value evaluates psi once per subset its own
-    sums reach; a table builds one psi memo for the call and sums each rank
-    in one pass over its r-subsets, keyed by sum(I);
+    `_psi_expand`).  A single value evaluates psi once per mask its own
+    subsets reach; a table fills psi for all 2^n masks in one ascending
+    sweep, which also sums every rank's products, keyed by |I| and sum(I);
 
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
@@ -45,11 +45,10 @@ to be a positive integer; all arithmetic is exact.
 from __future__ import annotations
 
 import enum
-import functools
 import random
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, prod
@@ -174,9 +173,9 @@ class DegreeResult:
 
     elapsed is the time `delta` or `delta_table` ran the row's planned
     kernels, cross-check included, in seconds; a kernel called directly
-    leaves it None (not timed).  In a table, the first psi-product row of
-    each rank carries that rank's whole subset pass, with the psi values it
-    is first to need, and the later rows of the rank a lookup.
+    leaves it None (not timed).  In a table, the first psi-product row
+    carries the whole psi sweep, every rank's sums included, and every later
+    psi-product row a lookup.
     """
 
     triple: PatakiTriple
@@ -288,14 +287,16 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     return bareiss_det(matrix)
 
 
-def _as_positive_integer(value: Coeff, context: str) -> int:
-    as_fraction = Fraction(value)
-    if as_fraction.denominator != 1:
-        raise ConsistencyError(f"{context}: non-integral value {as_fraction}")
-    result = int(as_fraction)
-    if result < 1:
-        raise ConsistencyError(f"{context}: non-positive value {result}")
-    return result
+def _as_positive_integer(value: Coeff, label: str, t: PatakiTriple) -> int:
+    """value as a positive int, or ConsistencyError naming `label` and `t`."""
+    if not isinstance(value, int):
+        value = Fraction(value)
+        if value.denominator != 1:
+            raise ConsistencyError(f"{label} on {t}: non-integral value {value}")
+        value = value.numerator
+    if value < 1:
+        raise ConsistencyError(f"{label} on {t}: non-positive value {value}")
+    return value
 
 
 def _sign(e: Sequence[int]) -> int:
@@ -333,7 +334,7 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
             if c_y is not None:
                 total += _sign(e_x + e_y) * c * c_y
 
-    delta_value = _as_positive_integer((-1) ** t.k * total, f"coefficient extraction on {t}")
+    delta_value = _as_positive_integer((-1) ** t.k * total, "coefficient extraction", t)
     return DegreeResult(t, delta_value, Method.THEOREM1)
 
 
@@ -360,59 +361,96 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
         numerator += (-1) ** sum(subset) * alternant(subset) * alternant(rest) * h_ell * h_k
 
     value = (-1) ** (k + comb(r, 2)) * Fraction(numerator) / alternant(range(n))
-    delta_value = _as_positive_integer(value, f"residue sum on {t}")
+    delta_value = _as_positive_integer(value, "residue sum", t)
     return DegreeResult(t, delta_value, Method.RESIDUE)
 
 
-def psi_pfaffian(n: int) -> Callable[[int], int]:
-    """A fresh memo psi(mask) of the Pascal-minor sums psi_I, for I within {0..n-1}.
+def _pascal_pairs(n: int) -> list[list[int]]:
+    """The pair entries psi_{ij} = sum_{u=i}^{j-1} C(i+j, u) for i < j < n."""
+    return [[sum(comb(i + j, u) for u in range(i, j)) for j in range(n)] for i in range(n)]
 
-    I is given as a bitmask (bit i set when i is in I), and psi_I is the
-    Pfaffian of the skew matrix with entries psi_{ij} = sum_{u=i}^{j-1} C(i+j, u)
-    for i < j, bordered by psi_i = 2^i when |I| is odd.  psi_() = 1; an even
-    I expands along its smallest index i0, psi_I = sum_b (-1)^b psi_{i0 j_b}
-    psi_{I - {i0, j_b}}, an odd I along the border, psi_I = sum_b (-1)^b
-    2^(i_b) psi_{I - {i_b}}.  Integers only; each mask is evaluated once per
-    memo.  `schur.psi` sums the Pascal minors outright and is its test oracle.
+
+def _psi_expand(
+    mask: int, psi: Union[list[int], dict[int, int]], pairs: list[list[int]]
+) -> int:
+    """psi_I for the bitmask `mask` of I (bit i set when i is in I), from
+    psi[sub] of its sub-masks, which `psi` must hold or compute on access.
+
+    psi_I is the Pfaffian of the skew matrix with entries psi_{ij} (see
+    `_pascal_pairs`), bordered by psi_i = 2^i when |I| is odd.  psi_() = 1;
+    an even I expands along its smallest index i0, psi_I = sum_b (-1)^b
+    psi_{i0 j_b} psi_{I - {i0, j_b}}, an odd I along the border,
+    psi_I = sum_b (-1)^b 2^(i_b) psi_{I - {i_b}}.  Integers only.
+    `schur.psi` sums the Pascal minors outright and is its test oracle.
     """
-    pair = [[sum(comb(i + j, u) for u in range(i, j)) for j in range(n)] for i in range(n)]
-
-    @functools.cache
-    def psi(mask: int) -> int:
-        indices = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        if not indices:
-            return 1
-        total, sign = 0, 1
-        if len(indices) % 2:
-            for i in indices:
-                total += sign * (1 << i) * psi(mask ^ (1 << i))
-                sign = -sign
-            return total
-        first, *rest = indices
-        mask ^= 1 << first
-        for j in rest:
-            total += sign * pair[first][j] * psi(mask ^ (1 << j))
+    if not mask:
+        return 1
+    total, sign, rest = 0, 1, mask
+    if mask.bit_count() & 1:
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += sign * bit * psi[mask ^ bit]
             sign = -sign
         return total
+    low = mask & -mask
+    row = pairs[low.bit_length() - 1]
+    mask ^= low
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        total += sign * row[bit.bit_length() - 1] * psi[mask ^ bit]
+        sign = -sign
+    return total
 
-    return psi
+
+class _PsiMemo(dict):
+    """psi_I by mask, each mask expanded on first access and kept."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.pairs = _pascal_pairs(n)
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = _psi_expand(mask, self, self.pairs)
+        return value
 
 
-def _psi_sums(
-    n: int, r: int, psi: Callable[[int], int], weight: Union[int, None] = None
-) -> dict[int, int]:
-    """The sums of psi_I * psi_{I^c} over the r-subsets I of {0..n-1}, keyed by sum(I).
+def psi_pfaffian(n: int) -> dict[int, int]:
+    """A fresh sparse memo of psi_I by bitmask, for I within {0..n-1}.
 
-    Given a weight, only the subsets with sum(I) == weight are summed, so
-    `psi` is evaluated only on the masks those subsets reach.
+    memo[mask] expands the mask by `_psi_expand` on first access, and each of
+    its sub-masks the same way, so the memo holds only the masks reached.
     """
-    full = (1 << n) - 1
-    sums: dict[int, int] = {}
-    for subset in combinations(range(n), r):
-        key = sum(subset)
-        if weight is None or key == weight:
-            mask = sum(1 << i for i in subset)
-            sums[key] = sums.get(key, 0) + psi(mask) * psi(full ^ mask)
+    return _PsiMemo(n)
+
+
+def _psi_sweep(n: int) -> list[list[int]]:
+    """The sums of psi_I * psi_{I^c} over all subsets I of {0..n-1}, as
+    sums[|I|][sum(I)].
+
+    One ascending pass fills psi[mask] for all 2^n masks by `_psi_expand`:
+    every sub-mask is smaller, so it is already filled.  A mask with bit
+    n-1 set comes after its complement, so in the same pass each
+    complementary pair is multiplied once and added under both I and I^c.
+    """
+    expand, pairs = _psi_expand, _pascal_pairs(n)
+    size = 1 << n
+    top, full, sum_all = size >> 1, size - 1, comb(n, 2)
+    psi = [1] * size
+    sums = [[0] * (sum_all + 1) for _ in range(n + 1)]
+    weight = [0] * top  # sum(I) of the masks without bit n-1
+    for mask in range(1, top):
+        psi[mask] = expand(mask, psi, pairs)
+        low = mask & -mask
+        weight[mask] = weight[mask ^ low] + low.bit_length() - 1
+    for mask in range(top, size):
+        psi[mask] = expand(mask, psi, pairs)
+        count, key = mask.bit_count(), weight[mask ^ top] + n - 1
+        product = psi[mask] * psi[full ^ mask]
+        sums[count][key] += product
+        sums[n - count][sum_all - key] += product
     return sums
 
 
@@ -421,22 +459,24 @@ def delta_psi_product(t: PatakiTriple, shared: Union[dict, None] = None) -> Degr
 
     delta = sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
     sum(I) - C(r,2) = ell, where I^c is the complement of I.  Alone, the call
-    builds its own `psi_pfaffian` memo and sums only the subsets of its ell.
-    The rows of one `delta_table` call share a dict: it holds one memo per n
-    and, per rank, one pass over all r-subsets summed by sum(I), so every
-    later row of that rank is a lookup.
+    sums only the subsets of its ell, through its own `psi_pfaffian` memo,
+    which expands only the masks they reach.  The rows of one `delta_table`
+    call share a dict holding one `_psi_sweep` of all 2^n masks, so every
+    row is a lookup.
     """
     n, r = t.n, t.r
     weight = t.ell + comb(r, 2)
     if shared is None:
-        sums = _psi_sums(n, r, psi_pfaffian(n), weight)
+        psi, full, value = psi_pfaffian(n), (1 << n) - 1, 0
+        for subset in combinations(range(n), r):
+            if sum(subset) == weight:
+                mask = sum(1 << i for i in subset)
+                value += psi[mask] * psi[full ^ mask]
     else:
-        if (n, r) not in shared:
-            if n not in shared:
-                shared[n] = psi_pfaffian(n)
-            shared[n, r] = _psi_sums(n, r, shared[n])
-        sums = shared[n, r]
-    delta_value = _as_positive_integer(sums.get(weight, 0), f"psi-product on {t}")
+        if n not in shared:
+            shared[n] = _psi_sweep(n)
+        value = shared[n][r][weight]
+    delta_value = _as_positive_integer(value, "psi-product", t)
     return DegreeResult(t, delta_value, Method.PSI_PRODUCT)
 
 
@@ -463,7 +503,7 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     for method, m, r in ((Method.CLOSED_FORM, t.m, t.r), (Method.DUALITY_REDUCED, dual, t.n - t.r)):
         value = _closed_pattern(m, t.n, r)
         if value is not None:
-            return DegreeResult(t, _as_positive_integer(value, f"{method.value} on {t}"), method)
+            return DegreeResult(t, _as_positive_integer(value, method.value, t), method)
     return None
 
 
@@ -510,9 +550,9 @@ def _cost_ns(
     process start included, so that the requests named below fall exactly
     on their side of `_BUDGET_NS`.
 
-    A table passes `counted`, the psi memos (by n) and rank passes (by
-    (n, r)) its earlier rows already carry; a psi-product row is charged
-    only what it is first to need, as its elapsed is.
+    A table passes `counted`, the n whose psi sweep its earlier rows already
+    carry; a psi-product row is charged only what it is first to need, as
+    its elapsed is.
     """
     if method is Method.PSI_PRODUCT:
         if counted is None:
@@ -520,17 +560,13 @@ def _cost_ns(
             # 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s at
             # (169, 25, 12).
             return 18 * (n << n)
-        # A table fills its one memo, n*2^n units at 400 ns, and passes once
-        # per rank over C(n, r) subsets at 2,000 ns each: table 19 took
-        # 4.3 s, table 20 9.3 s, table 21 22.6 s.
-        cost = 0
-        if n not in counted:
-            counted.add(n)
-            cost += 400 * (n << n)
-        if (n, r) not in counted:
-            counted.add((n, r))
-            cost += 2000 * comb(n, r)
-        return cost
+        # A table sweeps all 2^n masks once, each expanded over at most n
+        # indices, 100 ns a unit: table 20 took 2.1 s, table 21 4.4 s,
+        # table 22 8.9 s.
+        if n in counted:
+            return 0
+        counted.add(n)
+        return 100 * (n << n)
     if method is Method.RESIDUE:
         # The multiply-adds of the h recurrences, per r-subset h_ell over
         # C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2), 156 ns each:
@@ -546,8 +582,7 @@ def _cost_ns(
 def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
     """Warn once when the plans of all rows are estimated to cross the
     budget, naming the methods of the costliest row, n and the estimate.
-    The psi-product rows of a table are estimated as sharing one memo and
-    one pass per rank."""
+    The psi-product rows of a table are estimated as sharing one sweep."""
     total, top, costliest = 0, -1, ()
     counted = set() if table else None
     for t, plan, _ in plans:
@@ -609,7 +644,7 @@ def _evaluate(
             second = _KERNELS[plan[1]](t, points, shared)
             if second.delta != result.delta:
                 raise CrossCheckError(result, second)
-        results.append(replace(result, elapsed=time.perf_counter() - start))
+        results.append(DegreeResult(t, result.delta, result.method, time.perf_counter() - start))
     return results
 
 
@@ -623,7 +658,8 @@ def delta(
 
     "auto" prefers a closed form, otherwise runs the psi-product on the
     triple itself (the duality partner's sum runs over the same subset
-    pairs, so computing the partner instead saves nothing).  With
+    pairs, so computing the partner instead saves nothing), which expands
+    only the masks of the subsets of its own ell, not a table's sweep.  With
     cross_check a second, independent method must agree exactly, else
     CrossCheckError carrying both results is raised: the residue sum checks
     the psi-product and theorem1, and the psi-product checks the residue sum
@@ -647,9 +683,9 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     11 s or more.  A row that fails its check raises CrossCheckError, so no
     partial table is returned.  The residue sum uses the default points.
 
-    The psi-product rows share one `psi_pfaffian` memo, which lives for this
-    call and holds up to 2^n integers, and one pass per rank over its
-    r-subsets: the first psi-product row of each rank carries that pass in
-    its elapsed, and the later rows of the rank a lookup.
+    The psi-product rows share one `_psi_sweep`, which lives for this call:
+    one list of all 2^n psi values, filled in ascending order, and the sums
+    of every rank from the same pass.  The first psi-product row carries the
+    sweep in its elapsed, and every later psi-product row a lookup.
     """
     return _evaluate(lambda: valid_triples(n), method, cross_check, shared={})

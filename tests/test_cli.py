@@ -196,13 +196,13 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
 
 
 def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
-    # a psi-product value can touch 2^n masks; a table's rows share one memo
-    # of them and one pass per rank, so tables warn from n = 21.  A table
-    # that runs no psi-product warns from its residue sums alone: table 16 is
-    # estimated at about 23 minutes, table 11 at about 5 s
+    # a psi-product value can touch 2^n masks; a table's rows share one
+    # sweep of them, so tables warn from n = 23.  A table that runs no
+    # psi-product warns from its residue sums alone: table 16 is estimated
+    # at about 23 minutes, table 11 at about 5 s
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "21"], (_PSI,), "n=21", None),
-        (["table", "20"], (_PSI,), None, None),
+        (["table", "23"], (_PSI,), "n=23", None),
+        (["table", "22"], (_PSI,), None, None),
         (["table", "16"], (_PSI,), None, None),
         (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), None, None),
         (["table", "15"], (_PSI,), None, None),
@@ -294,6 +294,13 @@ def test_table_json_round_trips_csv(capsys):
         for rec in records
     ]
     assert rows == json_data
+
+
+def test_table_json_is_the_indented_dump():
+    # the C-encoded records are json.dumps(records, indent=2), byte for byte
+    for n in range(2, 13):
+        records = [cli._record(result) for result in degree_mod.delta_table(n)]
+        assert cli._json_table(records) == json.dumps(records, indent=2), n
 
 
 def test_table_invalid_n(capsys):

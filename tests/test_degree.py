@@ -292,11 +292,12 @@ def test_residue_with_rational_points_matches_the_reference_table():
 
 
 def test_psi_pfaffian_equals_the_pascal_minor_sums():
+    # on every mask of {0..8}
     memo = psi_pfaffian(9)
-    for size in range(6):
+    for size in range(10):
         for indices in combinations(range(9), size):
             mask = sum(1 << i for i in indices)
-            assert memo(mask) == psi(indices), indices
+            assert memo[mask] == psi(indices), indices
 
 
 def test_psi_product_matches_the_reference_table():
@@ -541,8 +542,8 @@ def test_delta_table_estimates_each_planned_method_once(monkeypatch):
 
 
 def _counted_memos(monkeypatch):
-    # every psi_pfaffian memo built from now on; a memo's cache misses are
-    # the masks it evaluated
+    # every psi_pfaffian memo built from now on; a memo holds exactly the
+    # masks it expanded
     memos = []
     psi_pfaffian_real = degree_mod.psi_pfaffian
 
@@ -554,23 +555,52 @@ def _counted_memos(monkeypatch):
     return memos
 
 
+def _counted_expansions(monkeypatch):
+    # every mask expanded from now on, with the container it was expanded
+    # into; the containers are kept alive, so each is a distinct object
+    expanded = []
+    expand_real = degree_mod._psi_expand
+
+    def counted(mask, psi, pairs):
+        expanded.append((mask, psi))
+        return expand_real(mask, psi, pairs)
+
+    monkeypatch.setattr(degree_mod, "_psi_expand", counted)
+    return expanded
+
+
+def _sweeps(expanded):
+    # the distinct containers in order of first use, each with its masks
+    sweeps = []
+    for mask, psi in expanded:
+        if not sweeps or sweeps[-1][0] is not psi:
+            assert all(psi is not seen for seen, _ in sweeps)
+            sweeps.append((psi, []))
+        sweeps[-1][1].append(mask)
+    return sweeps
+
+
 def test_delta_table_builds_one_psi_memo(monkeypatch):
     # a table's psi-product rows, as the method or as the checker, share one
-    # memo that evaluates each mask at most once
-    memos = _counted_memos(monkeypatch)
+    # sweep: one list of all 2^n psi values, each mask expanded once, in
+    # ascending order
+    expanded = _counted_expansions(monkeypatch)
     for n in range(5, 11):
         for method, cross_check in (("auto", False), ("psi_product", False), ("residue", True)):
-            memos.clear()
+            expanded.clear()
             delta_table(n, method, cross_check)
-            assert len(memos) == 1, (n, method)
-            assert memos[0].cache_info().misses <= 2**n, (n, method)
+            [(psi, masks)] = _sweeps(expanded)
+            assert type(psi) is list and len(psi) == 2**n, (n, method)
+            assert masks == list(range(1, 2**n)), (n, method)
 
 
 def test_delta_table_memo_lives_for_one_call(monkeypatch):
-    memos = _counted_memos(monkeypatch)
+    # nothing is kept between calls: the second table sweeps all masks again
+    expanded = _counted_expansions(monkeypatch)
     delta_table(8)
     delta_table(8)
-    assert len(memos) == 2
+    sweeps = _sweeps(expanded)
+    assert [len(masks) for _, masks in sweeps] == [2**8 - 1, 2**8 - 1]
 
 
 def test_single_value_sums_only_its_own_subsets(monkeypatch):
@@ -578,7 +608,19 @@ def test_single_value_sums_only_its_own_subsets(monkeypatch):
     memos = _counted_memos(monkeypatch)
     t = validate_triple(40, 12, 6)
     assert delta(t).delta == delta(t).delta
-    assert [memo.cache_info().misses for memo in memos] == [377, 377]
+    assert [len(memo) for memo in memos] == [377, 377]
+
+
+def test_psi_sweep_and_memo_share_one_expansion(monkeypatch):
+    # a table's list and a value's memo agree on every mask up to n = 12,
+    # so up to n = 9 the list also equals the Pascal-minor sums (see above)
+    expanded = _counted_expansions(monkeypatch)
+    for n in range(2, 13):
+        expanded.clear()
+        delta_table(n, "psi_product")
+        [(table, _)] = _sweeps(expanded)
+        memo = psi_pfaffian(n)
+        assert [memo[mask] for mask in range(2**n)] == table, n
 
 
 def test_closed_table_fails_before_any_other_kernel(monkeypatch):
