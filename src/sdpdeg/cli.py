@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import warnings
 from fractions import Fraction
@@ -29,13 +28,12 @@ CSV_FIELDS = ("m", "n", "r", "k", "l", "delta", "method")
 
 def _record(result: DegreeResult) -> dict:
     t = result.triple
-    k = t.k
     return {
         "m": t.m,
         "n": t.n,
         "r": t.r,
-        "k": k,
-        "l": t.r * (t.n - t.r) - k,
+        "k": t.k,
+        "l": t.ell,
         # Decimal string: values outgrow 64-bit consumers at larger n.
         "delta": str(result.delta),
         "method": result.method.value,
@@ -43,15 +41,21 @@ def _record(result: DegreeResult) -> dict:
     }
 
 
-def _json_table(records: list[dict]) -> str:
-    """json.dumps(records, indent=2), byte for byte, for a nonempty list of
-    flat records.  indent switches off the C encoder, so each record is
-    encoded without it and only its braces are indented here."""
-    body = ",\n".join(
-        "  {\n    " + json.dumps(rec, separators=(",\n    ", ": "))[1:-1] + "\n  }"
-        for rec in records
-    )
-    return f"[\n{body}\n]"
+def _json_table(results: list[DegreeResult]) -> str:
+    """json.dumps([_record(r) for r in results], indent=2), byte for byte, for
+    a nonempty list, written row by row from one template: every value is an
+    int, a string that needs no escaping, or elapsed_ms, a float, which json
+    writes as its repr."""
+    rows = []
+    for result in results:
+        t = result.triple
+        rows.append(
+            f'  {{\n    "m": {t.m},\n    "n": {t.n},\n    "r": {t.r},\n    "k": {t.k},\n'
+            f'    "l": {t.ell},\n    "delta": "{result.delta}",\n'
+            f'    "method": "{result.method.value}",\n'
+            f'    "elapsed_ms": {round(result.elapsed * 1000, 3)!r}\n  }}'
+        )
+    return "[\n" + ",\n".join(rows) + "\n]"
 
 
 def _parse_points(text: str) -> tuple[Fraction, ...]:
@@ -71,14 +75,16 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     # Every row is computed, and checked, before anything is printed.
-    records = [_record(result) for result in delta_table(args.n, args.method, args.check)]
+    results = delta_table(args.n, args.method, args.check)
     if args.format == "json":
-        print(_json_table(records))
+        print(_json_table(results))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow([rec[field] for field in CSV_FIELDS])
+        writer.writerows(
+            (t.m, t.n, t.r, t.k, t.ell, result.delta, result.method.value)
+            for result in results for t in (result.triple,)
+        )
     return EXIT_OK
 
 

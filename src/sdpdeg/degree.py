@@ -133,7 +133,7 @@ class PatakiTriple:
     Degenerate ranks r = 0 and r = n are rejected: the window collapses and
     the degree is about rank-r optima of a nontrivial problem.  k is the
     slack over the lower bound, ell the slack under the upper one; both are
-    derived, and k + ell = r(n-r).
+    set at construction, outside the fields, and k + ell = r(n-r).
     """
 
     m: int
@@ -157,14 +157,8 @@ class PatakiTriple:
             raise PatakiBoundError(
                 f"m={m} above the upper Pataki bound {upper} for (n={n}, r={r})"
             )
-
-    @property
-    def k(self) -> int:
-        return self.m - _pataki_bounds(self.n, self.r)[0]
-
-    @property
-    def ell(self) -> int:
-        return _pataki_bounds(self.n, self.r)[1] - self.m
+        object.__setattr__(self, "k", m - lower)
+        object.__setattr__(self, "ell", upper - m)
 
 
 @dataclass(frozen=True)
@@ -499,12 +493,13 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     partner (C(n+1,2) - m, n, n - r) and the result tagged as reduced
     through duality.
     """
-    dual = comb(t.n + 1, 2) - t.m
-    for method, m, r in ((Method.CLOSED_FORM, t.m, t.r), (Method.DUALITY_REDUCED, dual, t.n - t.r)):
-        value = _closed_pattern(m, t.n, r)
-        if value is not None:
-            return DegreeResult(t, _as_positive_integer(value, method.value, t), method)
-    return None
+    m, n, r = t.m, t.n, t.r
+    method, value = Method.CLOSED_FORM, _closed_pattern(m, n, r)
+    if value is None:
+        method, value = Method.DUALITY_REDUCED, _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
+    if value is None:
+        return None
+    return DegreeResult(t, _as_positive_integer(value, method.value, t), method)
 
 
 #: The method names `delta` and `delta_table` accept.
@@ -586,8 +581,7 @@ def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
     total, top, costliest = 0, -1, ()
     counted = set() if table else None
     for t, plan, _ in plans:
-        lower, upper = _pataki_bounds(t.n, t.r)
-        cost = sum(_cost_ns(p, t.n, t.r, t.m - lower, upper - t.m, counted) for p in plan)
+        cost = sum(_cost_ns(p, t.n, t.r, t.k, t.ell, counted) for p in plan)
         total += cost
         if cost > top:
             top, costliest = cost, plan

@@ -297,10 +297,30 @@ def test_table_json_round_trips_csv(capsys):
 
 
 def test_table_json_is_the_indented_dump():
-    # the C-encoded records are json.dumps(records, indent=2), byte for byte
+    # the templated rows are json.dumps of the records, indent=2, byte for byte
     for n in range(2, 13):
-        records = [cli._record(result) for result in degree_mod.delta_table(n)]
-        assert cli._json_table(records) == json.dumps(records, indent=2), n
+        results = degree_mod.delta_table(n)
+        expected = json.dumps([cli._record(result) for result in results], indent=2)
+        assert cli._json_table(results) == expected, n
+    # the float text of elapsed_ms, from zero and below a microsecond up
+    t = degree_mod.validate_triple(40, 12, 6)
+    for elapsed in (0.0, 1e-9, 0.0123456, 12.5, 1234.5678):
+        results = [DegreeResult(t, 10**40 + 7, Method.PSI_PRODUCT, elapsed),
+                   DegreeResult(t, 1, Method.DUALITY_REDUCED, elapsed / 3)]
+        expected = json.dumps([cli._record(result) for result in results], indent=2)
+        assert cli._json_table(results) == expected, elapsed
+
+
+def test_table_csv_is_the_record_writer(capsys):
+    # rows written from the results read as the records written field by field
+    for n in range(2, 13):
+        assert main(["table", str(n), "--format", "csv"]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(cli.CSV_FIELDS)
+        for rec in map(cli._record, degree_mod.delta_table(n)):
+            writer.writerow([rec[field] for field in cli.CSV_FIELDS])
+        assert capsys.readouterr().out == expected.getvalue(), n
 
 
 def test_table_invalid_n(capsys):

@@ -603,6 +603,20 @@ def test_delta_table_memo_lives_for_one_call(monkeypatch):
     assert [len(masks) for _, masks in sweeps] == [2**8 - 1, 2**8 - 1]
 
 
+def test_delta_table_computes_the_bounds_once_per_triple(monkeypatch):
+    # each triple keeps the k and ell of its own validation: one bounds call
+    # per row, and one per rank for valid_triples' m range
+    calls = []
+    real = degree_mod._pataki_bounds
+    monkeypatch.setattr(degree_mod, "_pataki_bounds", lambda n, r: calls.append(r) or real(n, r))
+    for n in range(4, 10):
+        calls.clear()
+        rows = delta_table(n)
+        assert len(calls) == len(rows) + n - 1, n
+        assert all((t.k, t.ell) == (t.m - real(n, t.r)[0], real(n, t.r)[1] - t.m)
+                   for t in (row.triple for row in rows)), n
+
+
 def test_single_value_sums_only_its_own_subsets(monkeypatch):
     # one memo per call, evaluated only on the masks the subsets of its ell reach
     memos = _counted_memos(monkeypatch)
