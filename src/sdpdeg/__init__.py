@@ -9,10 +9,10 @@ The package exports the delta API of `sdpdeg.degree`, as listed in its
 `__all__`.  The lower-level pieces are imported from their own modules: the
 numeric kernels (`h_recurrence`, `pairwise_sums`), the determinant oracle
 `h_determinant` and the sparse Pfaffian memo `psi_pfaffian` (one value's psi;
-a table sweeps all masks instead) from `sdpdeg.degree`, sparse polynomials
-and their forms from `sdpdeg.polynomial`, determinants
-and the Pascal-minor psi (the Pfaffian's test oracle) from `sdpdeg.schur`,
-and the test-only oracles from `sdpdeg.checks`.
+a table sweeps all masks and keeps the half without index n-1 instead) from
+`sdpdeg.degree`, sparse polynomials and their forms from `sdpdeg.polynomial`,
+determinants and the Pascal-minor psi (the Pfaffian's test oracle) from
+`sdpdeg.schur`, and the test-only oracles from `sdpdeg.checks`.
 
 Importing the package executes only `sdpdeg.degree`.  `sdpdeg.polynomial`
 and `sdpdeg.schur` serve theorem1 and the oracles alone: they are registered

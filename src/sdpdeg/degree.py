@@ -30,8 +30,9 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     the sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
     sum(I) - C(r,2) = l, where psi_I is a Pfaffian of integers (see
     `_psi_expand`).  A single value evaluates psi once per mask its own
-    subsets reach; a table fills psi for all 2^n masks in one ascending
-    sweep, which also sums every rank's products, keyed by |I| and sum(I);
+    subsets reach; a table expands all 2^n masks in ascending order, stores
+    psi only for the half without index n-1, and sums every rank's products
+    as it goes, keyed by |I| and sum(I);
 
   * closed forms ("closed_form"/"duality_reduced") for r = n-1 and for
     m in {3, 4} at r = n-2, reached directly or through the duality
@@ -360,42 +361,38 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
 
 
 def _pascal_pairs(n: int) -> list[list[int]]:
-    """The pair entries psi_{ij} = sum_{u=i}^{j-1} C(i+j, u) for i < j < n."""
-    return [[sum(comb(i + j, u) for u in range(i, j)) for j in range(n)] for i in range(n)]
+    """The pair entries as a triangle, pairs[t][j] = psi_{jt} =
+    sum_{u=j}^{t-1} C(j+t, u) for j < t < n."""
+    return [[sum(comb(j + t, u) for u in range(j, t)) for j in range(t)] for t in range(n)]
 
 
 def _psi_expand(
     mask: int, psi: Union[list[int], dict[int, int]], pairs: list[list[int]]
 ) -> int:
     """psi_I for the bitmask `mask` of I (bit i set when i is in I), from
-    psi[sub] of its sub-masks, which `psi` must hold or compute on access.
+    psi[sub] of its sub-masks without the largest index of I, which `psi`
+    must hold or compute on access.
 
     psi_I is the Pfaffian of the skew matrix with entries psi_{ij} (see
     `_pascal_pairs`), bordered by psi_i = 2^i when |I| is odd.  psi_() = 1;
-    an even I expands along its smallest index i0, psi_I = sum_b (-1)^b
-    psi_{i0 j_b} psi_{I - {i0, j_b}}, an odd I along the border,
-    psi_I = sum_b (-1)^b 2^(i_b) psi_{I - {i_b}}.  Integers only.
-    `schur.psi` sums the Pascal minors outright and is its test oracle.
+    every other I expands along its largest index t: with j_0 < j_1 < ...
+    the other indices and S = sum_b (-1)^b psi_{j_b t} psi_{I - {j_b, t}},
+    psi_I = S when |I| is even and 2^t psi_{I - {t}} - S when it is odd.
+    Integers only.  `schur.psi` sums the Pascal minors outright and is its
+    test oracle.
     """
     if not mask:
         return 1
-    total, sign, rest = 0, 1, mask
-    if mask.bit_count() & 1:
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += sign * bit * psi[mask ^ bit]
-            sign = -sign
-        return total
-    low = mask & -mask
-    row = pairs[low.bit_length() - 1]
-    mask ^= low
-    rest = mask
+    t = mask.bit_length() - 1
+    row, below = pairs[t], mask ^ (1 << t)
+    total, sign, rest = 0, 1, below
     while rest:
         bit = rest & -rest
         rest ^= bit
-        total += sign * row[bit.bit_length() - 1] * psi[mask ^ bit]
+        total += sign * row[bit.bit_length() - 1] * psi[below ^ bit]
         sign = -sign
+    if sign > 0:  # sign is (-1)^(|I|-1), so |I| is odd
+        return (psi[below] << t) - total
     return total
 
 
@@ -424,25 +421,25 @@ def _psi_sweep(n: int) -> list[list[int]]:
     """The sums of psi_I * psi_{I^c} over all subsets I of {0..n-1}, as
     sums[|I|][sum(I)].
 
-    One ascending pass fills psi[mask] for all 2^n masks by `_psi_expand`:
-    every sub-mask is smaller, so it is already filled.  A mask with bit
-    n-1 set comes after its complement, so in the same pass each
-    complementary pair is multiplied once and added under both I and I^c.
+    `_psi_expand` reads only masks without the expanded mask's largest
+    index, so only the 2^(n-1) masks without bit n-1 store psi, filled in
+    one ascending pass.  A second ascending pass expands each
+    mask with bit n-1 on the fly from that list, multiplies it by the
+    stored psi of its complement, and adds the product under both I and I^c.
     """
     expand, pairs = _psi_expand, _pascal_pairs(n)
-    size = 1 << n
-    top, full, sum_all = size >> 1, size - 1, comb(n, 2)
-    psi = [1] * size
+    top = 1 << (n - 1)
+    full, sum_all = 2 * top - 1, comb(n, 2)
+    psi = [1] * top
     sums = [[0] * (sum_all + 1) for _ in range(n + 1)]
     weight = [0] * top  # sum(I) of the masks without bit n-1
     for mask in range(1, top):
         psi[mask] = expand(mask, psi, pairs)
         low = mask & -mask
         weight[mask] = weight[mask ^ low] + low.bit_length() - 1
-    for mask in range(top, size):
-        psi[mask] = expand(mask, psi, pairs)
+    for mask in range(top, 2 * top):
         count, key = mask.bit_count(), weight[mask ^ top] + n - 1
-        product = psi[mask] * psi[full ^ mask]
+        product = expand(mask, psi, pairs) * psi[full ^ mask]
         sums[count][key] += product
         sums[n - count][sum_all - key] += product
     return sums
@@ -455,8 +452,8 @@ def delta_psi_product(t: PatakiTriple, shared: Union[dict, None] = None) -> Degr
     sum(I) - C(r,2) = ell, where I^c is the complement of I.  Alone, the call
     sums only the subsets of its ell, through its own `psi_pfaffian` memo,
     which expands only the masks they reach.  The rows of one `delta_table`
-    call share a dict holding one `_psi_sweep` of all 2^n masks, so every
-    row is a lookup.
+    call share a dict holding the sums of one `_psi_sweep`, so every row is
+    a lookup.
     """
     n, r = t.n, t.r
     weight = t.ell + comb(r, 2)
@@ -556,8 +553,8 @@ def _cost_ns(
             # (169, 25, 12).
             return 18 * (n << n)
         # A table sweeps all 2^n masks once, each expanded over at most n
-        # indices, 100 ns a unit: table 20 took 2.1 s, table 21 4.4 s,
-        # table 22 8.9 s.
+        # indices, 100 ns a unit: table 20 took 2.1 s, table 21 4.2 s,
+        # table 22 8.7 s.
         if n in counted:
             return 0
         counted.add(n)
@@ -678,8 +675,9 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     partial table is returned.  The residue sum uses the default points.
 
     The psi-product rows share one `_psi_sweep`, which lives for this call:
-    one list of all 2^n psi values, filled in ascending order, and the sums
-    of every rank from the same pass.  The first psi-product row carries the
-    sweep in its elapsed, and every later psi-product row a lookup.
+    one list of the 2^(n-1) psi values without index n-1, filled in
+    ascending order, and the sums of every rank from a second pass over the
+    masks with it.  The first psi-product row carries the sweep in its
+    elapsed, and every later psi-product row a lookup.
     """
     return _evaluate(lambda: valid_triples(n), method, cross_check, shared={})

@@ -582,15 +582,15 @@ def _sweeps(expanded):
 
 def test_delta_table_builds_one_psi_memo(monkeypatch):
     # a table's psi-product rows, as the method or as the checker, share one
-    # sweep: one list of all 2^n psi values, each mask expanded once, in
-    # ascending order
+    # sweep: one list of the 2^(n-1) psi values without bit n-1, from which
+    # every mask is expanded once, in ascending order
     expanded = _counted_expansions(monkeypatch)
     for n in range(5, 11):
         for method, cross_check in (("auto", False), ("psi_product", False), ("residue", True)):
             expanded.clear()
             delta_table(n, method, cross_check)
             [(psi, masks)] = _sweeps(expanded)
-            assert type(psi) is list and len(psi) == 2**n, (n, method)
+            assert type(psi) is list and len(psi) == 2 ** (n - 1), (n, method)
             assert masks == list(range(1, 2**n)), (n, method)
 
 
@@ -620,21 +620,64 @@ def test_delta_table_computes_the_bounds_once_per_triple(monkeypatch):
 def test_single_value_sums_only_its_own_subsets(monkeypatch):
     # one memo per call, evaluated only on the masks the subsets of its ell reach
     memos = _counted_memos(monkeypatch)
-    t = validate_triple(40, 12, 6)
-    assert delta(t).delta == delta(t).delta
-    assert [len(memo) for memo in memos] == [377, 377]
+    for (m, n, r), masks in (((40, 12, 6), 377), ((60, 14, 7), 2048)):
+        memos.clear()
+        t = validate_triple(m, n, r)
+        assert delta(t).delta == delta(t).delta
+        assert [len(memo) for memo in memos] == [masks, masks], (m, n, r)
 
 
 def test_psi_sweep_and_memo_share_one_expansion(monkeypatch):
-    # a table's list and a value's memo agree on every mask up to n = 12,
-    # so up to n = 9 the list also equals the Pascal-minor sums (see above)
+    # a table's stored half and a value's memo agree on every mask without
+    # bit n-1 up to n = 12, so up to n = 9 the half also equals the
+    # Pascal-minor sums (see above)
     expanded = _counted_expansions(monkeypatch)
     for n in range(2, 13):
         expanded.clear()
         delta_table(n, "psi_product")
         [(table, _)] = _sweeps(expanded)
         memo = psi_pfaffian(n)
-        assert [memo[mask] for mask in range(2**n)] == table, n
+        assert [memo[mask] for mask in range(2 ** (n - 1))] == table, n
+
+
+def _psi_by_other_rows(n):
+    # psi_I for every mask of {0..n-1}, expanded along other rows than
+    # _psi_expand's: an odd I along the border, an even I along its
+    # smallest index
+    pair = [[sum(comb(i + j, u) for u in range(i, j)) for j in range(n)] for i in range(n)]
+    psi = [1] * 2**n
+    for mask in range(1, 2**n):
+        indices = [i for i in range(n) if mask >> i & 1]
+        if len(indices) % 2:
+            terms = (2**i * psi[mask ^ 1 << i] for i in indices)
+        else:
+            low, *others = indices
+            terms = (pair[low][j] * psi[mask ^ 1 << low ^ 1 << j] for j in others)
+        psi[mask] = sum((-1) ** b * term for b, term in enumerate(terms))
+    return psi
+
+
+def test_psi_expand_equals_an_expansion_along_other_rows():
+    # on every mask up to n = 14, each mask expanded from the reference's
+    # values of its sub-masks
+    reference = _psi_by_other_rows(14)
+    for n in range(1, 15):
+        pairs = degree_mod._pascal_pairs(n)
+        assert all(
+            degree_mod._psi_expand(mask, reference, pairs) == reference[mask]
+            for mask in range(2**n)
+        ), n
+
+
+def test_psi_sweep_equals_the_brute_force_sums_of_the_reference():
+    # sums[|I|][sum(I)] of psi_I * psi_{I^c} over all 2^n masks, up to n = 10
+    reference = _psi_by_other_rows(10)
+    for n in range(1, 11):
+        full, sums = 2**n - 1, [[0] * (comb(n, 2) + 1) for _ in range(n + 1)]
+        for mask in range(2**n):
+            indices = [i for i in range(n) if mask >> i & 1]
+            sums[len(indices)][sum(indices)] += reference[mask] * reference[full ^ mask]
+        assert degree_mod._psi_sweep(n) == sums, n
 
 
 def test_closed_table_fails_before_any_other_kernel(monkeypatch):
