@@ -8,8 +8,8 @@ reusable symmetric-polynomial kernel.  No floating point is used anywhere.
 The package exports the delta API of `sdpdeg.degree`, as listed in its
 `__all__`.  The lower-level pieces are imported from their own modules: the
 numeric kernels (`h_recurrence`, `pairwise_sums`), the determinant oracle
-`h_determinant` and the sparse Pfaffian memo `psi_pfaffian` (one value's psi;
-a table sweeps all masks and keeps the half without index n-1 instead) from
+`h_determinant` and the sparse Pfaffian memo class `psi_pfaffian` (one value's
+psi; a table sweeps all masks and keeps the half without index n-1) from
 `sdpdeg.degree`, sparse polynomials and their forms from `sdpdeg.polynomial`,
 determinants and the Pascal-minor psi (the Pfaffian's test oracle) from
 `sdpdeg.schur`, and the test-only oracles from `sdpdeg.checks`.

@@ -396,8 +396,12 @@ def _psi_expand(
     return total
 
 
-class _PsiMemo(dict):
-    """psi_I by mask, each mask expanded on first access and kept."""
+class psi_pfaffian(dict):
+    """A fresh sparse memo of psi_I by bitmask, for I within {0..n-1}.
+
+    memo[mask] expands the mask by `_psi_expand` on first access, and each of
+    its sub-masks the same way, so the memo holds only the masks reached.
+    """
 
     def __init__(self, n: int):
         super().__init__()
@@ -408,40 +412,32 @@ class _PsiMemo(dict):
         return value
 
 
-def psi_pfaffian(n: int) -> dict[int, int]:
-    """A fresh sparse memo of psi_I by bitmask, for I within {0..n-1}.
-
-    memo[mask] expands the mask by `_psi_expand` on first access, and each of
-    its sub-masks the same way, so the memo holds only the masks reached.
-    """
-    return _PsiMemo(n)
-
-
 def _psi_sweep(n: int) -> list[list[int]]:
     """The sums of psi_I * psi_{I^c} over all subsets I of {0..n-1}, as
     sums[|I|][sum(I)].
 
     `_psi_expand` reads only masks without the expanded mask's largest
     index, so only the 2^(n-1) masks without bit n-1 store psi, filled in
-    one ascending pass.  A second ascending pass expands each
-    mask with bit n-1 on the fly from that list, multiplies it by the
-    stored psi of its complement, and adds the product under both I and I^c.
+    one ascending pass.  A second ascending pass expands each mask with bit
+    n-1 on the fly from that list, multiplies it by the stored psi of its
+    complement, and adds the product under both I and I^c.  sum(I) is a
+    running sum: the next mask swaps 0..j-1 for j, the lowest index not in I.
     """
     expand, pairs = _psi_expand, _pascal_pairs(n)
     top = 1 << (n - 1)
     full, sum_all = 2 * top - 1, comb(n, 2)
     psi = [1] * top
     sums = [[0] * (sum_all + 1) for _ in range(n + 1)]
-    weight = [0] * top  # sum(I) of the masks without bit n-1
     for mask in range(1, top):
         psi[mask] = expand(mask, psi, pairs)
-        low = mask & -mask
-        weight[mask] = weight[mask ^ low] + low.bit_length() - 1
+    step = [j - comb(j, 2) for j in range(n + 1)]
+    key = n - 1
     for mask in range(top, 2 * top):
-        count, key = mask.bit_count(), weight[mask ^ top] + n - 1
+        count = mask.bit_count()
         product = expand(mask, psi, pairs) * psi[full ^ mask]
         sums[count][key] += product
         sums[n - count][sum_all - key] += product
+        key += step[(mask ^ (mask + 1)).bit_length() - 1]
     return sums
 
 
@@ -508,9 +504,7 @@ METHODS = ("auto", "theorem1", "residue", "psi_product", "closed")
 _KERNELS: dict[Method, Callable[..., DegreeResult]] = {
     Method.THEOREM1: lambda t, points, shared: delta_theorem1(t),
     Method.RESIDUE: lambda t, points, shared: delta_residue(t, points),
-    Method.PSI_PRODUCT: lambda t, points, shared: (
-        delta_psi_product(t) if shared is None else delta_psi_product(t, shared)
-    ),
+    Method.PSI_PRODUCT: lambda t, points, shared: delta_psi_product(t, shared),
 }
 
 # The method that confirms a result, by the method that produced it.  The

@@ -1,5 +1,6 @@
 """Tests for the four degree algorithms and their dispatcher."""
 
+import gc
 import json
 import random
 import time
@@ -489,8 +490,8 @@ def test_delta_table_is_delta_row_by_row():
     def rows(results):
         return [(res.triple, res.delta, res.method) for res in results]
 
-    # a table's psi-product rows are read off one pass per rank, a value sums
-    # its own ell only: the two sums are compared up to n = 12
+    # a table's psi-product rows are read off one sweep, a value sums its own
+    # ell only: the two sums are compared up to n = 12
     runs = [(n, method, cross_check) for n in range(2, 9)
             for method in ("auto", "residue", "psi_product") for cross_check in (False, True)]
     runs += [(n, "theorem1", cross_check) for n in range(2, 8) for cross_check in (False, True)]
@@ -583,15 +584,28 @@ def _sweeps(expanded):
 def test_delta_table_builds_one_psi_memo(monkeypatch):
     # a table's psi-product rows, as the method or as the checker, share one
     # sweep: one list of the 2^(n-1) psi values without bit n-1, from which
-    # every mask is expanded once, in ascending order
+    # every mask is expanded once, in ascending order; from n = 10, when the
+    # last mask is expanded, no other list of 2^(n-1) entries is alive
     expanded = _counted_expansions(monkeypatch)
+    expand, alive = degree_mod._psi_expand, []
+
+    def scanned(mask, psi, pairs):
+        if n >= 10 and mask == 2**n - 1:
+            alive.append([obj is psi for obj in gc.get_objects()
+                          if isinstance(obj, list) and len(obj) == 2 ** (n - 1)])
+        return expand(mask, psi, pairs)
+
+    monkeypatch.setattr(degree_mod, "_psi_expand", scanned)
     for n in range(5, 11):
         for method, cross_check in (("auto", False), ("psi_product", False), ("residue", True)):
             expanded.clear()
+            alive.clear()
             delta_table(n, method, cross_check)
             [(psi, masks)] = _sweeps(expanded)
             assert type(psi) is list and len(psi) == 2 ** (n - 1), (n, method)
             assert masks == list(range(1, 2**n)), (n, method)
+            assert alive == ([[True]] if n >= 10 else []), (n, method)
+            del psi  # not alive in the next table's scan
 
 
 def test_delta_table_memo_lives_for_one_call(monkeypatch):
@@ -670,9 +684,9 @@ def test_psi_expand_equals_an_expansion_along_other_rows():
 
 
 def test_psi_sweep_equals_the_brute_force_sums_of_the_reference():
-    # sums[|I|][sum(I)] of psi_I * psi_{I^c} over all 2^n masks, up to n = 10
-    reference = _psi_by_other_rows(10)
-    for n in range(1, 11):
+    # sums[|I|][sum(I)] of psi_I * psi_{I^c} over all 2^n masks, up to n = 12
+    reference = _psi_by_other_rows(12)
+    for n in range(1, 13):
         full, sums = 2**n - 1, [[0] * (comb(n, 2) + 1) for _ in range(n + 1)]
         for mask in range(2**n):
             indices = [i for i in range(n) if mask >> i & 1]
