@@ -2,8 +2,8 @@
 
 The degree is computed by four independent exact algorithms (coefficient
 extraction, a residue subset sum over sample points, the psi-product of
-von Bothmer and Ranestad, and closed forms plus duality) built on a
-reusable symmetric-polynomial kernel.  No floating point is used anywhere.
+von Bothmer and Ranestad, and closed forms plus duality).  No floating
+point is used anywhere.
 
 The package exports the delta API of `sdpdeg.degree`, as listed in its
 `__all__`.  The lower-level pieces are imported from their own modules: the
@@ -15,9 +15,9 @@ determinants and the Pascal-minor psi (the Pfaffian's test oracle) from
 `sdpdeg.schur`, and the test-only oracles from `sdpdeg.checks`.
 
 Importing the package executes only `sdpdeg.degree`.  `sdpdeg.polynomial`
-and `sdpdeg.schur` serve theorem1 and the oracles alone: they are registered
-in `sys.modules` here but execute on first attribute access, so the
-production path (closed forms, psi-product, residue sum) never compiles them.
+and `sdpdeg.schur` serve the oracles alone: they are registered in
+`sys.modules` here but execute on first attribute access, so no method
+(closed forms, psi-product, residue sum, theorem1) ever compiles them.
 """
 
 import importlib.util

@@ -51,7 +51,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, prod
 from typing import Callable, Sequence, Union
 
@@ -250,7 +250,7 @@ def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
 
     h_0..h_k are the coefficients of prod_v 1/(1 - v t) up to t^k, each value
     multiplied in by h_j += v h_{j-1}, j ascending.  This numeric pass shares
-    no code with `polynomial.complete_homogeneous`, theorem1's form-level DP.
+    no code with `_pair_sum_h`, theorem1's form-level DP.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -299,6 +299,27 @@ def _sign(e: Sequence[int]) -> int:
     return (-1) ** sum(a > b for a, b in combinations(e, 2))
 
 
+def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """h_d over the forms x_i + x_j (i <= j) of r variables, as {exponents:
+    coefficient}, without the terms above `cap` in some variable.
+
+    One form at a time, degrees ascending: h_deg += (x_i + x_j) h_{deg-1}.
+    Coefficients are positive and exponents only grow, so a term dropped at
+    the cap could never come back within it.  Its test oracle is
+    `polynomial.complete_homogeneous`.
+    """
+    h = [{(0,) * r: 1}] + [{} for _ in range(d)]
+    for i, j in combinations_with_replacement(range(r), 2):
+        for deg in range(1, d + 1):
+            out = h[deg]
+            for e, c in h[deg - 1].items():
+                for v in (i, j):
+                    if e[v] < cap[v]:
+                        f = e[:v] + (e[v] + 1,) + e[v + 1:]
+                        out[f] = out.get(f, 0) + c
+    return h[d]
+
+
 def delta_theorem1(t: PatakiTriple) -> DegreeResult:
     """Degree by coefficient extraction, as one signed sum over the Vandermonde.
 
@@ -306,20 +327,18 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
     (-1)^(rs + C(n,2)) sum_e sgn(e) z^e, e running over the permutations of
     (0, ..., n-1).  The target is tx = (n-r, ..., n-1) on x and
     ty = (r, ..., n-1) on y, so the coefficient splits into one coefficient
-    of each h block, each built in its own ring and capped at its target:
+    of each h block, each built by `_pair_sum_h` in its own r or s variables
+    and capped at its target:
     delta = (-1)^k sum_e sgn(e) [x^(tx - e_x)] h_l(X) * [y^(ty - e_y)] h_k(Y).
     e_x is read off each term of h_l(X), which is skipped when an exponent
     repeats; e_y runs over the permutations of the exponents left.
     """
-    from .polynomial import complete_homogeneous, pairwise_sum_forms, x_space
-
     r, s, n = t.r, t.n - t.r, t.n
     tx, ty = tuple(range(s, n)), tuple(range(r, n))
-    h_x = complete_homogeneous(pairwise_sum_forms(x_space(r)), t.ell, tx)
-    h_y = complete_homogeneous(pairwise_sum_forms(x_space(s)), t.k, ty).terms
+    h_y = _pair_sum_h(s, t.k, ty)
 
     total = 0
-    for alpha, c in h_x.terms.items():
+    for alpha, c in _pair_sum_h(r, t.ell, tx).items():
         e_x = tuple(map(int.__sub__, tx, alpha))
         if len(set(e_x)) < r:
             continue
@@ -559,8 +578,9 @@ def _cost_ns(
         # (81, 17, 8) took 11 s, (80, 16, 8) 4 s, (85, 18, 9) 30 s.
         return 156 * comb(n, r) * (comb(r + 1, 2) * ell + comb(n - r + 1, 2) * k)
     if method is Method.THEOREM1:
-        # The n! terms of the Vandermonde, 3,032 ns each: n = 9 values took
-        # at most about 5 s, n = 10 values 0.4-44 s.
+        # The n! terms of the Vandermonde, 3,032 ns each, set when n = 10
+        # values took 0.4-44 s; they now take at most 5.4 s, at (3, 10, 8),
+        # and n = 9 values at most 0.6 s.
         return 3032 * factorial(n)
     return 0
 

@@ -11,12 +11,6 @@ coefficient extraction are fully reliable.
 Every polynomial belongs to a VariableSpace fixing the ordered variable
 list; mixing spaces raises.  The zero polynomial is the empty term map.
 
-Multiplication takes an optional per-variable exponent cap.  All factors
-handled here have nonnegative exponents, so a term already above the cap
-in some variable can never contribute to a monomial within the cap;
-capped products agree with the uncapped product followed by discarding
-above-cap terms.
-
 Values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -31,8 +25,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .degree import Coeff, _check_coeff
 
 Monomial = tuple[int, ...]
-# Per-variable exponent bounds, or None for no pruning.
-ExponentCap = Union[tuple[int, ...], None]
 
 #: Order sentinel for the degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -205,18 +197,10 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def mul(self, other: SparsePolynomial, cap: ExponentCap = None) -> SparsePolynomial:
-        """Product, discarding every term that exceeds `cap` in some variable.
-
-        The cap length is checked first; a negative cap entry admits no term.
-        """
+    def mul(self, other: SparsePolynomial) -> SparsePolynomial:
+        """Product of two polynomials in the same space."""
         if other.space != self.space:
             raise ValueError("polynomials live in different variable spaces")
-        if cap is not None:
-            if len(cap) != self.space.arity:
-                raise ValueError("cap length must equal the arity")
-            if min(cap) < 0:
-                return self.space.zero()
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -224,8 +208,6 @@ class SparsePolynomial:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 mono = tuple(map(int.__add__, ea, eb))
-                if cap is not None and any(map(int.__gt__, mono, cap)):
-                    continue
                 s = out.get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
@@ -305,15 +287,12 @@ def pairwise_sum_forms(
     return forms
 
 
-def complete_homogeneous(
-    forms: Sequence[SparsePolynomial], d: int, cap: ExponentCap = None
-) -> SparsePolynomial:
+def complete_homogeneous(forms: Sequence[SparsePolynomial], d: int) -> SparsePolynomial:
     """Complete homogeneous h_d over a multiset of polynomials.
 
     Sum over all size-d multisets of `forms` of their products; h_0 = 1.
     Item-at-a-time dynamic program: ascending index updates let every form
-    repeat, so no multiset is ever enumerated explicitly.  The cap applies
-    to every intermediate product.
+    repeat, so no multiset is ever enumerated explicitly.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -323,5 +302,5 @@ def complete_homogeneous(
     h = [space.one()] + [space.zero()] * d
     for f in forms:
         for j in range(1, d + 1):
-            h[j] = h[j] + f.mul(h[j - 1], cap)
+            h[j] = h[j] + f.mul(h[j - 1])
     return h[d]

@@ -491,11 +491,16 @@ def test_import_loads_only_the_production_path():
     assert _fresh_python(probe, "src").split() == [
         "sdpdeg", "sdpdeg.cli", "sdpdeg.degree", "sdpdeg.polynomial", "sdpdeg.schur",
     ]
-    # polynomial and schur are registered but execute on first use: theorem1
-    # needs polynomial, the production path neither.  vars() would execute
-    # them; the profiler sees every module body that runs.
+    # polynomial and schur are registered but execute on first use, and no
+    # method needs either, theorem1 included.  vars() would execute them;
+    # the profiler sees every module body that runs.
+    runs = [["value", "6", "5", "3", "--method", "theorem1"]]
+    for method in ("auto", "theorem1", "residue", "psi_product"):
+        runs += [["table", "6", "--method", method, "--check"],
+                 ["value", "6", "5", "3", "--method", method, "--check"]]
+    runs.append(["value", "3", "4", "3", "--method", "closed", "--check"])
     probe = (
-        "import sys, types\n"
+        "import contextlib, io, sys, types\n"
         "ran = set()\n"
         "def profile(frame, event, arg):\n"
         "    if frame.f_code.co_name == '<module>':\n"
@@ -508,14 +513,14 @@ def test_import_loads_only_the_production_path():
         "    return [type(sys.modules[f'sdpdeg.{m}']) is types.ModuleType\n"
         "            for m in ('polynomial', 'schur')]\n"
         "print(*executed())\n"
-        "sdpdeg.cli.main(['table', '6', '--check'])\n"
-        "print(*executed())\n"
-        "sdpdeg.cli.main(['value', '6', '5', '3', '--method', 'theorem1'])\n"
-        "print(*executed())\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert sdpdeg.cli.main(argv) == 0, argv\n"
+        "    print(*executed())\n"
     )
     lines = _fresh_python(probe, "src").splitlines()
     assert lines[0] == "sdpdeg sdpdeg.cli sdpdeg.degree"
-    assert [lines[1], lines[-3], lines[-1]] == ["False False", "False False", "True False"]
+    assert lines[1:] == ["False False"] * (1 + len(runs))
 
 
 @pytest.mark.parametrize("module", ["polynomial", "schur", "checks"])

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpdeg.degree as degree_mod
-import sdpdeg.polynomial as polynomial_mod
 import sdpdeg.schur as schur_mod
 from sdpdeg.degree import (
     METHODS,
@@ -42,7 +41,12 @@ from sdpdeg.degree import (
     valid_triples,
     validate_triple,
 )
-from sdpdeg.polynomial import SparsePolynomial
+from sdpdeg.polynomial import (
+    SparsePolynomial,
+    complete_homogeneous,
+    pairwise_sum_forms,
+    x_space,
+)
 from sdpdeg.schur import psi
 
 
@@ -327,33 +331,42 @@ def test_psi_product_matches_the_residue_sum_below_n_10():
 
 def test_theorem1_matches_the_reference_table():
     reference = _reference()
-    for t in (t for n in range(2, 8) for t in valid_triples(n)):
+    for t in (t for n in range(2, 9) for t in valid_triples(n)):
         assert delta_theorem1(t).delta == reference[(t.m, t.n, t.r)], t
 
 
-def _is_difference(p):
-    # v_i - v_j: two terms of degree one with coefficients 1 and -1
-    return sorted(p.terms.values()) == [-1, 1] and all(sum(e) == 1 for e in p.terms)
+def test_pair_sum_h_is_complete_homogeneous_truncated_at_the_cap():
+    for r in range(1, 6):
+        forms = pairwise_sum_forms(x_space(r))
+        for d in range(7):
+            full = complete_homogeneous(forms, d).terms
+            # all zeros, all twos, all d, and theorem1's targets for r as
+            # either block of every n up to 8
+            caps = {(0,) * r, (2,) * r, (d,) * r}
+            caps.update(tuple(range(n - r, n)) for n in range(r + 1, 9))
+            for cap in caps:
+                truncated = {
+                    e: c for e, c in full.items() if all(map(int.__le__, e, cap))
+                }
+                assert degree_mod._pair_sum_h(r, d, cap) == truncated, (r, d, cap)
 
 
 def test_theorem1_multiplies_within_one_block(monkeypatch):
-    # The linear factors are summed over as one Vandermonde, never multiplied
-    # in: every product lives in the ring of one h block, and no coefficient
-    # of a product of the two blocks is read.
+    # Each h block is built once, in its own variables and capped at its own
+    # target, and no sparse polynomial is multiplied: the linear factors are
+    # summed over as one Vandermonde, never multiplied in.
     def refuse(*args):
-        raise AssertionError("theorem1 must not fold two blocks into one coefficient")
+        raise AssertionError("theorem1 must not multiply sparse polynomials")
 
-    mul = SparsePolynomial.mul
-    arities = []
+    monkeypatch.setattr(SparsePolynomial, "mul", refuse)
+    pair_sum_h = degree_mod._pair_sum_h
+    calls = []
 
-    def counted(self, other, cap=None):
-        assert not _is_difference(self) and not _is_difference(other)
-        arities.append(self.space.arity)
-        return mul(self, other, cap)
+    def counted(r, d, cap):
+        calls.append((r, d, tuple(cap)))
+        return pair_sum_h(r, d, cap)
 
-    monkeypatch.setattr(SparsePolynomial, "mul", counted)
-    for module in (polynomial_mod, degree_mod):
-        monkeypatch.setattr(module, "product_coefficient", refuse, raising=False)
+    monkeypatch.setattr(degree_mod, "_pair_sum_h", counted)
     for (m, n, r), expected in (
         ((2, 3, 2), 6),
         ((4, 4, 2), 30),
@@ -363,9 +376,11 @@ def test_theorem1_multiplies_within_one_block(monkeypatch):
         ((16, 6, 1), 96),
         ((3, 5, 4), 40),
     ):
-        arities.clear()
-        assert delta_theorem1(validate_triple(m, n, r)).delta == expected
-        assert arities and set(arities) <= {r, n - r}, (m, n, r, set(arities))
+        calls.clear()
+        t = validate_triple(m, n, r)
+        assert delta_theorem1(t).delta == expected
+        tx, ty = tuple(range(n - r, n)), tuple(range(r, n))
+        assert sorted(calls) == sorted([(r, t.ell, tx), (n - r, t.k, ty)]), (t, calls)
 
 
 def test_theorem1_examples():

@@ -64,22 +64,6 @@ def test_mul_linear_difference():
     assert got == -(x1 * x1) + 2 * (x1 * x2) - x2 * x2
 
 
-def test_mul_cap_prunes():
-    sp = x_space(2)
-    x1, x2 = sp.variable(0), sp.variable(1)
-    assert not (x1 * x1).mul(x1, cap=(2, 2))
-    # a negative entry admits no term, whatever the other entries allow
-    assert not (x2 + 2 * x1 * x1 * x1).mul(sp.one() + x1 * x2, cap=(-40, 5))
-    assert not sp.one().mul(sp.one(), cap=(0, -1))
-
-
-def test_mul_checks_the_cap_length_before_anything_else():
-    sp = x_space(2)
-    for other in (sp.zero(), sp.variable(1)):
-        with pytest.raises(ValueError, match="cap length must equal the arity"):
-            sp.variable(0).mul(other, cap=(1, 2, 3))
-
-
 def test_mul_hand_expansion():
     # (x1+x2)^2 (x1-x2)^2 = (x1^2 - x2^2)^2
     sp = x_space(2)
@@ -217,35 +201,6 @@ def test_newton_relation():
             assert not acc, (nvars, d)
 
 
-def test_capped_mul_agrees_with_truncation():
-    rng = random.Random(23)
-    sp = x_space(3)
-    far = SparsePolynomial(sp, {(2**70 - 1, 0, 3): 2, (2**70, 1, 0): -1, (0, 0, 0): 1})
-    for _ in range(25):
-        a = _random_poly(rng, sp)
-        b = _random_poly(rng, sp)
-        top = max(map(max, a.terms), default=0) + max(map(max, b.terms), default=0)
-        caps = (
-            tuple(rng.randint(0, 4) for _ in range(3)),
-            (0, 0, 0),
-            (top + 1,) * 3,
-            (2**70 + 4, 2, 3),
-        )
-        for a, b in ((a, b), (a + far, b), (far, far + b)):
-            full = a * b
-            for cap in caps:
-                truncated = SparsePolynomial(
-                    sp,
-                    {
-                        mono: c
-                        for mono, c in full.terms.items()
-                        if all(e <= t for e, t in zip(mono, cap))
-                    },
-                )
-                assert a.mul(b, cap) == truncated, cap
-                assert b.mul(a, cap) == truncated, cap
-
-
 def test_product_coefficient_pruning_soundness():
     rng = random.Random(31)
     sp = x_space(3)
@@ -253,10 +208,7 @@ def test_product_coefficient_pruning_soundness():
         a = _random_poly(rng, sp)
         b = _random_poly(rng, sp)
         target = tuple(rng.randint(0, 4) for _ in range(3))
-        uncapped = (a * b).coefficient_of(target)
-        capped = a.mul(b, cap=target).coefficient_of(target)
-        assert capped == uncapped
-        assert product_coefficient(a, b, target) == uncapped
+        assert product_coefficient(a, b, target) == (a * b).coefficient_of(target)
 
 
 def test_str_rendering():
