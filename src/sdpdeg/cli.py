@@ -98,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     # The cross-methods suite runs theorem1 on every triple up to max_n: about
     # 0.2 s in all at n = 7, and theorem1 over the n = 8 triples alone takes
-    # about 1 s.
+    # about 0.9 s.
     if not 2 <= args.max_n <= 7:
         raise ValueError(f"--max-n must lie in [2, 7], got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]

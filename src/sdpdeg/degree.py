@@ -11,10 +11,10 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     (-1)^C(t,2) a^2 for the alternant a = prod_{i<j}, and every other
     factor is symmetric within each block, so one alternant per block
     carries the division.  The alternants and prod(y_i - x_j) together are,
-    up to sign, the Vandermonde of z = (x1..xr, y1..y_{n-r}), the signed
-    sum of z^e over the permutations e of (0, ..., n-1).  Since each h
-    lives in one block, delta is the signed sum over e of one coefficient
-    of h_l(X) times one of h_k(Y), with no division;
+    up to sign, the Vandermonde of z = (x1..xr, y1..y_{n-r}).  Expanded
+    along the x block, delta is the sum over the r-subsets S of {0..n-1} of
+    the signed h_l(X) coefficients on the exponent set S times the signed
+    h_k(Y) coefficients on its complement, with no division;
 
   * the residue subset sum ("residue"): for pairwise-distinct sample values
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
@@ -51,8 +51,8 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial, prod
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 from typing import Callable, Sequence, Union
 
 #: The delta API, re-exported by the package.
@@ -294,11 +294,6 @@ def _as_positive_integer(value: Coeff, label: str, t: PatakiTriple) -> int:
     return value
 
 
-def _sign(e: Sequence[int]) -> int:
-    """(-1) to the number of inversions of e."""
-    return (-1) ** sum(a > b for a, b in combinations(e, 2))
-
-
 def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int]:
     """h_d over the forms x_i + x_j (i <= j) of r variables, as {exponents:
     coefficient}, without the terms above `cap` in some variable.
@@ -320,35 +315,38 @@ def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int
     return h[d]
 
 
+def _by_exponent_set(v: int, d: int, target: Sequence[int]) -> dict[int, int]:
+    """`_pair_sum_h(v, d, target)` as {bitmask of the set of e: sum of sgn(e) c}
+    over its terms c x^alpha, e = target - alpha; a term whose e repeats an
+    exponent cancels in the Vandermonde and is dropped."""
+    out: dict[int, int] = {}
+    for alpha, c in _pair_sum_h(v, d, target).items():
+        mask = inversions = 0
+        for i in map(int.__sub__, target, alpha):
+            inversions += (mask >> i).bit_count()  # earlier exponents above i
+            mask |= 1 << i
+        if mask.bit_count() == v:
+            out[mask] = out.get(mask, 0) + (-1) ** inversions * c
+    return out
+
+
 def delta_theorem1(t: PatakiTriple) -> DegreeResult:
-    """Degree by coefficient extraction, as one signed sum over the Vandermonde.
+    """Degree by coefficient extraction, as one sum over complementary exponent sets.
 
     Over z = (x1..xr, y1..ys), a(x) * a(y) * prod(y_i - x_j) is
     (-1)^(rs + C(n,2)) sum_e sgn(e) z^e, e running over the permutations of
-    (0, ..., n-1).  The target is tx = (n-r, ..., n-1) on x and
-    ty = (r, ..., n-1) on y, so the coefficient splits into one coefficient
-    of each h block, each built by `_pair_sum_h` in its own r or s variables
-    and capped at its target:
-    delta = (-1)^k sum_e sgn(e) [x^(tx - e_x)] h_l(X) * [y^(ty - e_y)] h_k(Y).
-    e_x is read off each term of h_l(X), which is skipped when an exponent
-    repeats; e_y runs over the permutations of the exponents left.
+    (0, ..., n-1).  With X and Y the `_by_exponent_set` maps of h_l(X) at
+    tx = (n-r, ..., n-1) and of h_k(Y) at ty = (r, ..., n-1), expanding
+    along the x block gives delta = sum of X(S) * Y(S^c) over the r-subsets
+    S of {0..n-1}: every S met has sum(S) - C(r,2) = k, so the sign that
+    shuffles e_x and e_y together cancels the theorem's (-1)^k.
     """
-    r, s, n = t.r, t.n - t.r, t.n
-    tx, ty = tuple(range(s, n)), tuple(range(r, n))
-    h_y = _pair_sum_h(s, t.k, ty)
-
-    total = 0
-    for alpha, c in _pair_sum_h(r, t.ell, tx).items():
-        e_x = tuple(map(int.__sub__, tx, alpha))
-        if len(set(e_x)) < r:
-            continue
-        rest = [i for i in range(n) if i not in e_x]
-        for e_y in permutations(rest):
-            c_y = h_y.get(tuple(map(int.__sub__, ty, e_y)))
-            if c_y is not None:
-                total += _sign(e_x + e_y) * c * c_y
-
-    delta_value = _as_positive_integer((-1) ** t.k * total, "coefficient extraction", t)
+    r, n = t.r, t.n
+    x = _by_exponent_set(r, t.ell, tuple(range(n - r, n)))
+    y = _by_exponent_set(n - r, t.k, tuple(range(r, n)))
+    full = (1 << n) - 1
+    total = sum(c * y.get(full ^ mask, 0) for mask, c in x.items())
+    delta_value = _as_positive_integer(total, "coefficient extraction", t)
     return DegreeResult(t, delta_value, Method.THEOREM1)
 
 
@@ -578,10 +576,12 @@ def _cost_ns(
         # (81, 17, 8) took 11 s, (80, 16, 8) 4 s, (85, 18, 9) 30 s.
         return 156 * comb(n, r) * (comb(r + 1, 2) * ell + comb(n - r + 1, 2) * k)
     if method is Method.THEOREM1:
-        # The n! terms of the Vandermonde, 3,032 ns each, set when n = 10
-        # values took 0.4-44 s; they now take at most 5.4 s, at (3, 10, 8),
-        # and n = 9 values at most 0.6 s.
-        return 3032 * factorial(n)
+        # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
+        # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
+        # (n-r, k), 45 ns each: (3, 10, 8) took 5.4 s, (6, 10, 7) 4.6 s,
+        # (3, 11, 9) 52 s.
+        blocks = ((r, ell), (n - r, k))
+        return 45 * sum(comb(d + v - 1, v - 1) * comb(v + 1, 2) * d for v, d in blocks)
     return 0
 
 

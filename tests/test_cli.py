@@ -169,15 +169,20 @@ def _check_warning_cases(capsys, monkeypatch, cases):
             assert _fields(captured.out.strip())["delta"] == value, argv
 
 
-def test_theorem1_warns_up_front_from_n_10(capsys, monkeypatch):
-    # theorem1 grows like n!: from n = 10 a requested theorem1 warns, once per
-    # table however many rows run it.  The checker of a psi-product value is
-    # the residue sum, so --check runs no theorem1.
+def test_theorem1_warns_up_front_from_its_h_blocks(capsys, monkeypatch):
+    # theorem1 is estimated from the DP pushes of its two h blocks, which
+    # peak where one block carries all r(n-r) degrees: (3, 11, 9) warns,
+    # the n = 10 edges do not, and a table warns once however many rows run
+    # it, from table 10 on.  The checker of a psi-product value is the
+    # residue sum, so --check runs no theorem1.
     _check_warning_cases(capsys, monkeypatch, [
-        (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), "n=10", "27161730960"),
+        (["value", "3", "11", "9", "--method", "theorem1"], (_T1,), "n=11", "220"),
+        (["value", "3", "10", "8", "--method", "theorem1"], (_T1,), None, "165"),
+        (["value", "6", "10", "7", "--method", "theorem1"], (_T1,), None, "2640"),
+        (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), None, "27161730960"),
         (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
-        (["value", "25", "9", "4", "--method", "theorem1"], (_T1,), None, "227546064"),
         (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
+        (["table", "9", "--method", "theorem1"], (_T1,), None, None),
     ])
 
 

@@ -383,12 +383,30 @@ def test_theorem1_multiplies_within_one_block(monkeypatch):
         assert sorted(calls) == sorted([(r, t.ell, tx), (n - r, t.k, ty)]), (t, calls)
 
 
+def test_theorem1_blocks_are_psi_at_the_reflected_sets():
+    # Each entry of theorem1's two block maps is a psi value: the entry at
+    # the exponent set S is psi at {n-1-i : i in S}.  This is the Theorem 1
+    # => psi-product bridge term by term, so errors that cancel in the sum
+    # still show.
+    for n in range(2, 8):
+        memo = psi_pfaffian(n)
+        for t in valid_triples(n):
+            r = t.r
+            for v, d, target in ((r, t.ell, range(n - r, n)), (n - r, t.k, range(r, n))):
+                block = degree_mod._by_exponent_set(v, d, tuple(target))
+                assert block, (t, v)
+                for mask, value in block.items():
+                    reflected = sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
+                    assert value == memo[reflected], (t, v, bin(mask))
+
+
 def test_theorem1_examples():
     assert delta_theorem1(validate_triple(2, 3, 2)).delta == 6
     assert delta_theorem1(validate_triple(3, 4, 2)).delta == 10
     assert delta_theorem1(validate_triple(4, 4, 2)).delta == 30
     assert delta_theorem1(validate_triple(25, 9, 4)).delta == 227546064
     assert delta_theorem1(validate_triple(27, 10, 5)).delta == 27161730960
+    assert delta_theorem1(validate_triple(45, 10, 1)).delta == 512
 
 
 def test_residue_examples():
