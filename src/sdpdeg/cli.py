@@ -1,10 +1,10 @@
 """Command-line front end: single degree values, full Pataki tables, and the
 self-verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid triple or usage,
-3 cross-check disagreement.  A RuntimeWarning the library issues (a value
-or a table estimated at 11 s or more, before it starts) goes to standard
-error as one `warning: ...` line.
+Exit codes: 0 success, 1 a failed verify suite or a delta failing its
+integrality check, 2 invalid triple or usage, 3 cross-check disagreement.
+A RuntimeWarning the library issues (a value or a table estimated at 11 s
+or more, before it starts) goes to standard error as one `warning: ...` line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import warnings
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .degree import METHODS, CrossCheckError, DegreeResult, delta, delta_table, validate_triple
+from .degree import (
+    METHODS, ConsistencyError, CrossCheckError, DegreeResult, delta, delta_table, validate_triple,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -103,15 +105,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must lie in [2, 7], got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failure: Union[str, None] = None
-    all_ok = True
     for name in names:
         report = SUITES[name](seed=args.seed, max_n=args.max_n)
         print(f"{name}: {report.passed}/{report.total} passed")
-        if not report.ok():
-            all_ok = False
-            if failure is None:
-                failure = f"{name} counterexample:\n{report.first_failure}"
-    if not all_ok:
+        if not report.ok() and failure is None:
+            failure = f"{name} counterexample:\n{report.first_failure}"
+    if failure is not None:
         print(failure, file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -195,9 +194,9 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
             warnings.simplefilter("default", RuntimeWarning)
             warnings.showwarning = _print_warning
             return args.func(args)
-    except CrossCheckError as exc:
+    except (CrossCheckError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
+        return EXIT_DISAGREEMENT if isinstance(exc, CrossCheckError) else EXIT_VERIFY_FAILED
     except ValueError as exc:  # InvalidTripleError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -59,9 +59,9 @@ from typing import Callable, Sequence, Union
 __all__ = [
     "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
     "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
-    "default_sample_points", "delta", "delta_closed", "delta_psi_product",
-    "delta_residue", "delta_table", "delta_theorem1", "duality_partner",
-    "random_sample_points", "valid_triples", "validate_triple",
+    "delta", "delta_closed", "delta_psi_product", "delta_residue", "delta_table",
+    "delta_theorem1", "duality_partner", "random_sample_points", "valid_triples",
+    "validate_triple",
 ]
 
 
@@ -201,19 +201,15 @@ def duality_partner(t: PatakiTriple) -> PatakiTriple:
     return PatakiTriple(comb(t.n + 1, 2) - t.m, t.n, t.n - t.r)
 
 
-def default_sample_points(n: int) -> SamplePoints:
-    """lambda_i = i for i = 1..n: small, distinct, keeps intermediates small."""
-    return tuple(range(1, n + 1))
-
-
 def _sample_points(n: int, points: Union[Sequence[Coeff], None]) -> SamplePoints:
-    """The default points, or the given ones checked: n exact, pairwise-distinct values.
+    """The given points checked (n exact, pairwise-distinct values), or by
+    default lambda_i = i for i = 1..n: small, distinct, keeps intermediates small.
 
     A value with denominator 1 becomes an int, so integral points keep the
     residue sum in integer arithmetic.
     """
     if points is None:
-        return default_sample_points(n)
+        return tuple(range(1, n + 1))
     pts = tuple(p.numerator if p.denominator == 1 else p for p in map(_check_coeff, points))
     if len(pts) != n:
         raise ValueError(f"need {n} sample points, got {len(pts)}")
@@ -234,15 +230,6 @@ def pairwise_sums(values: Sequence[Coeff]) -> list[Coeff]:
     """The multiset v_i + v_j over i <= j, diagonal included."""
     vals = list(values)
     return [vals[i] + vals[j] for i in range(len(vals)) for j in range(i, len(vals))]
-
-
-def _elementary_values(values: Sequence[Coeff], kmax: int) -> list[Coeff]:
-    """e_0..e_kmax of a multiset of numbers (one pass per value)."""
-    e: list[Coeff] = [1] + [0] * kmax
-    for v in values:
-        for j in range(kmax, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return e
 
 
 def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
@@ -274,7 +261,10 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
         return 1
     from .schur import bareiss_det
 
-    e = _elementary_values(values, k)
+    e: list[Coeff] = [1] + [0] * k
+    for v in values:
+        for j in range(k, 0, -1):
+            e[j] += v * e[j - 1]
     matrix = [
         [e[j - i + 1] if j - i + 1 >= 0 else 0 for j in range(k)]
         for i in range(k)

@@ -114,6 +114,23 @@ def test_value_cross_check_disagreement_exits_3(capsys, monkeypatch):
     assert "disagreement" in capsys.readouterr().err
 
 
+def test_integrality_failure_exits_1_with_one_error_line(capsys, monkeypatch):
+    # A closed form faked to give 0 at r = n - 1 fails the integrality guard,
+    # in a value and while a table plans its rows.
+    real = degree_mod._closed_pattern
+    monkeypatch.setattr(
+        degree_mod, "_closed_pattern", lambda m, n, r: 0 if r == n - 1 else real(m, n, r)
+    )
+    for argv, triple, label in (
+        (["value", "3", "4", "3"], "m=3, n=4, r=3", "closed_form"),
+        (["table", "3"], "m=5, n=3, r=1", "duality_reduced"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {label} on PatakiTriple({triple}): non-positive value 0\n"
+
+
 def _warnings(err):
     return [line for line in err.splitlines() if line.startswith("warning:")]
 
@@ -581,11 +598,11 @@ def test_public_api_is_the_delta_api():
     public = [
         "ConsistencyError", "CrossCheckError", "DegreeResult", "InvalidTripleError",
         "Method", "PatakiBoundError", "PatakiTriple", "UnsupportedRankError",
-        "default_sample_points", "delta", "delta_closed", "delta_psi_product",
-        "delta_residue", "delta_table", "delta_theorem1", "duality_partner",
-        "random_sample_points", "valid_triples", "validate_triple",
+        "delta", "delta_closed", "delta_psi_product", "delta_residue", "delta_table",
+        "delta_theorem1", "duality_partner", "random_sample_points", "valid_triples",
+        "validate_triple",
     ]
-    assert len(public) == 19
+    assert len(public) == 18
     assert sorted(sdpdeg.__all__) == public
     for name in public:
         assert getattr(sdpdeg, name) is getattr(degree_mod, name), name

@@ -18,6 +18,7 @@ import sdpdeg.degree as degree_mod
 import sdpdeg.schur as schur_mod
 from sdpdeg.degree import (
     METHODS,
+    ConsistencyError,
     CrossCheckError,
     DegreeResult,
     InvalidTripleError,
@@ -25,7 +26,6 @@ from sdpdeg.degree import (
     PatakiBoundError,
     PatakiTriple,
     UnsupportedRankError,
-    default_sample_points,
     delta,
     delta_closed,
     delta_psi_product,
@@ -138,11 +138,15 @@ def test_duality_partner():
 
 
 def test_sample_points():
-    assert default_sample_points(4) == (1, 2, 3, 4)
+    assert degree_mod._sample_points(4, None) == (1, 2, 3, 4)
     pts = random_sample_points(5, seed=3)
     assert pts == random_sample_points(5, seed=3)
     assert len(set(pts)) == 5
     assert pts != random_sample_points(5, seed=4)
+    # 2 * spread + 1 integers lie in [-spread, spread]: n may reach that, not pass it.
+    assert sorted(random_sample_points(5, seed=0, spread=2)) == [-2, -1, 0, 1, 2]
+    with pytest.raises(ValueError, match="spread too small"):
+        random_sample_points(4, seed=0, spread=1)
 
 
 def test_pairwise_sums():
@@ -211,7 +215,6 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
 
     monkeypatch.setattr(degree_mod, "h_determinant", refuse)
     monkeypatch.setattr(schur_mod, "bareiss_det", refuse)
-    monkeypatch.setattr(degree_mod, "_elementary_values", refuse)
     monkeypatch.setattr(degree_mod, "h_recurrence", counted)
     monkeypatch.setattr(degree_mod, "Fraction", counted_fraction)
     pts = (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 5), 4, Fraction(-5, 7))
@@ -433,6 +436,32 @@ def test_residue_point_validation():
         delta_residue(t, (0.5, 1.5, 4.0))
     with pytest.raises(TypeError, match="bool"):
         delta_residue(t, (True, 2, 3))
+
+
+def test_integrality_guard_rejects_a_non_positive_value(monkeypatch):
+    # A closed form faked to give 0 at r = n - 1 must not come back as delta.
+    real = degree_mod._closed_pattern
+    monkeypatch.setattr(
+        degree_mod, "_closed_pattern", lambda m, n, r: 0 if r == n - 1 else real(m, n, r)
+    )
+    expected = r"closed_form on PatakiTriple\(m=3, n=4, r=3\): non-positive value 0$"
+    with pytest.raises(ConsistencyError, match=expected):
+        delta_closed(validate_triple(3, 4, 3))
+
+
+def test_integrality_guard_rejects_a_non_integral_value(monkeypatch):
+    # One h value off by one makes the residue numerator miss a multiple of
+    # a([n]); an h off by one on every call would still give an integer.
+    calls = []
+
+    def off_once(values, k):
+        calls.append(k)
+        return h_recurrence(values, k) + (1 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(degree_mod, "h_recurrence", off_once)
+    expected = r"residue sum on PatakiTriple\(m=3, n=4, r=2\): non-integral value 121/12$"
+    with pytest.raises(ConsistencyError, match=expected):
+        delta_residue(validate_triple(3, 4, 2))
 
 
 def test_closed_examples():
@@ -798,7 +827,7 @@ def test_sign_convention_equivalence():
     # global (-1)^ell, each denominator carrying an extra (-1)^(r(n-r))
     for n in range(2, 5):
         for t in valid_triples(n):
-            pts = default_sample_points(n)
+            pts = tuple(range(1, n + 1))
             total = Fraction(0)
             for subset in combinations(range(n), t.r):
                 rest = tuple(j for j in range(n) if j not in subset)
