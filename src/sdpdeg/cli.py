@@ -25,37 +25,28 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
 
-CSV_FIELDS = ("m", "n", "r", "k", "l", "delta", "method")
+FIELDS = ("m", "n", "r", "k", "l", "delta", "method", "elapsed_ms")
 
 
-def _record(result: DegreeResult) -> dict:
+def _row(result: DegreeResult) -> tuple:
+    """The values of FIELDS for one result, in order."""
     t = result.triple
-    return {
-        "m": t.m,
-        "n": t.n,
-        "r": t.r,
-        "k": t.k,
-        "l": t.ell,
-        # Decimal string: values outgrow 64-bit consumers at larger n.
-        "delta": str(result.delta),
-        "method": result.method.value,
-        "elapsed_ms": round(result.elapsed * 1000, 3),
-    }
+    # delta as a decimal string: values outgrow 64-bit consumers at larger n.
+    return (t.m, t.n, t.r, t.k, t.ell, str(result.delta), result.method.value,
+            round(result.elapsed * 1000, 3))
 
 
 def _json_table(results: list[DegreeResult]) -> str:
-    """json.dumps([_record(r) for r in results], indent=2), byte for byte, for
-    a nonempty list, written row by row from one template: every value is an
-    int, a string that needs no escaping, or elapsed_ms, a float, which json
-    writes as its repr."""
+    """json.dumps([dict(zip(FIELDS, _row(r))) for r in results], indent=2),
+    byte for byte, for a nonempty list, written row by row from one template:
+    every value is an int, a string that needs no escaping, or elapsed_ms, a
+    float, which json writes as its repr."""
     rows = []
-    for result in results:
-        t = result.triple
+    for m, n, r, k, ell, value, method, elapsed_ms in map(_row, results):
         rows.append(
-            f'  {{\n    "m": {t.m},\n    "n": {t.n},\n    "r": {t.r},\n    "k": {t.k},\n'
-            f'    "l": {t.ell},\n    "delta": "{result.delta}",\n'
-            f'    "method": "{result.method.value}",\n'
-            f'    "elapsed_ms": {round(result.elapsed * 1000, 3)!r}\n  }}'
+            f'  {{\n    "m": {m},\n    "n": {n},\n    "r": {r},\n    "k": {k},\n'
+            f'    "l": {ell},\n    "delta": "{value}",\n    "method": "{method}",\n'
+            f'    "elapsed_ms": {elapsed_ms!r}\n  }}'
         )
     return "[\n" + ",\n".join(rows) + "\n]"
 
@@ -71,7 +62,7 @@ def cmd_value(args: argparse.Namespace) -> int:
     triple = validate_triple(args.m, args.n, args.r)
     points = None if args.lambda_points is None else _parse_points(args.lambda_points)
     result = delta(triple, method=args.method, cross_check=args.check, points=points)
-    print(" ".join(f"{key}={val}" for key, val in _record(result).items()))
+    print(" ".join(f"{key}={val}" for key, val in zip(FIELDS, _row(result))))
     return EXIT_OK
 
 
@@ -82,11 +73,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         print(_json_table(results))
     else:
         writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(
-            (t.m, t.n, t.r, t.k, t.ell, result.delta, result.method.value)
-            for result in results for t in (result.triple,)
-        )
+        # Every field but elapsed_ms.
+        writer.writerow(FIELDS[:-1])
+        writer.writerows(_row(result)[:-1] for result in results)
     return EXIT_OK
 
 
@@ -135,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     value.add_argument("m", type=int)
     value.add_argument("n", type=int)
     value.add_argument("r", type=int)
-    value.add_argument("--method", choices=tuple(METHODS), default="auto")
+    value.add_argument("--method", choices=METHODS, default="auto")
     value.add_argument("--check", action="store_true", help=check_help)
     value.add_argument(
         "--lambda", dest="lambda_points", metavar="L1,...,LN",
@@ -150,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="all valid (m, r) at a fixed n")
     table.add_argument("n", type=int)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--method", choices=tuple(METHODS), default="auto")
+    table.add_argument("--method", choices=METHODS, default="auto")
     table.add_argument("--check", action="store_true", help=check_help)
     table.set_defaults(func=cmd_table)
 

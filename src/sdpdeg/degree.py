@@ -368,25 +368,26 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
 
 
 def _pascal_pairs(n: int) -> list[list[int]]:
-    """The pair entries as a triangle, pairs[t][j] = psi_{jt} =
-    sum_{u=j}^{t-1} C(j+t, u) for j < t < n."""
-    return [[sum(comb(j + t, u) for u in range(j, t)) for j in range(t)] for t in range(n)]
+    """psi's bordered skew matrix as a triangle: row t < n is column t above the
+    diagonal, psi_{jt} = sum_{u=j}^{t-1} C(j+t, u) for j < t, then the border 2^t."""
+    return [[sum(comb(j + t, u) for u in range(j, t)) for j in range(t)] + [1 << t]
+            for t in range(n)]
 
 
 def _psi_expand(
     mask: int, psi: Union[list[int], dict[int, int]], pairs: list[list[int]]
 ) -> int:
-    """psi_I for the bitmask `mask` of I (bit i set when i is in I), from
-    psi[sub] of its sub-masks without the largest index of I, which `psi`
-    must hold or compute on access.
+    """The Pfaffian psi_I of the bitmask `mask` of I (bit i set when i is in
+    I), from psi[sub] of its sub-masks without the largest index of I, which
+    `psi` must hold or compute on access.
 
-    psi_I is the Pfaffian of the skew matrix with entries psi_{ij} (see
-    `_pascal_pairs`), bordered by psi_i = 2^i when |I| is odd.  psi_() = 1;
-    every other I expands along its largest index t: with j_0 < j_1 < ...
-    the other indices and S = sum_b (-1)^b psi_{j_b t} psi_{I - {j_b, t}},
-    psi_I = S when |I| is even and 2^t psi_{I - {t}} - S when it is odd.
-    Integers only.  `schur.psi` sums the Pascal minors outright and is its
-    test oracle.
+    Row t of the triangle `pairs` holds a_{jt} for j < t, then a border b_t.
+    psi_I is the Pfaffian of the skew matrix a on I, bordered by b when |I|
+    is odd; psi_() = 1.  Every other I expands along its largest index t:
+    with j_0 < j_1 < ... the other indices and S = sum_b (-1)^b a_{j_b t}
+    psi_{I - {j_b, t}}, psi_I = S when |I| is even and b_t psi_{I - {t}} - S
+    when it is odd.  Over `_pascal_pairs` it is von Bothmer and Ranestad's
+    psi, whose test oracle `schur.psi` sums the Pascal minors outright.
     """
     if not mask:
         return 1
@@ -399,7 +400,7 @@ def _psi_expand(
         total += sign * row[bit.bit_length() - 1] * psi[below ^ bit]
         sign = -sign
     if sign > 0:  # sign is (-1)^(|I|-1), so |I| is odd
-        return (psi[below] << t) - total
+        return row[t] * psi[below] - total
     return total
 
 

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -129,6 +131,42 @@ def test_integrality_failure_exits_1_with_one_error_line(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == f"error: {label} on PatakiTriple({triple}): non-positive value 0\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["value", "3", "4", "2"], 0,
+     r"m=3 n=4 r=2 k=0 l=4 delta=10 method=closed_form elapsed_ms=[0-9.e-]+\n", ""),
+    (["value", "1", "4", "2"], 2, "",
+     re.escape("error: m=1 below the lower Pataki bound 3 for (n=4, r=2)\n")),
+    (["value", "3", "4"], 2, "",
+     r"usage: sdpdeg value .*\nsdpdeg value: error: the following arguments are required: r\n"),
+], ids=("ok", "invalid-triple", "usage"))
+def test_interpreter_exits_with_the_code_of_main(argv, code, out, err):
+    # python -m sdpdeg.cli, exit path included; out and err are patterns
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "sdpdeg.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == code
+    assert re.fullmatch(out, done.stdout), done.stdout
+    assert re.fullmatch(err, done.stderr, re.DOTALL), done.stderr
+
+
+@pytest.mark.filterwarnings("ignore:'sdpdeg.cli' found in sys.modules:RuntimeWarning")
+def test_main_module_exits_3_on_a_disagreement(capsys, monkeypatch):
+    # a closed form faked to give 1 at r = n - 1 disagrees with its check
+    real = degree_mod._closed_pattern
+    monkeypatch.setattr(
+        degree_mod, "_closed_pattern", lambda m, n, r: 1 if r == n - 1 else real(m, n, r)
+    )
+    monkeypatch.setattr(sys, "argv", ["sdpdeg", "value", "3", "4", "3", "--check"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sdpdeg.cli", run_name="__main__")
+    assert exited.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: method disagreement")
 
 
 def _warnings(err):
@@ -318,30 +356,41 @@ def test_table_json_round_trips_csv(capsys):
     assert rows == json_data
 
 
+def _expected_record(result):
+    # one output row, read off the result's own attributes
+    t = result.triple
+    return {
+        "m": t.m, "n": t.n, "r": t.r, "k": t.k, "l": t.ell, "delta": str(result.delta),
+        "method": result.method.value, "elapsed_ms": round(result.elapsed * 1000, 3),
+    }
+
+
 def test_table_json_is_the_indented_dump():
     # the templated rows are json.dumps of the records, indent=2, byte for byte
     for n in range(2, 13):
         results = degree_mod.delta_table(n)
-        expected = json.dumps([cli._record(result) for result in results], indent=2)
+        expected = json.dumps([_expected_record(result) for result in results], indent=2)
         assert cli._json_table(results) == expected, n
     # the float text of elapsed_ms, from zero and below a microsecond up
     t = degree_mod.validate_triple(40, 12, 6)
     for elapsed in (0.0, 1e-9, 0.0123456, 12.5, 1234.5678):
         results = [DegreeResult(t, 10**40 + 7, Method.PSI_PRODUCT, elapsed),
                    DegreeResult(t, 1, Method.DUALITY_REDUCED, elapsed / 3)]
-        expected = json.dumps([cli._record(result) for result in results], indent=2)
+        expected = json.dumps([_expected_record(result) for result in results], indent=2)
         assert cli._json_table(results) == expected, elapsed
 
 
 def test_table_csv_is_the_record_writer(capsys):
-    # rows written from the results read as the records written field by field
+    # rows written from the results read as the records written field by
+    # field, every field but elapsed_ms
+    fields = ("m", "n", "r", "k", "l", "delta", "method")
     for n in range(2, 13):
         assert main(["table", str(n), "--format", "csv"]) == 0
         expected = io.StringIO()
         writer = csv.writer(expected)
-        writer.writerow(cli.CSV_FIELDS)
-        for rec in map(cli._record, degree_mod.delta_table(n)):
-            writer.writerow([rec[field] for field in cli.CSV_FIELDS])
+        writer.writerow(fields)
+        for rec in map(_expected_record, degree_mod.delta_table(n)):
+            writer.writerow([rec[field] for field in fields])
         assert capsys.readouterr().out == expected.getvalue(), n
 
 

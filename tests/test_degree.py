@@ -745,6 +745,39 @@ def test_psi_expand_equals_an_expansion_along_other_rows():
         ), n
 
 
+def _pfaffian(indices, entry):
+    # the signed sum over the perfect matchings of indices: the first index
+    # pairs with each other one in turn, the rest are matched recursively
+    if not indices:
+        return 1
+    first, *rest = indices
+    return sum(
+        (-1) ** b * entry(first, j) * _pfaffian(rest[:b] + rest[b + 1:], entry)
+        for b, j in enumerate(rest)
+    )
+
+
+def test_psi_expand_is_the_pfaffian_of_any_bordered_triangle():
+    # random integer triangles, row t holding t pair entries and a border
+    # entry last; every mask, expanded in ascending order, is the Pfaffian
+    # over its indices, with the border index -1 first when |I| is odd
+    rng = random.Random(31)
+    for n in range(1, 9):
+        for _ in range(3):
+            pairs = [[rng.randint(-9, 9) for _ in range(t + 1)] for t in range(n)]
+
+            def entry(i, j):
+                return pairs[j][i]  # i < j, and pairs[j][-1] is the border
+
+            psi = []
+            for mask in range(2**n):
+                psi.append(degree_mod._psi_expand(mask, psi, pairs))
+            for mask in range(2**n):
+                indices = [i for i in range(n) if mask >> i & 1]
+                indices = [-1] * (len(indices) % 2) + indices
+                assert psi[mask] == _pfaffian(indices, entry), (n, mask, pairs)
+
+
 def test_psi_sweep_equals_the_brute_force_sums_of_the_reference():
     # sums[|I|][sum(I)] of psi_I * psi_{I^c} over all 2^n masks, up to n = 12
     reference = _psi_by_other_rows(12)

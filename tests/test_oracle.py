@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+import sdpdeg.checks as checks
 from sdpdeg.degree import delta_residue, valid_triples
 from sdpdeg.checks import (
     RootedPolynomial,
@@ -154,3 +155,22 @@ def test_oracle_agrees_with_residue_algorithm():
             lams = tuple(range(1, n + 1))
             value = (-1) ** t.k * doubly_symmetric_sum(p, lams, t.r)
             assert value == delta_residue(t).delta, t
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: is_doubly_symmetric(x_space(2).one(), 0), ValueError),
+    (lambda: doubly_symmetric_sum(x_space(2).one(), (1,), 1), ValueError),
+    (lambda: d_coefficient(x_space(2).one(), 1, 3), ValueError),
+    (lambda: random_doubly_symmetric(0, 2, 0, 0), ValueError),
+    (lambda: checks.elementary_symmetric([x_space(1).one()], -1), ValueError),
+    (lambda: checks.elementary_symmetric([], 0), ValueError),
+    (lambda: checks._divide_exact(x_space(1).one(), x_space(1).zero()), ZeroDivisionError),
+    (lambda: checks._divide_exact(x_space(1).one(), x_space(1).variable(0)), ArithmeticError),
+    (lambda: checks.index_sets(0, 0), ValueError),
+], ids=("is_doubly_symmetric", "doubly_symmetric_sum", "d_coefficient",
+        "random_doubly_symmetric", "elementary_symmetric-k", "elementary_symmetric-forms",
+        "_divide_exact-zero", "_divide_exact-inexact", "index_sets"))
+def test_input_checks_raise(call, error):
+    # the smallest bad input of each check
+    with pytest.raises(error):
+        call()

@@ -217,3 +217,20 @@ def test_str_rendering():
     assert str(sp.zero()) == "0"
     assert str(2 * x1 - x2) == "2*x1 - x2"
     assert str(x1 * x1) == "x1^2"
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: x_space(2).monomial((1,)), ValueError),
+    (lambda: x_space(1).variable(1), IndexError),
+    (lambda: x_space(0), ValueError),
+    (lambda: xy_space(0, 1), ValueError),
+    (lambda: product_coefficient(x_space(1).one(), x_space(2).one(), (0,)), ValueError),
+    (lambda: pairwise_sum_forms(x_space(1), ()), ValueError),
+    (lambda: complete_homogeneous([x_space(1).one()], -1), ValueError),
+    (lambda: complete_homogeneous([], 0), ValueError),
+], ids=("monomial", "variable", "x_space", "xy_space", "product_coefficient",
+        "pairwise_sum_forms", "complete_homogeneous-d", "complete_homogeneous-forms"))
+def test_input_checks_raise(call, error):
+    # the smallest bad input of each check
+    with pytest.raises(error):
+        call()

@@ -22,7 +22,7 @@ from sdpdeg.polynomial import (
     pairwise_sum_forms,
     x_space,
 )
-from sdpdeg.schur import as_index_set, bareiss_det, pascal_minor_det, psi
+from sdpdeg.schur import _exact_div, as_index_set, bareiss_det, pascal_minor_det, psi
 
 
 def test_index_set_validation():
@@ -243,3 +243,8 @@ def test_psi_rectangle_strip_closed_form():
             # the index set of the partition (2^(r-k), 1^k)
             I = tuple(i for i in range(1, r + 2) if i != k + 1)
             assert psi(I) == (k + 1) * comb(r + 3, k + 3), (r, k)
+
+
+def test_exact_div_refuses_a_remainder():
+    with pytest.raises(ArithmeticError):
+        _exact_div(3, 2)
