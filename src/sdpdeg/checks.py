@@ -6,7 +6,8 @@ enumerated outright, products are formed without caps, alternants are
 written out by their definition, and none of it reuses the optimized degree
 algorithms these checks validate.  Only the CLI's `verify` command and the
 tests import this module.  `random_polynomial` draws the seeded test
-polynomials.
+polynomials, and `pairwise_sums` lists the pairwise sums Lambda of the
+residue sum for its per-subset oracle.
 
 Besides the brute-force oracles it holds the Schur-basis constructions,
 labelled by index sets (the strictly increasing tuples `psi` takes), which
@@ -96,6 +97,13 @@ def residue_sum(qs: Sequence[RootedPolynomial], f: SparsePolynomial) -> Fraction
         denom = prod(q.derivative_at(a) for q, a in zip(qs, roots))
         total += Fraction(f.evaluate(roots)) / denom
     return total
+
+
+def pairwise_sums(values: Sequence[Coeff]) -> list[Coeff]:
+    """The multiset v_i + v_j over i <= j, diagonal included: Lambda of the
+    residue sum, written out for the per-subset oracles."""
+    vals = list(values)
+    return [vals[i] + vals[j] for i in range(len(vals)) for j in range(i, len(vals))]
 
 
 def _swap_invariant(p: SparsePolynomial, positions: Iterable[int]) -> bool:

@@ -20,11 +20,15 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
     h_l(Lambda_I) * h_k(Lambda_{I^c}) / prod_{i in I, j not in I}(l_i - l_j)
     and multiply by (-1)^k, where Lambda_I is the multiset of pairwise sums
-    of the chosen values.  Each h is a number, read off the series
-    prod_v 1/(1 - v t) in one pass per value, and all terms share the one
-    denominator prod_{i<j}(l_i - l_j), divided out at the end.  It never
-    forms a polynomial, so it shares no code with the form-level multiset
-    DP by which the coefficient path builds h;
+    of the chosen values.  All terms share the one denominator
+    prod_{i<j}(l_i - l_j), divided out at the end.  One depth-first walk
+    decides index by index whether i joins I or I^c and carries both h
+    series, read off prod_v 1/(1 - v t), so each pairwise sum is pushed
+    into a series once per prefix, not once per subset.  A single value
+    caps the series at l and k; a table walks each rank once, uncapped, and
+    reads every l of it off the leaves.  It never forms a polynomial, so it
+    shares no code with the form-level multiset DP by which the coefficient
+    path builds h;
 
   * the psi-product ("psi_product"), von Bothmer and Ranestad's formula:
     the sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
@@ -170,7 +174,9 @@ class DegreeResult:
     kernels, cross-check included, in seconds; a kernel called directly
     leaves it None (not timed).  In a table, the first psi-product row
     carries the whole psi sweep, every rank's sums included, and every later
-    psi-product row a lookup.
+    psi-product row a lookup; likewise the first residue row of each rank,
+    as the method or as the checker, carries that rank's walk, and every
+    later residue row of the rank a lookup.
     """
 
     triple: PatakiTriple
@@ -226,26 +232,29 @@ def random_sample_points(n: int, seed: int, spread: int = 50) -> SamplePoints:
     return tuple(rng.sample(range(-spread, spread + 1), n))
 
 
-def pairwise_sums(values: Sequence[Coeff]) -> list[Coeff]:
-    """The multiset v_i + v_j over i <= j, diagonal included."""
-    vals = list(values)
-    return [vals[i] + vals[j] for i in range(len(vals)) for j in range(i, len(vals))]
+def _push(h: list[Coeff], values: Sequence[Coeff]) -> list[Coeff]:
+    """h times prod_v 1/(1 - v t), truncated at len(h) terms; h is not changed.
+
+    Each value is multiplied in by h_j += v h_{j-1}, j ascending from 1:
+    len(h) - 1 multiply-adds a value.  This numeric pass shares no code with
+    `_pair_sum_h`, theorem1's form-level DP.
+    """
+    for v in values:
+        rest = iter(h)
+        carry = next(rest)
+        out = [carry]
+        for c in rest:
+            carry = c + v * carry
+            out.append(carry)
+        h = out
+    return h
 
 
 def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
-    """h_k of a multiset of numbers, in len(values) * k multiply-adds.
-
-    h_0..h_k are the coefficients of prod_v 1/(1 - v t) up to t^k, each value
-    multiplied in by h_j += v h_{j-1}, j ascending.  This numeric pass shares
-    no code with `_pair_sum_h`, theorem1's form-level DP.
-    """
+    """h_k of a multiset of numbers: `_push` of the values into [1, 0, ..., 0]."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    h: list[Coeff] = [1] + [0] * k
-    for v in values:
-        for j in range(1, k + 1):
-            h[j] += v * h[j - 1]
-    return h[k]
+    return _push([1] + [0] * k, values)[k]
 
 
 def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
@@ -253,7 +262,8 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
 
     Entry (i, j) is e_{j-i+1} (1 on the subdiagonal, 0 below), evaluated by
     fraction-free Bareiss; h_0 is the empty determinant 1.  The residue sum
-    uses `h_recurrence`; this O(k^3) evaluation is its test oracle.
+    uses `_push`, as `h_recurrence` does; this O(k^3) evaluation is the
+    oracle of their tests.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -340,29 +350,74 @@ def delta_theorem1(t: PatakiTriple) -> DegreeResult:
     return DegreeResult(t, delta_value, Method.THEOREM1)
 
 
-def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
+def _residue_walk(pts: SamplePoints, r: int, ells: Sequence[int]) -> list[Coeff]:
+    """The residue numerators sums[l] = sum over the r-subsets I of
+    (-1)^sum(I) a(I) a(I^c) h_l(Lambda_I) h_{L-l}(Lambda_{I^c}) for each l in
+    `ells` (0 at every other l), L = r(n-r), in one depth-first walk.
+
+    The walk decides index by index whether i joins I or I^c and carries both
+    h series, both alternants a(S) = prod_{i<j in S}(l_i - l_j) and the sign.
+    Joining a side of s indices pushes its s + 1 new pairwise sums l_i + l_j
+    (j on that side or i) into that side's series, so subsets with a common
+    prefix share its work.  The I series is capped at max(ells), the I^c
+    series at L - min(ells); `_walk_pushes` counts the multiply-adds.
+    """
+    n, push = len(pts), _push
+    total = r * (n - r)
+    sums: list[Coeff] = [0] * (total + 1)
+
+    def walk(i: int, xs: list, ys: list, hx: list, hy: list, w: Coeff) -> None:
+        if i == n:
+            for ell in ells:
+                sums[ell] += w * hx[ell] * hy[total - ell]
+            return
+        v = pts[i]
+        if len(xs) < r:
+            w_x = prod([u - v for u in xs], start=-w if i & 1 else w)
+            walk(i + 1, xs + [v], ys, push(hx, [u + v for u in xs] + [v + v]), hy, w_x)
+        if len(ys) < n - r:
+            w_y = prod([u - v for u in ys], start=w)
+            walk(i + 1, xs, ys + [v], hx, push(hy, [u + v for u in ys] + [v + v]), w_y)
+
+    walk(0, [], [], [1] + [0] * max(ells), [1] + [0] * (total - min(ells)), 1)
+    return sums
+
+
+def _walk_pushes(n: int, r: int, cap_x: int, cap_y: int) -> int:
+    """The multiply-adds of `_residue_walk` with its series capped at cap_x
+    and cap_y: the C(i, a) walks that reach index i with |I| = a push a + 1
+    sums at cap_x when i joins I and i - a + 1 at cap_y when it joins I^c."""
+    return sum(
+        comb(i, a) * ((a + 1) * cap_x * (a < r) + (i - a + 1) * cap_y * (i - a < n - r))
+        for i in range(n)
+        for a in range(max(0, i - n + r), min(i, r) + 1)
+    )
+
+
+def delta_residue(
+    t: PatakiTriple, points: Union[Sequence[Coeff], None] = None, shared: Union[dict, None] = None
+) -> DegreeResult:
     """Degree by the exact residue sum over r-subsets of the sample points.
 
     Any pairwise-distinct points give the same value.  For the alternants
     a(S) = prod_{i<j in S}(l_i - l_j), 1 / prod_{i in I, j not in I}(l_i - l_j)
     is (-1)^(sum I - C(r,2)) a(I) a(I^c) / a([n]): the terms add up to one
-    numerator, and a([n]) and (-1)^C(r,2) are applied once.  Both h factors
-    come from `h_recurrence`, sharing nothing with the form-level h of theorem1.
+    numerator, and a([n]) and (-1)^C(r,2) are applied once.  Alone, the call
+    walks the subsets once with its series capped at ell and k.  The rows of
+    one `delta_table` call share a dict holding one uncapped walk per rank,
+    keyed (n, r), with the numerators of every ell, so every later row of the
+    rank is a lookup; a table uses the default points.
     """
     n, r, k, ell = t.n, t.r, t.k, t.ell
     pts = _sample_points(n, points)
-
-    def alternant(indices: Sequence[int]) -> Coeff:
-        return prod(pts[i] - pts[j] for i, j in combinations(indices, 2))
-
-    numerator: Coeff = 0
-    for subset in combinations(range(n), r):
-        rest = tuple(j for j in range(n) if j not in subset)
-        h_ell = h_recurrence(pairwise_sums([pts[i] for i in subset]), ell)
-        h_k = h_recurrence(pairwise_sums([pts[j] for j in rest]), k)
-        numerator += (-1) ** sum(subset) * alternant(subset) * alternant(rest) * h_ell * h_k
-
-    value = (-1) ** (k + comb(r, 2)) * Fraction(numerator) / alternant(range(n))
+    if shared is None:
+        numerators = _residue_walk(pts, r, (ell,))
+    else:
+        if (n, r) not in shared:
+            shared[n, r] = _residue_walk(pts, r, range(k + ell + 1))
+        numerators = shared[n, r]
+    whole = prod(pts[i] - pts[j] for i, j in combinations(range(n), 2))
+    value = (-1) ** (k + comb(r, 2)) * Fraction(numerators[ell]) / whole
     delta_value = _as_positive_integer(value, "residue sum", t)
     return DegreeResult(t, delta_value, Method.RESIDUE)
 
@@ -511,7 +566,7 @@ METHODS = ("auto", "theorem1", "residue", "psi_product", "closed")
 # test fake, a tracing wrapper) is the one that runs.
 _KERNELS: dict[Method, Callable[..., DegreeResult]] = {
     Method.THEOREM1: lambda t, points, shared: delta_theorem1(t),
-    Method.RESIDUE: lambda t, points, shared: delta_residue(t, points),
+    Method.RESIDUE: lambda t, points, shared: delta_residue(t, points, shared),
     Method.PSI_PRODUCT: lambda t, points, shared: delta_psi_product(t, shared),
 }
 
@@ -544,9 +599,9 @@ def _cost_ns(
     process start included, so that the requests named below fall exactly
     on their side of `_BUDGET_NS`.
 
-    A table passes `counted`, the n whose psi sweep its earlier rows already
-    carry; a psi-product row is charged only what it is first to need, as
-    its elapsed is.
+    A table passes `counted`, the n whose psi sweep and the (n, r) whose
+    residue walk its earlier rows already carry; a psi-product or residue
+    row is charged only what it is first to need, as its elapsed is.
     """
     if method is Method.PSI_PRODUCT:
         if counted is None:
@@ -562,10 +617,17 @@ def _cost_ns(
         counted.add(n)
         return 100 * (n << n)
     if method is Method.RESIDUE:
-        # The multiply-adds of the h recurrences, per r-subset h_ell over
-        # C(r+1, 2) pairwise sums and h_k over C(n-r+1, 2), 156 ns each:
-        # (81, 17, 8) took 11 s, (80, 16, 8) 4 s, (85, 18, 9) 30 s.
-        return 156 * comb(n, r) * (comb(r + 1, 2) * ell + comb(n - r + 1, 2) * k)
+        # The multiply-adds of the walk, 70 ns each: 0.76 s at (80, 16, 8),
+        # 0.35 s at (6, 30, 28), 22 s at (9, 40, 37); checked, (145, 19, 9)
+        # took 10.0 s and (143, 20, 7) 9.6 s.  A table walks each rank
+        # once, uncapped at r(n-r): table 16 --check took 8.0 s, table 17
+        # --check 19.6 s.
+        if counted is None:
+            return 70 * _walk_pushes(n, r, ell, k)
+        if (n, r) in counted:
+            return 0
+        counted.add((n, r))
+        return 70 * _walk_pushes(n, r, k + ell, k + ell)
     if method is Method.THEOREM1:
         # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
         # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
@@ -579,7 +641,8 @@ def _cost_ns(
 def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
     """Warn once when the plans of all rows are estimated to cross the
     budget, naming the methods of the costliest row, n and the estimate.
-    The psi-product rows of a table are estimated as sharing one sweep."""
+    The psi-product rows of a table are estimated as sharing one sweep, and
+    the residue rows of each rank as sharing one walk."""
     total, top, costliest = 0, -1, ()
     counted = set() if table else None
     for t, plan, _ in plans:
@@ -609,7 +672,8 @@ def _evaluate(
     and keeps it; a "closed" row without one raises.  The method name is
     checked before `rows()` and the sample points, and one warning from the
     summed estimate of all plans precedes every kernel but the closed forms.
-    A `shared` dict, given by a table, is passed to every psi-product row.
+    A `shared` dict, given by a table, is passed to every psi-product and
+    residue row.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -683,6 +747,8 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     one list of the 2^(n-1) psi values without index n-1, filled in
     ascending order, and the sums of every rank from a second pass over the
     masks with it.  The first psi-product row carries the sweep in its
-    elapsed, and every later psi-product row a lookup.
+    elapsed, and every later psi-product row a lookup.  The residue rows,
+    as the method or as the checker, share one `_residue_walk` per rank in
+    the same dict, carried by the rank's first residue row.
     """
     return _evaluate(lambda: valid_triples(n), method, cross_check, shared={})

@@ -242,14 +242,20 @@ def test_theorem1_warns_up_front_from_its_h_blocks(capsys, monkeypatch):
 
 
 def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
-    # the residue sum runs over C(n, r) subsets: from the multiply-add count
-    # of (81, 17, 8) on it warns, as the requested method or as the checker,
-    # however large the n of a cheaper triple
+    # the residue sum walks the C(n, r) subsets: from the multiply-add count
+    # of its walk, (143, 20, 7) --check is the first checked value to warn,
+    # at n = 20, as the requested method or as the checker, while the
+    # costliest n = 19 value stays under; narrow rows are priced by their
+    # own caps, however large their n
     _check_warning_cases(capsys, monkeypatch, [
-        (["value", "85", "18", "9", "--method", "residue"], (_RES,), "n=18", _DELTA_85_18_9),
-        (["value", "85", "18", "9", "--check"], (_PSI, _RES), "n=18", _DELTA_85_18_9),
-        (["value", "81", "17", "8", "--check"], (_PSI, _RES), "n=17", _DELTA_81_17_8),
-        (["value", "80", "16", "8", "--check"], (_PSI, _RES), None, None),
+        (["value", "165", "20", "9", "--method", "residue"], (_RES,), "n=20", None),
+        (["value", "165", "20", "9", "--check"], (_PSI, _RES), "n=20", None),
+        (["value", "143", "20", "7", "--check"], (_PSI, _RES), "n=20", None),
+        (["value", "145", "19", "9", "--check"], (_PSI, _RES), None, None),
+        (["value", "85", "18", "9", "--check"], (_PSI, _RES), None, _DELTA_85_18_9),
+        (["value", "81", "17", "8", "--check"], (_PSI, _RES), None, _DELTA_81_17_8),
+        (["value", "9", "40", "37", "--method", "residue"], (_RES,), "n=40", None),
+        (["value", "6", "30", "28", "--method", "residue"], (_RES,), None, None),
         (["value", "160", "18", "1", "--method", "residue"], (_RES,), None, None),
         (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
     ])
@@ -258,8 +264,8 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
 def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
     # a psi-product value can touch 2^n masks; a table's rows share one
     # sweep of them, so tables warn from n = 23.  A table that runs no
-    # psi-product warns from its residue sums alone: table 16 is estimated
-    # at about 23 minutes, table 11 at about 5 s
+    # psi-product warns from its residue walks alone, one per rank:
+    # table 17 is estimated at about 20 s, table 16 at about 8 s
     _check_warning_cases(capsys, monkeypatch, [
         (["table", "23"], (_PSI,), "n=23", None),
         (["table", "22"], (_PSI,), None, None),
@@ -268,16 +274,17 @@ def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
         (["table", "15"], (_PSI,), None, None),
         (["value", "169", "25", "12"], (_PSI,), "n=25", None),
         (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
-        (["table", "16", "--method", "residue"], (_RES,), "n=16", None),
-        (["table", "11", "--method", "residue"], (_RES,), None, None),
+        (["table", "17", "--method", "residue"], (_RES,), "n=17", None),
+        (["table", "16", "--method", "residue"], (_RES,), None, None),
     ])
 
 
 def test_checked_tables_warn_up_front(capsys, monkeypatch):
-    # a checked table runs the psi-product and the residue sum on every row
+    # a checked table runs the psi-product and the residue sum on every row,
+    # the residue sum as one walk per rank
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "12", "--check"], (_PSI, _RES), "n=12", None),
-        (["table", "11", "--check"], (_PSI, _RES), None, None),
+        (["table", "17", "--check"], (_PSI, _RES), "n=17", None),
+        (["table", "16", "--check"], (_PSI, _RES), None, None),
     ])
 
 
@@ -300,15 +307,16 @@ def test_value_check_feeds_the_sample_points_to_the_residue_check(capsys, monkey
     residue = degree_mod.delta_residue
     seen = []
 
-    def spy(t, points=None):
-        seen.append(points)
-        return residue(t, points)
+    def spy(t, points=None, shared=None):
+        seen.append((points, shared))
+        return residue(t, points, shared)
 
     monkeypatch.setattr(degree_mod, "delta_residue", spy)
     assert main(["value", "6", "5", "3", "--check", "--lambda=-3/2,1,2,7,11"]) == 0
     out = _fields(capsys.readouterr().out.strip())
     assert (out["delta"], out["method"]) == ("290", "psi_product")
-    assert seen == [(Fraction(-3, 2), 1, 2, 7, 11)]
+    # a value walks its own capped subsets: no table's shared dict
+    assert seen == [((Fraction(-3, 2), 1, 2, 7, 11), None)]
 
 
 def test_table_csv(capsys):
@@ -405,8 +413,8 @@ def _plus_one(result, wrong=True):
 @pytest.mark.parametrize("kernel, make_wrong", [
     # wrong only above half rank: each row is computed on its own triple, not
     # copied from its duality partner
-    ("delta_residue", lambda real: lambda t, points=None: _plus_one(
-        real(t, points), t.r > t.n - t.r)),
+    ("delta_residue", lambda real: lambda t, points=None, shared=None: _plus_one(
+        real(t, points, shared), t.r > t.n - t.r)),
     # both rows of a closed-form pair evaluate the same formula, so a wrong
     # formula agrees with itself; each row must meet an independent psi-product
     ("_closed_pattern", lambda real: lambda m, n, r: (

@@ -7,7 +7,7 @@ import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -35,12 +35,12 @@ from sdpdeg.degree import (
     duality_partner,
     h_determinant,
     h_recurrence,
-    pairwise_sums,
     psi_pfaffian,
     random_sample_points,
     valid_triples,
     validate_triple,
 )
+from sdpdeg.checks import pairwise_sums
 from sdpdeg.polynomial import (
     SparsePolynomial,
     complete_homogeneous,
@@ -193,21 +193,25 @@ def test_h_recurrence_against_determinant_and_multiset_enumeration():
 
 
 def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
-    # Each subset costs exactly two series passes, with no e-values and no
-    # determinant; its term joins one numerator, so integer points build a
-    # Fraction only for the final division and its integrality check, and
-    # integral points given as Fractions are summed as ints.
+    # The walk pushes each pairwise sum into its side's series once per
+    # prefix, exactly the multiply-adds `_walk_pushes` counts, with no
+    # e-values and no determinant; its terms join one numerator, so integer
+    # points build a Fraction only for the final division and its
+    # integrality check, and integral points given as Fractions are summed
+    # as ints.
     def refuse(*args):
         raise AssertionError("the residue sum must not evaluate a determinant or e-values")
 
-    calls = []
+    pushes = []
     kinds = set()
     fractions = []
+    push = degree_mod._push
 
-    def counted(values, k):
-        calls.append(k)
+    def counted(h, values):
+        pushes.append(len(values) * (len(h) - 1))
+        kinds.update(map(type, h))
         kinds.update(map(type, values))
-        return h_recurrence(values, k)
+        return push(h, values)
 
     def counted_fraction(*args):
         fractions.append(args)
@@ -215,7 +219,7 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
 
     monkeypatch.setattr(degree_mod, "h_determinant", refuse)
     monkeypatch.setattr(schur_mod, "bareiss_det", refuse)
-    monkeypatch.setattr(degree_mod, "h_recurrence", counted)
+    monkeypatch.setattr(degree_mod, "_push", counted)
     monkeypatch.setattr(degree_mod, "Fraction", counted_fraction)
     pts = (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 5), 4, Fraction(-5, 7))
     for (m, n, r), points, expected in (
@@ -226,14 +230,63 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
         ((10, 6, 3), pts, 5184),
         ((10, 6, 3), tuple(map(Fraction, random_sample_points(6, seed=5))), 5184),
         ((16, 7, 3), None, 99596),
+        ((7, 4, 2), None, 10),
+        ((6, 12, 10), None, 227370),
     ):
-        calls.clear()
+        pushes.clear()
         kinds.clear()
         fractions.clear()
-        assert delta_residue(validate_triple(m, n, r), points).delta == expected
-        assert len(calls) == 2 * comb(n, r), (m, n, r, points)
+        t = validate_triple(m, n, r)
+        assert delta_residue(t, points).delta == expected
+        assert sum(pushes) == degree_mod._walk_pushes(n, r, t.ell, t.k), (m, n, r, points)
         if points is not pts:
             assert len(fractions) <= 2 and kinds == {int}, (m, n, r, points, kinds)
+
+
+def _oracle_numerators(pts, r):
+    # sums[l] of (-1)^sum(I) a(I) a(I^c) h_l(Lambda_I) h_{L-l}(Lambda_{I^c})
+    # over the r-subsets I, every h a determinant in the e-values.  Every
+    # term is homogeneous of degree C(r,2) + C(n-r,2) + L in the points, so
+    # rational points are scaled to integers by their common denominator D
+    # and the sums divided by D to that power.
+    n = len(pts)
+    total = r * (n - r)
+    scale = lcm(*(Fraction(p).denominator for p in pts))
+    ints = [int(p * scale) for p in pts]
+    sums = [0] * (total + 1)
+    for subset in combinations(range(n), r):
+        rest = [j for j in range(n) if j not in subset]
+        xs, ys = [ints[i] for i in subset], [ints[j] for j in rest]
+        w = (-1) ** sum(subset) * _alternant(xs) * _alternant(ys)
+        lx, ly = pairwise_sums(xs), pairwise_sums(ys)
+        for ell in range(total + 1):
+            sums[ell] += w * h_determinant(lx, ell) * h_determinant(ly, total - ell)
+    power = scale ** (comb(r, 2) + comb(n - r, 2) + total)
+    return [Fraction(x, power) for x in sums]
+
+
+def test_residue_walk_equals_the_per_subset_sum():
+    # on every (n, r) with n <= 8, at integer, rational and integral
+    # Fraction points: the uncapped walk of a table on every ell at once,
+    # and the walk of each single value capped at its own ell and k (at
+    # Fraction points up to n = 7, where the capped walks stay quick; the
+    # caps do not depend on the type of the points)
+    rng = random.Random(23)
+    for n in range(2, 9):
+        ints = random_sample_points(n, seed=n)
+        oracle = {}  # the integral Fraction points hit the entries of ints
+        for pts in (ints, tuple(_rational_points(rng, n)), tuple(map(Fraction, ints))):
+            for r in range(1, n):
+                total = r * (n - r)
+                if (pts, r) not in oracle:
+                    oracle[pts, r] = _oracle_numerators(pts, r)
+                expected = oracle[pts, r]
+                assert degree_mod._residue_walk(pts, r, range(total + 1)) == expected, (pts, r)
+                if n == 8 and pts is not ints:
+                    continue
+                for ell in range(total + 1):
+                    capped = degree_mod._residue_walk(pts, r, (ell,))
+                    assert capped[ell] == expected[ell], (pts, r, ell)
 
 
 def _alternant(values):
@@ -421,6 +474,12 @@ def test_residue_examples():
     )
 
 
+def test_residue_narrow_row():
+    # r = n - 2, far from a closed form: 435 subsets, the I series capped
+    # at ell = 53 and the I^c series at k = 3
+    assert delta_residue(validate_triple(6, 30, 28)).delta == 86088240
+
+
 def test_residue_accepts_rational_points():
     pts = (Fraction(1, 2), Fraction(3, 2), 4)
     assert delta_residue(validate_triple(2, 3, 2), pts).delta == 6
@@ -450,18 +509,23 @@ def test_integrality_guard_rejects_a_non_positive_value(monkeypatch):
 
 
 def test_integrality_guard_rejects_a_non_integral_value(monkeypatch):
-    # One h value off by one makes the residue numerator miss a multiple of
-    # a([n]); an h off by one on every call would still give an integer.
+    # The top h value of the walk's first push, off by one, reaches every
+    # subset holding index 0 and makes the residue numerator miss a multiple
+    # of a([n]).
     calls = []
+    push = degree_mod._push
 
-    def off_once(values, k):
-        calls.append(k)
-        return h_recurrence(values, k) + (1 if len(calls) == 1 else 0)
+    def off_once(h, values):
+        calls.append(values)
+        out = push(h, values)
+        if len(calls) == 1:
+            out[-1] += 1
+        return out
 
-    monkeypatch.setattr(degree_mod, "h_recurrence", off_once)
-    expected = r"residue sum on PatakiTriple\(m=3, n=4, r=2\): non-integral value 121/12$"
+    monkeypatch.setattr(degree_mod, "_push", off_once)
+    expected = r"residue sum on PatakiTriple\(m=6, n=5, r=3\): non-integral value 1685/6$"
     with pytest.raises(ConsistencyError, match=expected):
-        delta_residue(validate_triple(3, 4, 2))
+        delta_residue(validate_triple(6, 5, 3))
 
 
 def test_closed_examples():
@@ -561,6 +625,38 @@ def test_delta_table_is_delta_row_by_row():
     for n, method, cross_check in runs:
         expected = [delta(t, method, cross_check) for t in valid_triples(n)]
         assert rows(delta_table(n, method, cross_check)) == rows(expected), (n, method)
+
+
+def test_residue_table_equals_the_psi_sweep():
+    # every row of a residue table, read off one walk per rank, against the
+    # psi-product's sums, on every triple up to n = 12
+    for n in range(2, 13):
+        sums = degree_mod._psi_sweep(n)
+        for row in delta_table(n, "residue"):
+            t = row.triple
+            assert row.method is Method.RESIDUE
+            assert row.delta == sums[t.r][t.ell + comb(t.r, 2)], t
+
+
+def test_delta_table_walks_once_per_rank(monkeypatch):
+    # a table's residue rows, as the method or as the checker, share one
+    # uncapped walk per rank: n - 1 walks when every row runs the residue
+    # sum, and one per rank from 2 to n - 2 under auto, where the psi-product
+    # checks the closed forms that fill ranks 1 and n - 1
+    walks = []
+    walk = degree_mod._residue_walk
+
+    def counted(pts, r, ells):
+        walks.append((r, list(ells)))
+        return walk(pts, r, ells)
+
+    monkeypatch.setattr(degree_mod, "_residue_walk", counted)
+    for n in range(2, 11):
+        for method in ("auto", "psi_product", "residue"):
+            walks.clear()
+            delta_table(n, method, cross_check=True)
+            ranks = range(2, n - 1) if method == "auto" else range(1, n)
+            assert walks == [(r, list(range(r * (n - r) + 1))) for r in ranks], (n, method)
 
 
 def test_delta_table_matches_the_reference_table():
@@ -806,7 +902,7 @@ def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
     calls = []
 
     def fake(method):
-        def kernel(t, points=None):
+        def kernel(t, *args):  # points and a table's shared dict, if any
             calls.append((method, (t.m, t.n, t.r)))
             return DegreeResult(t, 1, method, 0.0)
 
