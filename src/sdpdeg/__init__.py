@@ -6,14 +6,13 @@ von Bothmer and Ranestad, and closed forms plus duality).  No floating
 point is used anywhere.
 
 The package exports the delta API of `sdpdeg.degree`, as listed in its
-`__all__`.  The lower-level pieces are imported from their own modules: the
-numeric kernel `h_recurrence` (the residue walk's series push on one
-multiset), the determinant oracle `h_determinant` and the sparse Pfaffian
-memo class `psi_pfaffian` (one value's psi; a table sweeps all masks and
-keeps the half without index n-1) from `sdpdeg.degree`, sparse polynomials
-and their forms from `sdpdeg.polynomial`, determinants and the Pascal-minor
-psi (the Pfaffian's test oracle) from `sdpdeg.schur`, and the test-only
-oracles from `sdpdeg.checks`.
+`__all__`.  The lower-level pieces are imported from their own modules:
+`h_determinant` (the test oracle of the residue walk's series push) and the
+sparse Pfaffian memo class `psi_pfaffian` (one value's psi; a table sweeps
+all masks and keeps the half without index n-1) from `sdpdeg.degree`, sparse
+polynomials and their forms from `sdpdeg.polynomial`, determinants and the
+Pascal-minor psi (the Pfaffian's test oracle) from `sdpdeg.schur`, and the
+test-only oracles from `sdpdeg.checks`.
 
 Importing the package executes only `sdpdeg.degree`.  `sdpdeg.polynomial`
 and `sdpdeg.schur` serve the oracles alone: they are registered in

@@ -56,46 +56,30 @@ from .schur import _exact_div, as_index_set, psi
 SchurExpansion = dict[tuple[int, ...], Coeff]
 
 
-class RootedPolynomial:
-    """A monic univariate polynomial given by its pairwise-distinct roots."""
+def residue_sum(qs: Sequence[Sequence[Coeff]], f: SparsePolynomial) -> Fraction:
+    """Sum of F(roots) / (Q_1'...Q_n') over all root tuples.
 
-    __slots__ = ("roots",)
-
-    def __init__(self, roots: Sequence[Coeff]):
-        roots = tuple(roots)
+    Each Q_i is the monic polynomial with the pairwise-distinct roots qs[i],
+    so Q_i'(a) is the product of a - b over the other roots b.  The sum
+    equals the coefficient of x_1^{d_1}...x_n^{d_n} in F, where d_i is one
+    less than the degree of Q_i, provided deg(F) <= d_1 + ... + d_n.
+    """
+    for roots in qs:
         if not roots:
             raise ValueError("need at least one root")
         if len(set(roots)) != len(roots):
             raise ValueError("roots must be pairwise distinct")
-        self.roots = roots
-
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
-
-    def derivative_at(self, root: Coeff) -> Coeff:
-        """Q'(root) for Q(x) = prod(x - r): the product over the other roots."""
-        return prod(root - other for other in self.roots if other != root)
-
-    def __repr__(self) -> str:
-        return f"RootedPolynomial(roots={list(self.roots)!r})"
-
-
-def residue_sum(qs: Sequence[RootedPolynomial], f: SparsePolynomial) -> Fraction:
-    """Sum of F(roots) / (Q_1'...Q_n') over all root tuples.
-
-    Equals the coefficient of x_1^{d_1}...x_n^{d_n} in F, where d_i is one
-    less than the degree of Q_i, provided deg(F) <= d_1 + ... + d_n.
-    """
     if f.space.arity != len(qs):
         raise ValueError(f"F has arity {f.space.arity} but there are {len(qs)} polynomials")
-    bound = sum(q.degree - 1 for q in qs)
+    bound = sum(len(roots) - 1 for roots in qs)
     if f.total_degree() > bound:
         raise ValueError(f"deg(F) exceeds the hypothesis bound {bound}")
     total = Fraction(0)
-    for roots in product(*(q.roots for q in qs)):
-        denom = prod(q.derivative_at(a) for q, a in zip(qs, roots))
-        total += Fraction(f.evaluate(roots)) / denom
+    for point in product(*qs):
+        denom = prod(
+            prod(a - b for b in roots if b != a) for roots, a in zip(qs, point)
+        )
+        total += Fraction(f.evaluate(point)) / denom
     return total
 
 
@@ -390,11 +374,8 @@ def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     for case in range(_LEMMA21_CASES):
         nvars = rng.randint(1, 3)
-        qs = [
-            RootedPolynomial(rng.sample(range(-9, 10), rng.randint(2, 4)))
-            for _ in range(nvars)
-        ]
-        degrees = tuple(q.degree - 1 for q in qs)
+        qs = [rng.sample(range(-9, 10), rng.randint(2, 4)) for _ in range(nvars)]
+        degrees = tuple(len(roots) - 1 for roots in qs)
         space = x_space(nvars)
         f = random_polynomial(rng, space, sum(degrees), corner=degrees)
         expected = f.coefficient_of(degrees)
@@ -402,7 +383,7 @@ def run_lemma21(seed: int = 0, max_n: int = 0) -> SuiteReport:
         report.check(
             got == expected,
             lambda: (
-                f"case {case}: roots {[list(q.roots) for q in qs]}\n"
+                f"case {case}: roots {qs}\n"
                 f"F = {f}\nexpected coefficient {expected}, residue sum {got}"
             ),
         )

@@ -72,12 +72,10 @@ __all__ = [
 #: An exact value: floats are rejected everywhere.
 Coeff = Union[int, Fraction]
 SamplePoints = tuple[Coeff, ...]
-# Bound at import, so that a test patching this module's `Fraction` keeps the check.
-_EXACT_TYPES = (int, Fraction)
 
 
 def _check_coeff(c: object) -> Coeff:
-    if isinstance(c, bool) or not isinstance(c, _EXACT_TYPES):
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"exact values must be int or Fraction, got {type(c).__name__}")
     return c
 
@@ -250,20 +248,12 @@ def _push(h: list[Coeff], values: Sequence[Coeff]) -> list[Coeff]:
     return h
 
 
-def h_recurrence(values: Sequence[Coeff], k: int) -> Coeff:
-    """h_k of a multiset of numbers: `_push` of the values into [1, 0, ..., 0]."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return _push([1] + [0] * k, values)[k]
-
-
 def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     """h_k of a multiset of numbers as the k x k determinant in e_1..e_k.
 
     Entry (i, j) is e_{j-i+1} (1 on the subdiagonal, 0 below), evaluated by
-    fraction-free Bareiss; h_0 is the empty determinant 1.  The residue sum
-    uses `_push`, as `h_recurrence` does; this O(k^3) evaluation is the
-    oracle of their tests.
+    fraction-free Bareiss; h_0 is the empty determinant 1.  It is the test
+    oracle of `_push`, from which the residue walk reads h.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")

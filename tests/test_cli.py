@@ -641,8 +641,11 @@ def test_benchmark_trace_sites_resolve_after_importing_the_cli():
 def test_benchmark_tests_pass():
     # Their traced tiny runs drive the tracer through the lazily registered
     # modules.  A separate interpreter, because the benchmark re-imports sdpdeg.
+    # src goes in front of the caller's PYTHONPATH, where pytest may be found.
     root = Path(cli.__file__).resolve().parents[2]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    inherited = os.environ.get("PYTHONPATH")
+    path = os.pathsep.join(filter(None, [str(root / "src"), inherited]))
+    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "benchmarks/test_bench.py", "-q",
          "-p", "no:cacheprovider"],

@@ -34,7 +34,6 @@ from sdpdeg.degree import (
     delta_theorem1,
     duality_partner,
     h_determinant,
-    h_recurrence,
     psi_pfaffian,
     random_sample_points,
     valid_triples,
@@ -172,7 +171,7 @@ def test_h_determinant_against_multiset_enumeration():
         h_determinant([1, 2], -1)
 
 
-def test_h_recurrence_against_determinant_and_multiset_enumeration():
+def test_push_against_determinant_and_multiset_enumeration():
     rng = random.Random(11)
     for _ in range(20):
         size = rng.randint(1, 4)
@@ -180,31 +179,26 @@ def test_h_recurrence_against_determinant_and_multiset_enumeration():
         fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
         for values in (ints, fracs):
             for k in range(13):
-                h = h_recurrence(values, k)
+                h = degree_mod._push([1] + [0] * k, values)[k]
                 assert h == h_determinant(values, k), (values, k)
                 assert h == _h_by_enumeration(values, k), (values, k)
                 if all(isinstance(v, int) for v in values):
                     assert isinstance(h, int), (values, k)
     for k in range(13):
-        assert h_recurrence([], k) == h_determinant([], k) == (1 if k == 0 else 0)
-    for values in ([1, 2], [], [Fraction(1, 2)]):
-        with pytest.raises(ValueError, match="nonnegative"):
-            h_recurrence(values, -1)
+        h = degree_mod._push([1] + [0] * k, [])[k]
+        assert h == h_determinant([], k) == (1 if k == 0 else 0)
 
 
 def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
     # The walk pushes each pairwise sum into its side's series once per
     # prefix, exactly the multiply-adds `_walk_pushes` counts, with no
-    # e-values and no determinant; its terms join one numerator, so integer
-    # points build a Fraction only for the final division and its
-    # integrality check, and integral points given as Fractions are summed
-    # as ints.
+    # e-values and no determinant; integral points, given as ints or as
+    # Fractions, keep every pushed value and series entry an int.
     def refuse(*args):
         raise AssertionError("the residue sum must not evaluate a determinant or e-values")
 
     pushes = []
     kinds = set()
-    fractions = []
     push = degree_mod._push
 
     def counted(h, values):
@@ -213,14 +207,9 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
         kinds.update(map(type, values))
         return push(h, values)
 
-    def counted_fraction(*args):
-        fractions.append(args)
-        return Fraction(*args)
-
     monkeypatch.setattr(degree_mod, "h_determinant", refuse)
     monkeypatch.setattr(schur_mod, "bareiss_det", refuse)
     monkeypatch.setattr(degree_mod, "_push", counted)
-    monkeypatch.setattr(degree_mod, "Fraction", counted_fraction)
     pts = (Fraction(-3, 2), Fraction(1, 3), 2, Fraction(7, 5), 4, Fraction(-5, 7))
     for (m, n, r), points, expected in (
         ((9, 5, 2), None, 290),
@@ -235,12 +224,11 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
     ):
         pushes.clear()
         kinds.clear()
-        fractions.clear()
         t = validate_triple(m, n, r)
         assert delta_residue(t, points).delta == expected
         assert sum(pushes) == degree_mod._walk_pushes(n, r, t.ell, t.k), (m, n, r, points)
         if points is not pts:
-            assert len(fractions) <= 2 and kinds == {int}, (m, n, r, points, kinds)
+            assert kinds == {int}, (m, n, r, points, kinds)
 
 
 def _oracle_numerators(pts, r):

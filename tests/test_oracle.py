@@ -9,7 +9,6 @@ import pytest
 import sdpdeg.checks as checks
 from sdpdeg.degree import delta_residue, valid_triples
 from sdpdeg.checks import (
-    RootedPolynomial,
     d_coefficient,
     doubly_symmetric_sum,
     is_doubly_symmetric,
@@ -26,18 +25,19 @@ from sdpdeg.polynomial import (
 )
 
 
-def test_rooted_polynomial():
-    q = RootedPolynomial([0, 1, 3])
-    assert q.degree == 3
-    assert q.derivative_at(0) == (0 - 1) * (0 - 3)
-    with pytest.raises(ValueError):
-        RootedPolynomial([1, 1])
-    with pytest.raises(ValueError):
-        RootedPolynomial([])
+def test_residue_sum_checks_its_roots():
+    sp = x_space(1)
+    with pytest.raises(ValueError, match="need at least one root"):
+        residue_sum([[]], sp.one())
+    with pytest.raises(ValueError, match="roots must be pairwise distinct"):
+        residue_sum([[1, 1]], sp.one())
+    # F = x^2 at the roots 0, 1, 3: 0/((0-1)(0-3)) + 1/((1-0)(1-3)) + 9/((3-0)(3-1)),
+    # so Q'(0) = (0 - 1)(0 - 3) enters the sum.
+    assert residue_sum([[0, 1, 3]], sp.variable(0) * sp.variable(0)) == 1
 
 
 def test_residue_sum_univariate_cases():
-    q = RootedPolynomial([0, 1])
+    q = [0, 1]
     sp = x_space(1)
     assert residue_sum([q], sp.variable(0)) == 1
     assert residue_sum([q], sp.one()) == 0
@@ -46,28 +46,25 @@ def test_residue_sum_univariate_cases():
 def test_residue_sum_factors_over_blocks():
     sp = x_space(2)
     f = sp.variable(0) * sp.variable(1)
-    qs = [RootedPolynomial([0, 1]), RootedPolynomial([0, 1])]
+    qs = [[0, 1], [0, 1]]
     assert residue_sum(qs, f) == 1
 
 
 def test_residue_sum_validation():
     sp = x_space(2)
     with pytest.raises(ValueError, match="arity"):
-        residue_sum([RootedPolynomial([0, 1])], sp.variable(0))
+        residue_sum([[0, 1]], sp.variable(0))
     cubic = sp.variable(0) * sp.variable(0) * sp.variable(0)
     with pytest.raises(ValueError, match="bound"):
-        residue_sum([RootedPolynomial([0, 1]), RootedPolynomial([0, 1])], cubic)
+        residue_sum([[0, 1], [0, 1]], cubic)
 
 
 def test_residue_sum_equals_coefficient_random():
     rng = random.Random(41)
     for _ in range(30):
         nvars = rng.randint(1, 3)
-        qs = [
-            RootedPolynomial(rng.sample(range(-9, 10), rng.randint(2, 4)))
-            for _ in range(nvars)
-        ]
-        degrees = tuple(q.degree - 1 for q in qs)
+        qs = [rng.sample(range(-9, 10), rng.randint(2, 4)) for _ in range(nvars)]
+        degrees = tuple(len(roots) - 1 for roots in qs)
         f = random_polynomial(rng, x_space(nvars), sum(degrees), corner=degrees)
         assert residue_sum(qs, f) == f.coefficient_of(degrees)
 
