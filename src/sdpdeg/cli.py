@@ -31,8 +31,9 @@ FIELDS = ("m", "n", "r", "k", "l", "delta", "method", "elapsed_ms")
 def _row(result: DegreeResult) -> tuple:
     """The values of FIELDS for one result, in order."""
     t = result.triple
-    # delta as a decimal string: values outgrow 64-bit consumers at larger n.
-    return (t.m, t.n, t.r, t.k, t.ell, str(result.delta), result.method.value,
+    # delta as a decimal string: values outgrow 64-bit consumers at larger n;
+    # _value_ is what the enum's value property returns, without the property.
+    return (t.m, t.n, t.r, t.k, t.ell, str(result.delta), result.method._value_,
             round(result.elapsed * 1000, 3))
 
 

@@ -129,7 +129,7 @@ def _check_int(name: str, value: object) -> None:
         raise InvalidTripleError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatakiTriple:
     """A triple (m, n, r) inside the Pataki window; construction checks it.
 
@@ -143,10 +143,12 @@ class PatakiTriple:
     n: int
     r: int
 
-    def __post_init__(self):
-        m, n, r = self.m, self.n, self.r
-        for name, value in (("m", m), ("n", n), ("r", r)):
-            _check_int(name, value)
+    def __init__(self, m: int, n: int, r: int):
+        # Three entries of type int pass as they are; a bool, an int subclass
+        # or any other type is checked entry by entry, with the same errors.
+        if not (type(m) is type(n) is type(r) is int):
+            for name, value in (("m", m), ("n", n), ("r", r)):
+                _check_int(name, value)
         if m < 1 or n < 1:
             raise InvalidTripleError(f"m and n must be positive, got m={m}, n={n}")
         if not 1 <= r <= n - 1:
@@ -160,11 +162,12 @@ class PatakiTriple:
             raise PatakiBoundError(
                 f"m={m} above the upper Pataki bound {upper} for (n={n}, r={r})"
             )
-        object.__setattr__(self, "k", m - lower)
-        object.__setattr__(self, "ell", upper - m)
+        # One write of the instance dict, which the frozen __setattr__ does
+        # not guard, stores the fields and both slacks.
+        self.__dict__.update(m=m, n=n, r=r, k=m - lower, ell=upper - m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DegreeResult:
     """A degree value with the method that produced it.
 
@@ -181,6 +184,11 @@ class DegreeResult:
     delta: int
     method: Method
     elapsed: Union[float, None] = None
+
+    def __init__(
+        self, triple: PatakiTriple, delta: int, method: Method, elapsed: Union[float, None] = None
+    ):
+        self.__dict__.update(triple=triple, delta=delta, method=method, elapsed=elapsed)
 
 
 def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
@@ -635,8 +643,12 @@ def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
     the residue rows of each rank as sharing one walk."""
     total, top, costliest = 0, -1, ()
     counted = set() if table else None
+    cost_ns = _cost_ns
     for t, plan, _ in plans:
-        cost = sum(_cost_ns(p, t.n, t.r, t.k, t.ell, counted) for p in plan)
+        n, r, k, ell = t.n, t.r, t.k, t.ell
+        cost = 0
+        for p in plan:
+            cost += cost_ns(p, n, r, k, ell, counted)
         total += cost
         if cost > top:
             top, costliest = cost, plan
@@ -670,31 +682,38 @@ def _evaluate(
     triples = rows()
     if points is not None:
         points = _sample_points(triples[0].n, points)
+
+    def plan_of(first: Method) -> tuple:
+        return (first, _CHECKER[first]) if cross_check else (first,)
+
+    # Every row with a closed form has one plan, and every other row another.
+    closed_plan = plan_of(Method.CLOSED_FORM)
+    if method != "closed":
+        kernel_plan = plan_of(Method.PSI_PRODUCT if method == "auto" else Method(method))
     plans = []
     for t in triples:
         closed = delta_closed(t) if method in ("auto", "closed") else None
         if closed is not None:
-            first = Method.CLOSED_FORM
-        elif method == "auto":
-            first = Method.PSI_PRODUCT
+            plans.append((t, closed_plan, closed))
         elif method == "closed":
             raise ValueError(
                 f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
                 "use auto, psi_product, residue, or theorem1"
             )
         else:
-            first = Method(method)
-        plans.append((t, (first, _CHECKER[first]) if cross_check else (first,), closed))
+            plans.append((t, kernel_plan, None))
     _warn_if_costly(plans, shared is not None)
-    results = []
+    # A kernel's result may be one its caller holds (a test fake returns the
+    # same object every call), so each row gets a new, timed result.
+    results, clock, kernels = [], time.perf_counter, _KERNELS
     for t, plan, closed in plans:
-        start = time.perf_counter()
-        result = closed or _KERNELS[plan[0]](t, points, shared)
+        start = clock()
+        result = closed or kernels[plan[0]](t, points, shared)
         if cross_check:
-            second = _KERNELS[plan[1]](t, points, shared)
+            second = kernels[plan[1]](t, points, shared)
             if second.delta != result.delta:
                 raise CrossCheckError(result, second)
-        results.append(DegreeResult(t, result.delta, result.method, time.perf_counter() - start))
+        results.append(DegreeResult(t, result.delta, result.method, clock() - start))
     return results
 
 

@@ -4,7 +4,7 @@ import gc
 import json
 import random
 import time
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm, prod
@@ -79,6 +79,65 @@ def test_triple_slacks_sum_rule():
 
 def test_triple_fields_are_m_n_r():
     assert [f.name for f in fields(PatakiTriple)] == ["m", "n", "r"]
+
+
+def test_triple_and_result_are_frozen_dataclasses():
+    # neither a field nor a slack can be assigned or deleted, replace()
+    # validates the new triple, and repr is the dataclass's
+    t = validate_triple(3, 4, 2)
+    result = delta(t)
+    for obj, names in ((t, ("m", "k", "ell")), (result, ("delta", "elapsed"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 5)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+    assert (t.m, t.k, t.ell, result.delta) == (3, 0, 4, 10)
+    assert [f.name for f in fields(DegreeResult)] == ["triple", "delta", "method", "elapsed"]
+    moved = replace(t, m=5)
+    assert (moved, moved.k, moved.ell) == (PatakiTriple(5, 4, 2), 2, 2)
+    with pytest.raises(PatakiBoundError, match=r"m=8 above the upper Pataki bound 7"):
+        replace(t, m=8)
+    with pytest.raises(InvalidTripleError, match="m must be a positive integer, got True"):
+        replace(t, m=True)
+    wrong = replace(result, delta=11)
+    assert (wrong.triple, wrong.delta, wrong.method, wrong.elapsed) == (
+        t, 11, result.method, result.elapsed)
+    assert repr(t) == "PatakiTriple(m=3, n=4, r=2)"
+    assert repr(DegreeResult(t, 10, Method.RESIDUE)) == (
+        "DegreeResult(triple=PatakiTriple(m=3, n=4, r=2), delta=10, "
+        "method=<Method.RESIDUE: 'residue'>, elapsed=None)"
+    )
+    assert DegreeResult(t, 10, Method.RESIDUE) == DegreeResult(t, 10, Method.RESIDUE, None)
+
+
+def test_triple_checks_every_entry_unless_all_are_int(monkeypatch):
+    # three entries of type int skip _check_int; a bool, a float, a string or
+    # an int subclass goes through it, with the same errors as ever
+    class Count(int):
+        pass
+
+    checked = []
+    check_int = degree_mod._check_int
+    monkeypatch.setattr(
+        degree_mod, "_check_int", lambda name, value: checked.append(name) or check_int(name, value)
+    )
+    assert PatakiTriple(3, 4, 2).k == 0 and checked == []
+    for args, error, message in (
+        ((True, 4, 2), InvalidTripleError, "m must be a positive integer, got True"),
+        ((3, True, 2), InvalidTripleError, "n must be a positive integer, got True"),
+        ((3, 4, 2.0), InvalidTripleError, "r must be a positive integer, got 2.0"),
+        (("3", 4, 2), InvalidTripleError, "m must be a positive integer, got '3'"),
+        ((Count(2), 4, 2), PatakiBoundError, "m=2 below the lower Pataki bound 3 for (n=4, r=2)"),
+        ((3, 4, Count(0)), UnsupportedRankError, "rank r=0 outside the supported range [1, 3]"),
+    ):
+        with pytest.raises(InvalidTripleError) as err:
+            PatakiTriple(*args)
+        assert (type(err.value), str(err.value)) == (error, message), args
+    checked.clear()
+    t = PatakiTriple(Count(3), 4, 2)
+    assert checked == ["m", "n", "r"]
+    assert (t, hash(t), t.k, t.ell) == (PatakiTriple(3, 4, 2), hash(PatakiTriple(3, 4, 2)), 0, 4)
 
 
 def test_triple_accepts_exactly_the_valid_triples():
@@ -775,6 +834,31 @@ def test_delta_table_computes_the_bounds_once_per_triple(monkeypatch):
         assert len(calls) == len(rows) + n - 1, n
         assert all((t.k, t.ell) == (t.m - real(n, t.r)[0], real(n, t.r)[1] - t.m)
                    for t in (row.triple for row in rows)), n
+
+
+def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
+    # a table builds one triple per row, in valid_triples, and per row the
+    # result of its closed form or kernel, that of its checker, if any, and
+    # the timed result it returns; a value builds only its own triple
+    sizes = {n: len(valid_triples(n)) for n in range(2, 11)}
+    built = dict.fromkeys((PatakiTriple, DegreeResult), 0)
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for n, rows in sizes.items():
+        for cross_check in (False, True):
+            built.update(dict.fromkeys(built, 0))
+            delta_table(n, cross_check=cross_check)
+            assert built == {PatakiTriple: rows, DegreeResult: (2 + cross_check) * rows}, n
+    for (m, n, r), method in (((4, 4, 2), "auto"), ((6, 5, 3), "auto"), ((6, 5, 3), "residue"),
+                              ((6, 5, 3), "theorem1"), ((40, 12, 6), "auto")):
+        for cross_check in (False, True):
+            built.update(dict.fromkeys(built, 0))
+            delta(validate_triple(m, n, r), method, cross_check)
+            assert built == {PatakiTriple: 1, DegreeResult: 2 + cross_check}, (m, n, r, method)
 
 
 def test_single_value_sums_only_its_own_subsets(monkeypatch):
