@@ -55,7 +55,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, prod
 from typing import Callable, Sequence, Union
 
@@ -171,8 +171,8 @@ class PatakiTriple:
 class DegreeResult:
     """A degree value with the method that produced it.
 
-    elapsed is the time `delta` or `delta_table` ran the row's planned
-    kernels, cross-check included, in seconds; a kernel called directly
+    elapsed is the time `delta` or `delta_table` ran the row's kernels after
+    its closed form, cross-check included, in seconds; a kernel called directly
     leaves it None (not timed).  In a table, the first psi-product row
     carries the whole psi sweep, every rank's sums included, and every later
     psi-product row a lookup; likewise the first residue row of each rank,
@@ -392,39 +392,41 @@ def _walk_pushes(n: int, r: int, cap_x: int, cap_y: int) -> int:
     )
 
 
-def delta_residue(
-    t: PatakiTriple, points: Union[Sequence[Coeff], None] = None, shared: Union[dict, None] = None
-) -> DegreeResult:
+def _residue_delta(numerator: Coeff, pts: SamplePoints, t: PatakiTriple) -> int:
+    """delta from the residue numerator at t's ell: times (-1)^(k + C(r,2)),
+    over a([n]), checked as a positive integer."""
+    whole = prod(pts[i] - pts[j] for i, j in combinations(range(len(pts)), 2))
+    value = (-1) ** (t.k + comb(t.r, 2)) * Fraction(numerator) / whole
+    return _as_positive_integer(value, "residue sum", t)
+
+
+def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) -> DegreeResult:
     """Degree by the exact residue sum over r-subsets of the sample points.
 
     Any pairwise-distinct points give the same value.  For the alternants
     a(S) = prod_{i<j in S}(l_i - l_j), 1 / prod_{i in I, j not in I}(l_i - l_j)
     is (-1)^(sum I - C(r,2)) a(I) a(I^c) / a([n]): the terms add up to one
-    numerator, and a([n]) and (-1)^C(r,2) are applied once.  Alone, the call
-    walks the subsets once with its series capped at ell and k.  The rows of
-    one `delta_table` call share a dict holding one uncapped walk per rank,
-    keyed (n, r), with the numerators of every ell, so every later row of the
-    rank is a lookup; a table uses the default points.
+    numerator, and a([n]) and (-1)^C(r,2) are applied once.  The call walks
+    the subsets once with its series capped at ell and k; a table reads all
+    the ell of a rank off one uncapped walk instead.
     """
-    n, r, k, ell = t.n, t.r, t.k, t.ell
-    pts = _sample_points(n, points)
-    if shared is None:
-        numerators = _residue_walk(pts, r, (ell,))
-    else:
-        if (n, r) not in shared:
-            shared[n, r] = _residue_walk(pts, r, range(k + ell + 1))
-        numerators = shared[n, r]
-    whole = prod(pts[i] - pts[j] for i, j in combinations(range(n), 2))
-    value = (-1) ** (k + comb(r, 2)) * Fraction(numerators[ell]) / whole
-    delta_value = _as_positive_integer(value, "residue sum", t)
-    return DegreeResult(t, delta_value, Method.RESIDUE)
+    pts = _sample_points(t.n, points)
+    numerators = _residue_walk(pts, t.r, (t.ell,))
+    return DegreeResult(t, _residue_delta(numerators[t.ell], pts, t), Method.RESIDUE)
 
 
 def _pascal_pairs(n: int) -> list[list[int]]:
     """psi's bordered skew matrix as a triangle: row t < n is column t above the
-    diagonal, psi_{jt} = sum_{u=j}^{t-1} C(j+t, u) for j < t, then the border 2^t."""
-    return [[sum(comb(j + t, u) for u in range(j, t)) for j in range(t)] + [1 << t]
-            for t in range(n)]
+    diagonal, psi_{jt} = sum_{u=j}^{t-1} C(j+t, u) for j < t, then the border 2^t;
+    each sum runs along row j+t of Pascal's, C(s, u+1) = C(s, u) (s-u) / (u+1)."""
+    def pair(j: int, t: int) -> int:
+        term = total = comb(j + t, j)
+        for u in range(j, t - 1):
+            term = term * (j + t - u) // (u + 1)
+            total += term
+        return total
+
+    return [[pair(j, t) for j in range(t)] + [1 << t] for t in range(n)]
 
 
 def _psi_expand(
@@ -502,30 +504,23 @@ def _psi_sweep(n: int) -> list[list[int]]:
     return sums
 
 
-def delta_psi_product(t: PatakiTriple, shared: Union[dict, None] = None) -> DegreeResult:
+def delta_psi_product(t: PatakiTriple) -> DegreeResult:
     """Degree by the psi-product of von Bothmer and Ranestad.
 
     delta = sum of psi_I * psi_{I^c} over the r-subsets I of {0..n-1} with
-    sum(I) - C(r,2) = ell, where I^c is the complement of I.  Alone, the call
-    sums only the subsets of its ell, through its own `psi_pfaffian` memo,
-    which expands only the masks they reach.  The rows of one `delta_table`
-    call share a dict holding the sums of one `_psi_sweep`, so every row is
-    a lookup.
+    sum(I) - C(r,2) = ell, where I^c is the complement of I.  The call sums
+    only the subsets of its ell, through its own `psi_pfaffian` memo, which
+    expands only the masks they reach; a table reads every row off one
+    `_psi_sweep` instead.
     """
     n, r = t.n, t.r
     weight = t.ell + comb(r, 2)
-    if shared is None:
-        psi, full, value = psi_pfaffian(n), (1 << n) - 1, 0
-        for subset in combinations(range(n), r):
-            if sum(subset) == weight:
-                mask = sum(1 << i for i in subset)
-                value += psi[mask] * psi[full ^ mask]
-    else:
-        if n not in shared:
-            shared[n] = _psi_sweep(n)
-        value = shared[n][r][weight]
-    delta_value = _as_positive_integer(value, "psi-product", t)
-    return DegreeResult(t, delta_value, Method.PSI_PRODUCT)
+    psi, full, value = psi_pfaffian(n), (1 << n) - 1, 0
+    for subset in combinations(range(n), r):
+        if sum(subset) == weight:
+            mask = sum(1 << i for i in subset)
+            value += psi[mask] * psi[full ^ mask]
+    return DegreeResult(t, _as_positive_integer(value, "psi-product", t), Method.PSI_PRODUCT)
 
 
 def _closed_pattern(m: int, n: int, r: int) -> Union[int, None]:
@@ -538,6 +533,17 @@ def _closed_pattern(m: int, n: int, r: int) -> Union[int, None]:
     return None
 
 
+def _closed_form(t: PatakiTriple) -> Union[tuple[int, Method], None]:
+    """`delta_closed`'s value and method, without building its result."""
+    m, n, r = t.m, t.n, t.r
+    method, value = Method.CLOSED_FORM, _closed_pattern(m, n, r)
+    if value is None:
+        method, value = Method.DUALITY_REDUCED, _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
+    if value is None:
+        return None
+    return _as_positive_integer(value, method.value, t), method
+
+
 def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     """Closed-form degree, or None when no pattern applies.
 
@@ -547,25 +553,25 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     partner (C(n+1,2) - m, n, n - r) and the result tagged as reduced
     through duality.
     """
-    m, n, r = t.m, t.n, t.r
-    method, value = Method.CLOSED_FORM, _closed_pattern(m, n, r)
-    if value is None:
-        method, value = Method.DUALITY_REDUCED, _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
-    if value is None:
-        return None
-    return DegreeResult(t, _as_positive_integer(value, method.value, t), method)
+    found = _closed_form(t)
+    return None if found is None else DegreeResult(t, *found)
 
+
+# The method each name runs on a row without a closed form; "closed" runs on
+# none, and "auto" takes a closed form where one applies.
+_FIRST = {"auto": Method.PSI_PRODUCT, "theorem1": Method.THEOREM1, "residue": Method.RESIDUE,
+          "psi_product": Method.PSI_PRODUCT, "closed": Method.CLOSED_FORM}
 
 #: The method names `delta` and `delta_table` accept.
-METHODS = ("auto", "theorem1", "residue", "psi_product", "closed")
+METHODS = tuple(_FIRST)
 
 # The kernel of each planned method but a closed form, named through this
 # module's globals at call time, so that a kernel replaced on the module (a
 # test fake, a tracing wrapper) is the one that runs.
 _KERNELS: dict[Method, Callable[..., DegreeResult]] = {
-    Method.THEOREM1: lambda t, points, shared: delta_theorem1(t),
-    Method.RESIDUE: lambda t, points, shared: delta_residue(t, points, shared),
-    Method.PSI_PRODUCT: lambda t, points, shared: delta_psi_product(t, shared),
+    Method.THEOREM1: lambda t, points: delta_theorem1(t),
+    Method.RESIDUE: lambda t, points: delta_residue(t, points),
+    Method.PSI_PRODUCT: lambda t, points: delta_psi_product(t),
 }
 
 # The method that confirms a result, by the method that produced it.  The
@@ -589,43 +595,28 @@ _NAMES = {
 }
 
 
-def _cost_ns(
-    method: Method, n: int, r: int, k: int, ell: int, counted: Union[set, None] = None
-) -> int:
+def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = False) -> int:
     """The estimated nanoseconds of one `method` call on a triple: its work
     units times the time per unit, calibrated on a 2-core Xeon VM with
     process start included, so that the requests named below fall exactly
     on their side of `_BUDGET_NS`.
 
-    A table passes `counted`, the n whose psi sweep and the (n, r) whose
-    residue walk its earlier rows already carry; a psi-product or residue
-    row is charged only what it is first to need, as its elapsed is.
+    With `table`, the psi-product is a table's sweep; a table prices a
+    rank's walk uncapped, at k = ell = r(n-r).
     """
     if method is Method.PSI_PRODUCT:
-        if counted is None:
-            # At most 2^n memo masks, each expanded over at most n indices,
-            # 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s at
-            # (169, 25, 12).
-            return 18 * (n << n)
-        # A table sweeps all 2^n masks once, each expanded over at most n
-        # indices, 100 ns a unit: table 20 took 2.1 s, table 21 4.2 s,
-        # table 22 8.7 s.
-        if n in counted:
-            return 0
-        counted.add(n)
-        return 100 * (n << n)
+        # At most 2^n masks, each expanded over at most n indices.  A value's
+        # memo takes 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s
+        # at (169, 25, 12).  A table's sweep of all 2^n masks takes 100 ns a
+        # unit: table 20 took 2.1 s, table 21 4.2 s, table 22 8.7 s.
+        return (100 if table else 18) * (n << n)
     if method is Method.RESIDUE:
         # The multiply-adds of the walk, 70 ns each: 0.76 s at (80, 16, 8),
         # 0.35 s at (6, 30, 28), 22 s at (9, 40, 37); checked, (145, 19, 9)
         # took 10.0 s and (143, 20, 7) 9.6 s.  A table walks each rank
         # once, uncapped at r(n-r): table 16 --check took 8.0 s, table 17
         # --check 19.6 s.
-        if counted is None:
-            return 70 * _walk_pushes(n, r, ell, k)
-        if (n, r) in counted:
-            return 0
-        counted.add((n, r))
-        return 70 * _walk_pushes(n, r, k + ell, k + ell)
+        return 70 * _walk_pushes(n, r, ell, k)
     if method is Method.THEOREM1:
         # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
         # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
@@ -636,85 +627,50 @@ def _cost_ns(
     return 0
 
 
-def _warn_if_costly(plans: Sequence[tuple], table: bool) -> None:
-    """Warn once when the plans of all rows are estimated to cross the
-    budget, naming the methods of the costliest row, n and the estimate.
-    The psi-product rows of a table are estimated as sharing one sweep, and
-    the residue rows of each rank as sharing one walk."""
-    total, top, costliest = 0, -1, ()
-    counted = set() if table else None
-    cost_ns = _cost_ns
-    for t, plan, _ in plans:
-        n, r, k, ell = t.n, t.r, t.k, t.ell
-        cost = 0
-        for p in plan:
-            cost += cost_ns(p, n, r, k, ell, counted)
+def _plan(first: Method, cross_check: bool) -> tuple:
+    """The methods a row runs, checker last."""
+    return (first, _CHECKER[first]) if cross_check else (first,)
+
+
+def _table_cost_ns(n: int, method: str, cross_check: bool) -> tuple[int, tuple]:
+    """The estimated nanoseconds of `delta_table(n, method, cross_check)` and
+    the plan of its costliest row, charged as the rows' elapsed is; under
+    "auto" ranks 1 and n-1 hold only closed forms, ranks 2 to n-2 do not."""
+    plan, closed_plan = _plan(_FIRST[method], cross_check), _plan(Method.CLOSED_FORM, cross_check)
+    total, top, costliest, swept = 0, -1, (), False
+    for r in range(1, n):
+        rank_plan = closed_plan if method == "auto" and r in (1, n - 1) else plan
+        cost, slack = 0, r * (n - r)
+        for p in rank_plan:
+            if p is Method.THEOREM1:
+                cost += sum(_cost_ns(p, n, r, slack - ell, ell) for ell in range(slack + 1))
+            elif p is not Method.PSI_PRODUCT or not swept:
+                cost += _cost_ns(p, n, r, slack, slack, table=True)
+                swept = swept or p is Method.PSI_PRODUCT
         total += cost
         if cost > top:
-            top, costliest = cost, plan
+            top, costliest = cost, rank_plan
+    return total, costliest
+
+
+def _warn_if_costly(total: int, plan: tuple, n: int) -> None:
+    """Warn when `total` crosses the budget, naming n and the methods of `plan`."""
     if total >= _BUDGET_NS:
         warnings.warn(
-            f"{' checked by '.join(_NAMES[p] for p in costliest)} at n={t.n} "
+            f"{' checked by '.join(_NAMES[p] for p in plan)} at n={n} "
             f"is estimated to run for {total // 10**9} seconds",
             RuntimeWarning,
         )
 
 
-def _evaluate(
-    rows: Callable[[], list[PatakiTriple]],
-    method: str,
-    cross_check: bool,
-    points: Union[Sequence[Coeff], None] = None,
-    shared: Union[dict, None] = None,
-) -> list[DegreeResult]:
-    """`method` on every triple of `rows()`: each row planned, all estimated, each run.
-
-    A plan is the tuple of methods one row runs, checker last.  Planning an
-    "auto" or "closed" row computes its closed form, which costs nothing,
-    and keeps it; a "closed" row without one raises.  The method name is
-    checked before `rows()` and the sample points, and one warning from the
-    summed estimate of all plans precedes every kernel but the closed forms.
-    A `shared` dict, given by a table, is passed to every psi-product and
-    residue row.
-    """
+def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    triples = rows()
-    if points is not None:
-        points = _sample_points(triples[0].n, points)
 
-    def plan_of(first: Method) -> tuple:
-        return (first, _CHECKER[first]) if cross_check else (first,)
 
-    # Every row with a closed form has one plan, and every other row another.
-    closed_plan = plan_of(Method.CLOSED_FORM)
-    if method != "closed":
-        kernel_plan = plan_of(Method.PSI_PRODUCT if method == "auto" else Method(method))
-    plans = []
-    for t in triples:
-        closed = delta_closed(t) if method in ("auto", "closed") else None
-        if closed is not None:
-            plans.append((t, closed_plan, closed))
-        elif method == "closed":
-            raise ValueError(
-                f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
-                "use auto, psi_product, residue, or theorem1"
-            )
-        else:
-            plans.append((t, kernel_plan, None))
-    _warn_if_costly(plans, shared is not None)
-    # A kernel's result may be one its caller holds (a test fake returns the
-    # same object every call), so each row gets a new, timed result.
-    results, clock, kernels = [], time.perf_counter, _KERNELS
-    for t, plan, closed in plans:
-        start = clock()
-        result = closed or kernels[plan[0]](t, points, shared)
-        if cross_check:
-            second = kernels[plan[1]](t, points, shared)
-            if second.delta != result.delta:
-                raise CrossCheckError(result, second)
-        results.append(DegreeResult(t, result.delta, result.method, clock() - start))
-    return results
+def _no_closed_form(t: PatakiTriple) -> ValueError:
+    return ValueError(f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
+                      "use auto, psi_product, residue, or theorem1")
 
 
 def delta(
@@ -740,24 +696,64 @@ def delta(
     ones are checked whichever method runs, "auto" included, even one that
     does not use them.
     """
-    return _evaluate(lambda: [t], method, cross_check, points)[0]
+    _check_method(method)
+    if points is not None:
+        points = _sample_points(t.n, points)
+    closed = delta_closed(t) if method in ("auto", "closed") else None
+    if closed is None and method == "closed":
+        raise _no_closed_form(t)
+    plan = _plan(Method.CLOSED_FORM if closed else _FIRST[method], cross_check)
+    _warn_if_costly(sum(_cost_ns(p, t.n, t.r, t.k, t.ell) for p in plan), plan, t.n)
+    # A kernel's result may be one its caller holds (a test fake returns the
+    # same object every call), so the value gets a new, timed result.
+    start = time.perf_counter()
+    result = closed or _KERNELS[plan[0]](t, points)
+    if cross_check:
+        second = _KERNELS[plan[1]](t, points)
+        if second.delta != result.delta:
+            raise CrossCheckError(result, second)
+    return DegreeResult(t, result.delta, result.method, time.perf_counter() - start)
 
 
 def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list[DegreeResult]:
-    """`delta` on every triple of `valid_triples(n)`, in that order.
+    """`delta` on every triple of `valid_triples(n)`, in that order, rank by rank.
 
-    Every row is planned before any runs, so `method="closed"` fails before
-    any other kernel when a row has no closed form, and the table warns
-    once when the estimates of all its rows, checkers included, add up to
-    11 s or more.  A row that fails its check raises CrossCheckError, so no
-    partial table is returned.  The residue sum uses the default points.
-
-    The psi-product rows share one `_psi_sweep`, which lives for this call:
-    one list of the 2^(n-1) psi values without index n-1, filled in
-    ascending order, and the sums of every rank from a second pass over the
-    masks with it.  The first psi-product row carries the sweep in its
-    elapsed, and every later psi-product row a lookup.  The residue rows,
-    as the method or as the checker, share one `_residue_walk` per rank in
-    the same dict, carried by the rank's first residue row.
+    "closed" fails on its first row without a closed form before any other
+    kernel, and a table estimated at 11 s or more, checkers included, warns
+    before it lists any row; a failed check raises CrossCheckError.  Only
+    ranks 1, 2, n-2 and n-1 can have closed rows; psi-product rows read one
+    `_psi_sweep` at sums[r][ell + C(r,2)], residue rows one uncapped
+    `_residue_walk` of their rank at the default points, and theorem1 rows
+    call `delta_theorem1` one by one (see `DegreeResult` for elapsed).
     """
-    return _evaluate(lambda: valid_triples(n), method, cross_check, shared={})
+    _check_method(method)
+    _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
+    if method == "closed":
+        for t in valid_triples(n):
+            if _closed_form(t) is None:
+                raise _no_closed_form(t)
+    _warn_if_costly(*_table_cost_ns(n, method, cross_check), n)
+    PSI, RES = Method.PSI_PRODUCT, Method.RESIDUE
+    plan, closed_plan = _plan(_FIRST[method], cross_check), _plan(Method.CLOSED_FORM, cross_check)
+    pts, sums, results, clock = _sample_points(n, None), None, [], time.perf_counter
+    for r, rank in groupby(valid_triples(n), lambda t: t.r):
+        shift, walk = comb(r, 2), None
+        patterned = method in ("auto", "closed") and r in (1, 2, n - 2, n - 1)
+        for t in rank:
+            closed = _closed_form(t) if patterned else None
+            start = clock()
+            got = [closed] if closed else []
+            for kind in (closed_plan if closed else plan)[len(got):]:
+                if kind is PSI:
+                    sums = sums or _psi_sweep(n)
+                    value = _as_positive_integer(sums[r][t.ell + shift], "psi-product", t)
+                elif kind is RES:
+                    walk = walk or _residue_walk(pts, r, range(r * (n - r) + 1))
+                    value = _residue_delta(walk[t.ell], pts, t)
+                else:
+                    value = delta_theorem1(t).delta
+                got.append((value, kind))
+            if cross_check and got[0][0] != got[1][0]:
+                raise CrossCheckError(DegreeResult(t, *got[0]), DegreeResult(t, *got[1]))
+            results.append(DegreeResult(t, *got[0], clock() - start))
+    return results

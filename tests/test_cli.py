@@ -10,8 +10,8 @@ import runpy
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -186,32 +186,46 @@ def _check_warning_cases(capsys, monkeypatch, cases):
     # A request warns at most once, before its first kernel, naming n and
     # exactly the kernels it runs.  The fakes keep the test fast: a single
     # value gets the real psi-product's delta, a table row 1.  With the closed
-    # forms off, every row of a table runs the same kernels.
+    # forms off, every row of a table runs the same kernels: the psi sweep
+    # once, the residue walk once per rank, theorem1 on every row.
     singles = {degree_mod.validate_triple(*map(int, argv[1:4]))
                for argv, *_, value in cases if value is not None}
     known = {t: degree_mod.delta_psi_product(t).delta for t in singles}
     ran, started = [], []
 
-    def fake(method):
-        # a table's psi-product rows also pass the dict they share
-        def kernel(t, *args):
+    def fake(method, value):
+        def kernel(*args):
             ran.append(method)
             started.append(_warnings(capsys.readouterr().err))
-            return DegreeResult(t, known.get(t, 1), method)
+            return value(*args)
 
         return kernel
 
-    for name, method in (("delta_psi_product", _PSI), ("delta_residue", _RES),
-                         ("delta_theorem1", _T1)):
-        monkeypatch.setattr(degree_mod, name, fake(method))
-    monkeypatch.setattr(degree_mod, "delta_closed", lambda t: None)
+    def walk_of_ones(pts, r, ells):
+        # the numerators from which every residue row of the rank reads 1
+        n = len(pts)
+        whole = prod(pts[i] - pts[j] for j in range(n) for i in range(j))
+        slack = r * (n - r)
+        return [(-1) ** (slack - ell + comb(r, 2)) * whole for ell in range(slack + 1)]
+
+    for name, method, value in (
+        ("delta_psi_product", _PSI, lambda t: DegreeResult(t, known.get(t, 1), _PSI)),
+        ("delta_residue", _RES, lambda t, points=None: DegreeResult(t, known.get(t, 1), _RES)),
+        ("delta_theorem1", _T1, lambda t: DegreeResult(t, known.get(t, 1), _T1)),
+        ("_psi_sweep", _PSI, lambda n: [[1] * (comb(n, 2) + 1)] * (n + 1)),
+        ("_residue_walk", _RES, walk_of_ones),
+    ):
+        monkeypatch.setattr(degree_mod, name, fake(method, value))
+    monkeypatch.setattr(degree_mod, "_closed_pattern", lambda m, n, r: None)
     for argv, kernels, n_text, value in cases:
         ran.clear()
         started.clear()
         assert main(argv) == 0, argv
         captured = capsys.readouterr()
-        rows = 1 if argv[0] == "value" else len(degree_mod.valid_triples(int(argv[1])))
-        assert ran == list(kernels) * rows, argv
+        if argv[0] == "value":
+            assert ran == list(kernels), argv
+        else:
+            assert set(ran) == set(kernels), argv
         warned = [line for lines in started for line in lines] + _warnings(captured.err)
         assert started[0] == warned, argv
         if n_text is None:
@@ -307,16 +321,15 @@ def test_value_check_feeds_the_sample_points_to_the_residue_check(capsys, monkey
     residue = degree_mod.delta_residue
     seen = []
 
-    def spy(t, points=None, shared=None):
-        seen.append((points, shared))
-        return residue(t, points, shared)
+    def spy(t, points=None):
+        seen.append(points)
+        return residue(t, points)
 
     monkeypatch.setattr(degree_mod, "delta_residue", spy)
     assert main(["value", "6", "5", "3", "--check", "--lambda=-3/2,1,2,7,11"]) == 0
     out = _fields(capsys.readouterr().out.strip())
     assert (out["delta"], out["method"]) == ("290", "psi_product")
-    # a value walks its own capped subsets: no table's shared dict
-    assert seen == [((Fraction(-3, 2), 1, 2, 7, 11), None)]
+    assert seen == [(Fraction(-3, 2), 1, 2, 7, 11)]
 
 
 def test_table_csv(capsys):
@@ -406,22 +419,23 @@ def test_table_invalid_n(capsys):
     assert main(["table", "1"]) == 2
 
 
-def _plus_one(result, wrong=True):
-    return replace(result, delta=result.delta + 1) if wrong else result
+def _plus_one_at(sums, at):
+    # the sums of a psi sweep, each entry that `at(r, weight)` selects plus one
+    return [[s + at(r, w) for w, s in enumerate(row)] for r, row in enumerate(sums)]
 
 
 @pytest.mark.parametrize("kernel, make_wrong", [
     # wrong only above half rank: each row is computed on its own triple, not
     # copied from its duality partner
-    ("delta_residue", lambda real: lambda t, points=None, shared=None: _plus_one(
-        real(t, points, shared), t.r > t.n - t.r)),
+    ("_residue_walk", lambda real: lambda pts, r, ells: [
+        s * 2 if r > len(pts) - r else s for s in real(pts, r, ells)]),
     # both rows of a closed-form pair evaluate the same formula, so a wrong
     # formula agrees with itself; each row must meet an independent psi-product
     ("_closed_pattern", lambda real: lambda m, n, r: (
         None if real(m, n, r) is None else real(m, n, r) + 1)),
     # a psi-product row and its partner's row are one sum with I and I^c
     # swapped, so a wrong kernel agrees with itself; the residue sum does not
-    ("delta_psi_product", lambda real: lambda t, shared=None: _plus_one(real(t, shared))),
+    ("_psi_sweep", lambda real: lambda n: _plus_one_at(real(n), lambda r, w: 1)),
 ], ids=("residue", "closed_form", "psi_product"))
 def test_table_check_catches_a_wrong_kernel(capsys, monkeypatch, kernel, make_wrong):
     monkeypatch.setattr(degree_mod, kernel, make_wrong(getattr(degree_mod, kernel)))
@@ -435,9 +449,9 @@ def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     # the psi-product checks every row of table 3, all closed forms; it is
     # wrong on the last row only, and the rows before it are not printed either
     last = degree_mod.valid_triples(3)[-1]
-    psi_product = degree_mod.delta_psi_product
-    monkeypatch.setattr(degree_mod, "delta_psi_product",
-                        lambda t, shared=None: _plus_one(psi_product(t, shared), t == last))
+    sweep = degree_mod._psi_sweep
+    monkeypatch.setattr(degree_mod, "_psi_sweep", lambda n: _plus_one_at(
+        sweep(n), lambda r, w: (r, w) == (last.r, last.ell + comb(last.r, 2))))
     assert main(["table", "3", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

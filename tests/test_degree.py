@@ -4,6 +4,8 @@ import gc
 import json
 import random
 import time
+import warnings
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -718,7 +720,8 @@ def test_delta_table_matches_the_reference_table():
 
 def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
     ran = []
-    for name in ("delta_closed", "delta_psi_product", "delta_residue", "delta_theorem1"):
+    for name in ("_closed_pattern", "_psi_sweep", "_residue_walk", "delta_closed",
+                 "delta_psi_product", "delta_residue", "delta_theorem1"):
         monkeypatch.setattr(degree_mod, name, lambda *a, **k: ran.append(a))
     with pytest.raises(ValueError, match="unknown method"):
         delta_table(5, "magic")
@@ -731,20 +734,35 @@ def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
 
 
 def test_delta_table_estimates_each_planned_method_once(monkeypatch):
-    # a row plans one method, two with its checker; each is estimated once
+    # a value estimates each method of its plan once; a table estimates its
+    # psi sweep once and the residue walk of each rank that walks once, so
+    # neither estimate grows with the number of rows.  Under auto, ranks 1
+    # and n - 1 hold only closed forms and estimate one each.
     calls = []
     cost_ns = degree_mod._cost_ns
 
-    def counted(method, *args):
+    def counted(method, *args, **kwargs):
         calls.append(method)
-        return cost_ns(method, *args)
+        return cost_ns(method, *args, **kwargs)
 
     monkeypatch.setattr(degree_mod, "_cost_ns", counted)
-    rows = len(valid_triples(5))
+    closed, psi, res = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE
+    for n in (5, 9):
+        for method, cross_check, expected in (
+            ("auto", False, {closed: 2, psi: 1}),
+            ("auto", True, {closed: 2, psi: 1, res: n - 3}),
+            ("psi_product", False, {psi: 1}),
+            ("psi_product", True, {psi: 1, res: n - 1}),
+            ("residue", False, {res: n - 1}),
+            ("residue", True, {psi: 1, res: n - 1}),
+        ):
+            calls.clear()
+            delta_table(n, method, cross_check)
+            assert Counter(calls) == expected, (n, method, cross_check)
     for cross_check in (False, True):
         calls.clear()
-        delta_table(5, cross_check=cross_check)
-        assert len(calls) == rows * (1 + cross_check), cross_check
+        delta(validate_triple(6, 5, 3), cross_check=cross_check)
+        assert calls == [psi, res][:1 + cross_check], cross_check
 
 
 def _counted_memos(monkeypatch):
@@ -837,9 +855,11 @@ def test_delta_table_computes_the_bounds_once_per_triple(monkeypatch):
 
 
 def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
-    # a table builds one triple per row, in valid_triples, and per row the
-    # result of its closed form or kernel, that of its checker, if any, and
-    # the timed result it returns; a value builds only its own triple
+    # a table builds one triple per row, in valid_triples, and for each
+    # closed, psi-product or residue row only the timed result it returns,
+    # checked or not; a value builds only its own triple, and the result of
+    # its closed form or kernel, that of its checker, if any, and the timed
+    # result it returns
     sizes = {n: len(valid_triples(n)) for n in range(2, 11)}
     built = dict.fromkeys((PatakiTriple, DegreeResult), 0)
     for cls in built:
@@ -849,10 +869,11 @@ def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
     for n, rows in sizes.items():
-        for cross_check in (False, True):
-            built.update(dict.fromkeys(built, 0))
-            delta_table(n, cross_check=cross_check)
-            assert built == {PatakiTriple: rows, DegreeResult: (2 + cross_check) * rows}, n
+        for method in ("auto", "psi_product", "residue"):
+            for cross_check in (False, True):
+                built.update(dict.fromkeys(built, 0))
+                delta_table(n, method, cross_check)
+                assert built == {PatakiTriple: rows, DegreeResult: rows}, (n, method)
     for (m, n, r), method in (((4, 4, 2), "auto"), ((6, 5, 3), "auto"), ((6, 5, 3), "residue"),
                               ((6, 5, 3), "theorem1"), ((40, 12, 6), "auto")):
         for cross_check in (False, True):
@@ -957,12 +978,36 @@ def test_psi_sweep_equals_the_brute_force_sums_of_the_reference():
         assert degree_mod._psi_sweep(n) == sums, n
 
 
+def test_pascal_pairs_runs_the_binomials_of_the_definition():
+    # psi_{jt} = sum_{u=j}^{t-1} C(j+t, u), then the border 2^t, up to n = 40
+    rows = [[sum(comb(j + t, u) for u in range(j, t)) for j in range(t)] + [1 << t]
+            for t in range(40)]
+    for n in range(41):
+        assert degree_mod._pascal_pairs(n) == rows[:n], n
+
+
+def test_table_warns_before_it_lists_any_row(monkeypatch):
+    # a table's estimate depends on n, the method and cross_check alone, so
+    # table 150 warns before it builds a single triple
+    built = []
+    init = PatakiTriple.__init__
+    monkeypatch.setattr(PatakiTriple, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeWarning, match="the psi-product at n=150 is estimated"):
+            delta_table(150)
+        assert time.perf_counter() - start < 0.1
+    assert built == []
+
+
 def test_closed_table_fails_before_any_other_kernel(monkeypatch):
     # the leading rows of table 5 have closed forms, (6, 5, 2) has none
     def refuse(*args):
-        raise AssertionError(f"a kernel ran on {args[0]}")
+        raise AssertionError(f"a kernel ran on {args}")
 
-    for name in ("delta_psi_product", "delta_residue", "delta_theorem1"):
+    for name in ("_psi_sweep", "_residue_walk", "delta_theorem1"):
         monkeypatch.setattr(degree_mod, name, refuse)
     with pytest.raises(ValueError, match=r"no closed form applies to \(m=6, n=5, r=2\)"):
         delta_table(5, "closed", cross_check=True)
@@ -974,7 +1019,7 @@ def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
     calls = []
 
     def fake(method):
-        def kernel(t, *args):  # points and a table's shared dict, if any
+        def kernel(t, *args):  # and the points of a residue call
             calls.append((method, (t.m, t.n, t.r)))
             return DegreeResult(t, 1, method, 0.0)
 
@@ -1002,7 +1047,7 @@ def test_elapsed_covers_the_cross_check(monkeypatch):
     t = validate_triple(10, 6, 3)
     value = delta_residue(t).delta
 
-    def slow_psi_product(triple, shared=None):
+    def slow_psi_product(triple):
         time.sleep(0.05)
         return DegreeResult(triple, value, Method.PSI_PRODUCT, 0.05)
 
