@@ -14,10 +14,10 @@ polynomials and their forms from `sdpdeg.polynomial`, determinants and the
 Pascal-minor psi (the Pfaffian's test oracle) from `sdpdeg.schur`, and the
 test-only oracles from `sdpdeg.checks`.
 
-Importing the package executes only `sdpdeg.degree`.  `sdpdeg.polynomial`
-and `sdpdeg.schur` serve the oracles alone: they are registered in
-`sys.modules` here but execute on first attribute access, so no method
-(closed forms, psi-product, residue sum, theorem1) ever compiles them.
+Importing the package executes only `sdpdeg.degree`; `sdpdeg.theorem1`
+loads on the first theorem1 call.  `sdpdeg.polynomial` and `sdpdeg.schur`
+serve the oracles alone: they are registered in `sys.modules` here but
+execute on first attribute access, so no method ever compiles them.
 """
 
 import importlib.util

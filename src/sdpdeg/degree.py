@@ -5,16 +5,9 @@ C(n-r+1,2) <= m <= C(n+1,2) - C(r+1,2), the degree delta(m,n,r) of the
 univariate polynomials behind a generic rank-r optimum is computed by:
 
   * coefficient extraction ("theorem1"): the paper's Theorem 1 reads delta
-    off the coefficient of (x1...y_{n-r})^(n-1) in
-    h_l(X) * h_k(Y) * prod_{i!=j}(x_i - x_j) * prod_{i!=j}(y_i - y_j) *
-    prod(y_i - x_j), divided by r!(n-r)!.  Each prod_{i!=j} is
-    (-1)^C(t,2) a^2 for the alternant a = prod_{i<j}, and every other
-    factor is symmetric within each block, so one alternant per block
-    carries the division.  The alternants and prod(y_i - x_j) together are,
-    up to sign, the Vandermonde of z = (x1..xr, y1..y_{n-r}).  Expanded
-    along the x block, delta is the sum over the r-subsets S of {0..n-1} of
-    the signed h_l(X) coefficients on the exponent set S times the signed
-    h_k(Y) coefficients on its complement, with no division;
+    off one coefficient of h_l(X) * h_k(Y) times the alternants of X and Y
+    and prod(y_i - x_j), which together are a Vandermonde; `sdpdeg.theorem1`
+    sums it over complementary exponent sets, with no division;
 
   * the residue subset sum ("residue"): for pairwise-distinct sample values
     lambda_1..lambda_n, sum over r-subsets I of [n] the products
@@ -55,9 +48,9 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import accumulate, combinations, groupby
 from math import comb, prod
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 #: The delta API, re-exported by the package.
 __all__ = [
@@ -243,7 +236,7 @@ def _push(h: list[Coeff], values: Sequence[Coeff]) -> list[Coeff]:
 
     Each value is multiplied in by h_j += v h_{j-1}, j ascending from 1:
     len(h) - 1 multiply-adds a value.  This numeric pass shares no code with
-    `_pair_sum_h`, theorem1's form-level DP.
+    `theorem1._pair_sum_h`, theorem1's form-level DP.
     """
     for v in values:
         rest = iter(h)
@@ -292,60 +285,12 @@ def _as_positive_integer(value: Coeff, label: str, t: PatakiTriple) -> int:
     return value
 
 
-def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """h_d over the forms x_i + x_j (i <= j) of r variables, as {exponents:
-    coefficient}, without the terms above `cap` in some variable.
-
-    One form at a time, degrees ascending: h_deg += (x_i + x_j) h_{deg-1}.
-    Coefficients are positive and exponents only grow, so a term dropped at
-    the cap could never come back within it.  Its test oracle is
-    `polynomial.complete_homogeneous`.
-    """
-    h = [{(0,) * r: 1}] + [{} for _ in range(d)]
-    for i, j in combinations_with_replacement(range(r), 2):
-        for deg in range(1, d + 1):
-            out = h[deg]
-            for e, c in h[deg - 1].items():
-                for v in (i, j):
-                    if e[v] < cap[v]:
-                        f = e[:v] + (e[v] + 1,) + e[v + 1:]
-                        out[f] = out.get(f, 0) + c
-    return h[d]
-
-
-def _by_exponent_set(v: int, d: int, target: Sequence[int]) -> dict[int, int]:
-    """`_pair_sum_h(v, d, target)` as {bitmask of the set of e: sum of sgn(e) c}
-    over its terms c x^alpha, e = target - alpha; a term whose e repeats an
-    exponent cancels in the Vandermonde and is dropped."""
-    out: dict[int, int] = {}
-    for alpha, c in _pair_sum_h(v, d, target).items():
-        mask = inversions = 0
-        for i in map(int.__sub__, target, alpha):
-            inversions += (mask >> i).bit_count()  # earlier exponents above i
-            mask |= 1 << i
-        if mask.bit_count() == v:
-            out[mask] = out.get(mask, 0) + (-1) ** inversions * c
-    return out
-
-
 def delta_theorem1(t: PatakiTriple) -> DegreeResult:
-    """Degree by coefficient extraction, as one sum over complementary exponent sets.
+    """Degree by coefficient extraction: `theorem1.theorem1_sum`, imported on the first call."""
+    from .theorem1 import theorem1_sum
 
-    Over z = (x1..xr, y1..ys), a(x) * a(y) * prod(y_i - x_j) is
-    (-1)^(rs + C(n,2)) sum_e sgn(e) z^e, e running over the permutations of
-    (0, ..., n-1).  With X and Y the `_by_exponent_set` maps of h_l(X) at
-    tx = (n-r, ..., n-1) and of h_k(Y) at ty = (r, ..., n-1), expanding
-    along the x block gives delta = sum of X(S) * Y(S^c) over the r-subsets
-    S of {0..n-1}: every S met has sum(S) - C(r,2) = k, so the sign that
-    shuffles e_x and e_y together cancels the theorem's (-1)^k.
-    """
-    r, n = t.r, t.n
-    x = _by_exponent_set(r, t.ell, tuple(range(n - r, n)))
-    y = _by_exponent_set(n - r, t.k, tuple(range(r, n)))
-    full = (1 << n) - 1
-    total = sum(c * y.get(full ^ mask, 0) for mask, c in x.items())
-    delta_value = _as_positive_integer(total, "coefficient extraction", t)
-    return DegreeResult(t, delta_value, Method.THEOREM1)
+    value = _as_positive_integer(theorem1_sum(t.n, t.r, t.k, t.ell), "coefficient extraction", t)
+    return DegreeResult(t, value, Method.THEOREM1)
 
 
 def _residue_walk(pts: SamplePoints, r: int, ells: Sequence[int]) -> list[Coeff]:
@@ -417,16 +362,14 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
 
 def _pascal_pairs(n: int) -> list[list[int]]:
     """psi's bordered skew matrix as a triangle: row t < n is column t above the
-    diagonal, psi_{jt} = sum_{u=j}^{t-1} C(j+t, u) for j < t, then the border 2^t;
-    each sum runs along row j+t of Pascal's, C(s, u+1) = C(s, u) (s-u) / (u+1)."""
-    def pair(j: int, t: int) -> int:
-        term = total = comb(j + t, j)
-        for u in range(j, t - 1):
-            term = term * (j + t - u) // (u + 1)
-            total += term
-        return total
-
-    return [[pair(j, t) for j in range(t)] + [1 << t] for t in range(n)]
+    diagonal, psi_{jt} = sum_{u=j}^{t-1} C(j+t, u) for j < t, then the border 2^t.
+    By Pascal's rule psi_{jt} = psi_{j-1,t} + psi_{j,t-1}, from psi_{0t} = 2^t - 1
+    and psi_{tt} = 0: each row is a running sum over the row above."""
+    rows, above = [], []
+    for t in range(n):
+        rows.append(list(accumulate(above + [0], initial=(1 << t) - 1))[:t] + [1 << t])
+        above = rows[-1][1:-1]
+    return rows
 
 
 def _psi_expand(
@@ -533,15 +476,19 @@ def _closed_pattern(m: int, n: int, r: int) -> Union[int, None]:
     return None
 
 
+def _closed_rank(n: int, r: int) -> bool:
+    """Whether every m of rank r has a closed form: `_closed_pattern` matches every
+    m at r = n-1, and through duality at r = 1; at r = n-2 it matches m = 3, 4 only."""
+    return n - 1 in (r, n - r)
+
+
 def _closed_form(t: PatakiTriple) -> Union[tuple[int, Method], None]:
     """`delta_closed`'s value and method, without building its result."""
     m, n, r = t.m, t.n, t.r
     method, value = Method.CLOSED_FORM, _closed_pattern(m, n, r)
     if value is None:
         method, value = Method.DUALITY_REDUCED, _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
-    if value is None:
-        return None
-    return _as_positive_integer(value, method.value, t), method
+    return None if value is None else (_as_positive_integer(value, method.value, t), method)
 
 
 def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
@@ -557,32 +504,19 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     return None if found is None else DegreeResult(t, *found)
 
 
-# The method each name runs on a row without a closed form; "closed" runs on
-# none, and "auto" takes a closed form where one applies.
-_FIRST = {"auto": Method.PSI_PRODUCT, "theorem1": Method.THEOREM1, "residue": Method.RESIDUE,
-          "psi_product": Method.PSI_PRODUCT, "closed": Method.CLOSED_FORM}
+# The methods each name runs on a row without a closed form, checker second;
+# "closed" is the plan of every row with one.  The psi-product and the residue
+# sum check each other, so theorem1 runs only when it is requested.
+_PLANS = {
+    "auto": (Method.PSI_PRODUCT, Method.RESIDUE),
+    "theorem1": (Method.THEOREM1, Method.RESIDUE),
+    "residue": (Method.RESIDUE, Method.PSI_PRODUCT),
+    "psi_product": (Method.PSI_PRODUCT, Method.RESIDUE),
+    "closed": (Method.CLOSED_FORM, Method.PSI_PRODUCT),
+}
 
 #: The method names `delta` and `delta_table` accept.
-METHODS = tuple(_FIRST)
-
-# The kernel of each planned method but a closed form, named through this
-# module's globals at call time, so that a kernel replaced on the module (a
-# test fake, a tracing wrapper) is the one that runs.
-_KERNELS: dict[Method, Callable[..., DegreeResult]] = {
-    Method.THEOREM1: lambda t, points: delta_theorem1(t),
-    Method.RESIDUE: lambda t, points: delta_residue(t, points),
-    Method.PSI_PRODUCT: lambda t, points: delta_psi_product(t),
-}
-
-# The method that confirms a result, by the method that produced it.  The
-# psi-product and the residue sum check each other, so theorem1 runs only when
-# it is requested.
-_CHECKER: dict[Method, Method] = {
-    Method.CLOSED_FORM: Method.PSI_PRODUCT,
-    Method.RESIDUE: Method.PSI_PRODUCT,
-    Method.PSI_PRODUCT: Method.RESIDUE,
-    Method.THEOREM1: Method.RESIDUE,
-}
+METHODS = tuple(_PLANS)
 
 #: The estimated nanoseconds from which a request warns before it starts.
 _BUDGET_NS = 11_000_000_000
@@ -599,10 +533,8 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = Fal
     """The estimated nanoseconds of one `method` call on a triple: its work
     units times the time per unit, calibrated on a 2-core Xeon VM with
     process start included, so that the requests named below fall exactly
-    on their side of `_BUDGET_NS`.
-
-    With `table`, the psi-product is a table's sweep; a table prices a
-    rank's walk uncapped, at k = ell = r(n-r).
+    on their side of `_BUDGET_NS`.  With `table`, the psi-product is a
+    table's sweep.
     """
     if method is Method.PSI_PRODUCT:
         # At most 2^n masks, each expanded over at most n indices.  A value's
@@ -614,8 +546,8 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = Fal
         # The multiply-adds of the walk, 70 ns each: 0.76 s at (80, 16, 8),
         # 0.35 s at (6, 30, 28), 22 s at (9, 40, 37); checked, (145, 19, 9)
         # took 10.0 s and (143, 20, 7) 9.6 s.  A table walks each rank
-        # once, uncapped at r(n-r): table 16 --check took 8.0 s, table 17
-        # --check 19.6 s.
+        # once, uncapped at k = ell = r(n-r): table 16 --check took 8.0 s,
+        # table 17 --check 19.6 s.
         return 70 * _walk_pushes(n, r, ell, k)
     if method is Method.THEOREM1:
         # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
@@ -627,19 +559,30 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = Fal
     return 0
 
 
-def _plan(first: Method, cross_check: bool) -> tuple:
-    """The methods a row runs, checker last."""
-    return (first, _CHECKER[first]) if cross_check else (first,)
+def _plans(method: str, cross_check: bool) -> tuple[tuple, tuple]:
+    """The methods a row of `method` runs without and with a closed form, checker last."""
+    if method not in _PLANS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _PLANS[method][:1 + cross_check], _PLANS["closed"][:1 + cross_check]
+
+
+def _kernel(method: Method, t: PatakiTriple, points: Union[SamplePoints, None]) -> DegreeResult:
+    """One kernel call, looked up in this module's globals at call time, so that a
+    kernel replaced on the module (a test fake, a tracing wrapper) is the one that runs."""
+    if method is Method.RESIDUE:
+        return delta_residue(t, points)
+    return (delta_psi_product if method is Method.PSI_PRODUCT else delta_theorem1)(t)
 
 
 def _table_cost_ns(n: int, method: str, cross_check: bool) -> tuple[int, tuple]:
     """The estimated nanoseconds of `delta_table(n, method, cross_check)` and
-    the plan of its costliest row, charged as the rows' elapsed is; under
-    "auto" ranks 1 and n-1 hold only closed forms, ranks 2 to n-2 do not."""
-    plan, closed_plan = _plan(_FIRST[method], cross_check), _plan(Method.CLOSED_FORM, cross_check)
+    the plan of its costliest rank, charged as the rows' elapsed is: the psi
+    sweep to the first rank that runs it, a rank's residue walk to that
+    rank, theorem1 to every row."""
+    plan, closed_plan = _plans(method, cross_check)
     total, top, costliest, swept = 0, -1, (), False
     for r in range(1, n):
-        rank_plan = closed_plan if method == "auto" and r in (1, n - 1) else plan
+        rank_plan = closed_plan if method == "auto" and _closed_rank(n, r) else plan
         cost, slack = 0, r * (n - r)
         for p in rank_plan:
             if p is Method.THEOREM1:
@@ -661,11 +604,6 @@ def _warn_if_costly(total: int, plan: tuple, n: int) -> None:
             f"is estimated to run for {total // 10**9} seconds",
             RuntimeWarning,
         )
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def _no_closed_form(t: PatakiTriple) -> ValueError:
@@ -696,20 +634,21 @@ def delta(
     ones are checked whichever method runs, "auto" included, even one that
     does not use them.
     """
-    _check_method(method)
+    plan, closed_plan = _plans(method, cross_check)
     if points is not None:
         points = _sample_points(t.n, points)
     closed = delta_closed(t) if method in ("auto", "closed") else None
-    if closed is None and method == "closed":
+    if closed:
+        plan = closed_plan
+    elif method == "closed":
         raise _no_closed_form(t)
-    plan = _plan(Method.CLOSED_FORM if closed else _FIRST[method], cross_check)
     _warn_if_costly(sum(_cost_ns(p, t.n, t.r, t.k, t.ell) for p in plan), plan, t.n)
     # A kernel's result may be one its caller holds (a test fake returns the
     # same object every call), so the value gets a new, timed result.
     start = time.perf_counter()
-    result = closed or _KERNELS[plan[0]](t, points)
+    result = closed or _kernel(plan[0], t, points)
     if cross_check:
-        second = _KERNELS[plan[1]](t, points)
+        second = _kernel(plan[1], t, points)
         if second.delta != result.delta:
             raise CrossCheckError(result, second)
     return DegreeResult(t, result.delta, result.method, time.perf_counter() - start)
@@ -720,27 +659,26 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
 
     "closed" fails on its first row without a closed form before any other
     kernel, and a table estimated at 11 s or more, checkers included, warns
-    before it lists any row; a failed check raises CrossCheckError.  Only
-    ranks 1, 2, n-2 and n-1 can have closed rows; psi-product rows read one
-    `_psi_sweep` at sums[r][ell + C(r,2)], residue rows one uncapped
-    `_residue_walk` of their rank at the default points, and theorem1 rows
-    call `delta_theorem1` one by one (see `DegreeResult` for elapsed).
+    before it lists any row; a failed check raises CrossCheckError.
+    Psi-product rows read one `_psi_sweep` at sums[r][ell + C(r,2)], residue
+    rows one uncapped `_residue_walk` of their rank at the default points,
+    and theorem1 rows call `delta_theorem1` one by one (see `DegreeResult`
+    for elapsed).
     """
-    _check_method(method)
+    plan, closed_plan = _plans(method, cross_check)
     _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
     if method == "closed":
         for t in valid_triples(n):
             if _closed_form(t) is None:
                 raise _no_closed_form(t)
     _warn_if_costly(*_table_cost_ns(n, method, cross_check), n)
+    patterned = method in ("auto", "closed")
     PSI, RES = Method.PSI_PRODUCT, Method.RESIDUE
-    plan, closed_plan = _plan(_FIRST[method], cross_check), _plan(Method.CLOSED_FORM, cross_check)
     pts, sums, results, clock = _sample_points(n, None), None, [], time.perf_counter
     for r, rank in groupby(valid_triples(n), lambda t: t.r):
         shift, walk = comb(r, 2), None
-        patterned = method in ("auto", "closed") and r in (1, 2, n - 2, n - 1)
         for t in rank:
-            closed = _closed_form(t) if patterned else None
+            closed = patterned and _closed_form(t)
             start = clock()
             got = [closed] if closed else []
             for kind in (closed_plan if closed else plan)[len(got):]:

@@ -182,20 +182,36 @@ _PSI, _RES, _T1 = Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
 # value prints.
 
 
+def _table_calls(n, kernels):
+    # The kernel calls of a table that runs `kernels` on every row, in order:
+    # the psi sweep at the first psi-product row, each rank's residue walk at
+    # the rank's first row, theorem1 on every row.
+    calls = []
+    for t in degree_mod.valid_triples(n):
+        for method in kernels:
+            if method is _T1:
+                calls.append("delta_theorem1")
+            elif method is _PSI and "_psi_sweep" not in calls:
+                calls.append("_psi_sweep")
+            elif method is _RES and t.k == 0:
+                calls.append("_residue_walk")
+    return calls
+
+
 def _check_warning_cases(capsys, monkeypatch, cases):
     # A request warns at most once, before its first kernel, naming n and
     # exactly the kernels it runs.  The fakes keep the test fast: a single
     # value gets the real psi-product's delta, a table row 1.  With the closed
-    # forms off, every row of a table runs the same kernels: the psi sweep
-    # once, the residue walk once per rank, theorem1 on every row.
+    # forms off, every row of a table runs the same kernels, and the table
+    # makes exactly the calls of `_table_calls`.
     singles = {degree_mod.validate_triple(*map(int, argv[1:4]))
                for argv, *_, value in cases if value is not None}
     known = {t: degree_mod.delta_psi_product(t).delta for t in singles}
     ran, started = [], []
 
-    def fake(method, value):
+    def fake(name, value):
         def kernel(*args):
-            ran.append(method)
+            ran.append(name)
             started.append(_warnings(capsys.readouterr().err))
             return value(*args)
 
@@ -208,14 +224,15 @@ def _check_warning_cases(capsys, monkeypatch, cases):
         slack = r * (n - r)
         return [(-1) ** (slack - ell + comb(r, 2)) * whole for ell in range(slack + 1)]
 
-    for name, method, value in (
-        ("delta_psi_product", _PSI, lambda t: DegreeResult(t, known.get(t, 1), _PSI)),
-        ("delta_residue", _RES, lambda t, points=None: DegreeResult(t, known.get(t, 1), _RES)),
-        ("delta_theorem1", _T1, lambda t: DegreeResult(t, known.get(t, 1), _T1)),
-        ("_psi_sweep", _PSI, lambda n: [[1] * (comb(n, 2) + 1)] * (n + 1)),
-        ("_residue_walk", _RES, walk_of_ones),
+    value_kernels = {_PSI: "delta_psi_product", _RES: "delta_residue", _T1: "delta_theorem1"}
+    for name, value in (
+        ("delta_psi_product", lambda t: DegreeResult(t, known.get(t, 1), _PSI)),
+        ("delta_residue", lambda t, points=None: DegreeResult(t, known.get(t, 1), _RES)),
+        ("delta_theorem1", lambda t: DegreeResult(t, known.get(t, 1), _T1)),
+        ("_psi_sweep", lambda n: [[1] * (comb(n, 2) + 1)] * (n + 1)),
+        ("_residue_walk", walk_of_ones),
     ):
-        monkeypatch.setattr(degree_mod, name, fake(method, value))
+        monkeypatch.setattr(degree_mod, name, fake(name, value))
     monkeypatch.setattr(degree_mod, "_closed_pattern", lambda m, n, r: None)
     for argv, kernels, n_text, value in cases:
         ran.clear()
@@ -223,9 +240,9 @@ def _check_warning_cases(capsys, monkeypatch, cases):
         assert main(argv) == 0, argv
         captured = capsys.readouterr()
         if argv[0] == "value":
-            assert ran == list(kernels), argv
+            assert ran == [value_kernels[method] for method in kernels], argv
         else:
-            assert set(ran) == set(kernels), argv
+            assert ran == _table_calls(int(argv[1]), kernels), argv
         warned = [line for lines in started for line in lines] + _warnings(captured.err)
         assert started[0] == warned, argv
         if n_text is None:
@@ -252,6 +269,7 @@ def test_theorem1_warns_up_front_from_its_h_blocks(capsys, monkeypatch):
         (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
         (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
         (["table", "9", "--method", "theorem1"], (_T1,), None, None),
+        (["table", "9", "--method", "theorem1", "--check"], (_T1, _RES), None, None),
     ])
 
 
@@ -299,6 +317,7 @@ def test_checked_tables_warn_up_front(capsys, monkeypatch):
     _check_warning_cases(capsys, monkeypatch, [
         (["table", "17", "--check"], (_PSI, _RES), "n=17", None),
         (["table", "16", "--check"], (_PSI, _RES), None, None),
+        (["table", "9", "--method", "residue", "--check"], (_RES, _PSI), None, None),
     ])
 
 
@@ -576,8 +595,12 @@ def _fresh_python(probe, *paths):
 
 
 def test_import_loads_only_the_production_path():
+    # sdpdeg.theorem1 loads on the first theorem1 call, not for other requests
     probe = (
-        "import sys, sdpdeg.cli; "
+        "import contextlib, io, sys, sdpdeg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['table', '6', '--check'], ['value', '6', '5', '3', '--check']):\n"
+        "        assert sdpdeg.cli.main(argv) == 0, argv\n"
         "print(' '.join(sorted(m for m in sys.modules "
         "if m.startswith('sdpdeg') or m == 'concurrent.futures')))"
     )

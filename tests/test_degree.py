@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import sdpdeg.degree as degree_mod
 import sdpdeg.schur as schur_mod
+import sdpdeg.theorem1 as theorem1_mod
 from sdpdeg.degree import (
     METHODS,
     ConsistencyError,
@@ -453,7 +454,7 @@ def test_pair_sum_h_is_complete_homogeneous_truncated_at_the_cap():
                 truncated = {
                     e: c for e, c in full.items() if all(map(int.__le__, e, cap))
                 }
-                assert degree_mod._pair_sum_h(r, d, cap) == truncated, (r, d, cap)
+                assert theorem1_mod._pair_sum_h(r, d, cap) == truncated, (r, d, cap)
 
 
 def test_theorem1_multiplies_within_one_block(monkeypatch):
@@ -464,14 +465,14 @@ def test_theorem1_multiplies_within_one_block(monkeypatch):
         raise AssertionError("theorem1 must not multiply sparse polynomials")
 
     monkeypatch.setattr(SparsePolynomial, "mul", refuse)
-    pair_sum_h = degree_mod._pair_sum_h
+    pair_sum_h = theorem1_mod._pair_sum_h
     calls = []
 
     def counted(r, d, cap):
         calls.append((r, d, tuple(cap)))
         return pair_sum_h(r, d, cap)
 
-    monkeypatch.setattr(degree_mod, "_pair_sum_h", counted)
+    monkeypatch.setattr(theorem1_mod, "_pair_sum_h", counted)
     for (m, n, r), expected in (
         ((2, 3, 2), 6),
         ((4, 4, 2), 30),
@@ -498,7 +499,7 @@ def test_theorem1_blocks_are_psi_at_the_reflected_sets():
         for t in valid_triples(n):
             r = t.r
             for v, d, target in ((r, t.ell, range(n - r, n)), (n - r, t.k, range(r, n))):
-                block = degree_mod._by_exponent_set(v, d, tuple(target))
+                block = theorem1_mod._by_exponent_set(v, d, tuple(target))
                 assert block, (t, v)
                 for mask, value in block.items():
                     reflected = sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
@@ -763,6 +764,42 @@ def test_delta_table_estimates_each_planned_method_once(monkeypatch):
         calls.clear()
         delta(validate_triple(6, 5, 3), cross_check=cross_check)
         assert calls == [psi, res][:1 + cross_check], cross_check
+
+
+def test_table_estimate_is_the_sum_of_its_row_estimates():
+    # delta_table estimates from (n, method, cross_check) alone; row by row,
+    # each row with a closed form plans one, the psi sweep is charged to the
+    # first row that runs the psi-product, a rank's walk to its first row
+    # that runs the residue sum, theorem1 to every row, and the costliest row
+    # names its plan.  A closed rank is one whose every row has a closed form.
+    closed, psi, res, t1 = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
+    plans = {"auto": (psi, res), "psi_product": (psi, res), "residue": (res, psi),
+             "theorem1": (t1, res), "closed": (closed, psi)}
+    cost_ns = degree_mod._cost_ns
+    for n in range(2, 13):
+        ranks = {}
+        for t in valid_triples(n):
+            ranks.setdefault(t.r, []).append(t)
+        for r, rows in ranks.items():
+            assert degree_mod._closed_rank(n, r) == all(map(delta_closed, rows)), (n, r)
+        for method in plans if n <= 3 else set(plans) - {"closed"}:
+            for cross_check in (False, True):
+                total, top, costliest, charged = 0, -1, (), set()
+                for t in valid_triples(n):
+                    planned = method in ("auto", "closed") and delta_closed(t)
+                    plan = plans["closed" if planned else method][:1 + cross_check]
+                    slack, cost = t.r * (n - t.r), 0
+                    for p in plan:
+                        if p is t1:
+                            cost += cost_ns(p, n, t.r, t.k, t.ell)
+                        elif p is not closed and (p, p is res and t.r) not in charged:
+                            charged.add((p, p is res and t.r))
+                            cost += cost_ns(p, n, t.r, slack, slack, table=True)
+                    total += cost
+                    if cost > top:
+                        top, costliest = cost, plan
+                estimate = degree_mod._table_cost_ns(n, method, cross_check)
+                assert estimate == (total, costliest), (n, method, cross_check)
 
 
 def _counted_memos(monkeypatch):
