@@ -477,6 +477,29 @@ def test_table_duality_violation_prints_no_table(capsys, monkeypatch):
     assert "method disagreement" in captured.err
 
 
+def _stable_stderr(text):
+    # argparse wraps a usage error's usage lines to the terminal width, and
+    # Python releases differ in how an invalid choice quotes the choices: keep
+    # the error line, unquoted
+    return text.splitlines()[-1].replace("'", "") if text.startswith("usage:") else text
+
+
+def test_cli_transcript_replays():
+    # every command line of the committed transcript, run in process, exits
+    # with the recorded code and writes the recorded standard error and the
+    # recorded standard output, byte for byte with elapsed_ms masked
+    generator = runpy.run_path(str(Path(__file__).with_name("data") / "make_cli_transcript.py"))
+    transcript = json.loads(generator["TRANSCRIPT"].read_text())
+    assert list(transcript) == generator["COMMANDS"]
+    changed = []
+    for command, expected in transcript.items():
+        got = generator["record"](command)
+        got["stderr"], expected["stderr"] = map(_stable_stderr, (got["stderr"], expected["stderr"]))
+        if got != expected:
+            changed.append(command)
+    assert changed == []
+
+
 def test_cli_imports_only_the_delta_api_and_methods():
     # cost policy (estimates, budgets, warnings) lives in degree: the CLI
     # takes nothing from it beyond the public API and the method names
