@@ -18,8 +18,9 @@ univariate polynomials behind a generic rank-r optimum is computed by:
     decides index by index whether i joins I or I^c and carries both h
     series, read off prod_v 1/(1 - v t), so each pairwise sum is pushed
     into a series once per prefix, not once per subset.  A single value
-    caps the series at l and k; a table walks each rank once, uncapped, and
-    reads every l of it off the leaves.  It never forms a polynomial, so it
+    caps the series at l and k; a table walks each rank r <= n-r once,
+    uncapped, and reads every l of it and of rank n-r off the leaves.  It
+    never forms a polynomial, so it
     shares no code with the form-level multiset DP by which the coefficient
     path builds h;
 
@@ -48,7 +49,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Sequence, Union
 
@@ -168,9 +169,9 @@ class DegreeResult:
     its closed form, cross-check included, in seconds; a kernel called directly
     leaves it None (not timed).  In a table, the first psi-product row
     carries the whole psi sweep, every rank's sums included, and every later
-    psi-product row a lookup; likewise the first residue row of each rank,
-    as the method or as the checker, carries that rank's walk, and every
-    later residue row of the rank a lookup.
+    psi-product row a lookup; likewise the first residue row of each rank
+    r <= n-r, as the method or as the checker, carries the walk it shares
+    with rank n-r, and every other residue row a lookup.
     """
 
     triple: PatakiTriple
@@ -190,14 +191,17 @@ def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
 
 
 def valid_triples(n: int) -> list[PatakiTriple]:
-    """Every Pataki-valid triple at this n, ordered by (r, m)."""
+    """Every Pataki-valid triple at this n, ordered by (r, m), built from each
+    rank's bounds, computed once, without `PatakiTriple`'s checks."""
     _check_int("n", n)
     if n < 2:
         raise InvalidTripleError(f"need n >= 2, got {n}")
     out = []
     for r in range(1, n):
         lower, upper = _pataki_bounds(n, r)
-        out += (PatakiTriple(m, n, r) for m in range(lower, upper + 1))
+        for m in range(lower, upper + 1):
+            out.append(t := PatakiTriple.__new__(PatakiTriple))
+            t.__dict__.update(m=m, n=n, r=r, k=m - lower, ell=upper - m)
     return out
 
 
@@ -307,9 +311,9 @@ def _residue_walk(pts: SamplePoints, r: int, ells: Sequence[int]) -> list[Coeff]
     """
     n, push = len(pts), _push
     total = r * (n - r)
-    sums: list[Coeff] = [0] * (total + 1)
+    sums = [0] * (total + 1)
 
-    def walk(i: int, xs: list, ys: list, hx: list, hy: list, w: Coeff) -> None:
+    def walk(i, xs, ys, hx, hy, w):
         if i == n:
             for ell in ells:
                 sums[ell] += w * hx[ell] * hy[total - ell]
@@ -353,7 +357,7 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     is (-1)^(sum I - C(r,2)) a(I) a(I^c) / a([n]): the terms add up to one
     numerator, and a([n]) and (-1)^C(r,2) are applied once.  The call walks
     the subsets once with its series capped at ell and k; a table reads all
-    the ell of a rank off one uncapped walk instead.
+    the ell of a pair of ranks off one uncapped walk instead.
     """
     pts = _sample_points(t.n, points)
     numerators = _residue_walk(pts, t.r, (t.ell,))
@@ -485,10 +489,13 @@ def _closed_rank(n: int, r: int) -> bool:
 def _closed_form(t: PatakiTriple) -> Union[tuple[int, Method], None]:
     """`delta_closed`'s value and method, without building its result."""
     m, n, r = t.m, t.n, t.r
-    method, value = Method.CLOSED_FORM, _closed_pattern(m, n, r)
-    if value is None:
-        method, value = Method.DUALITY_REDUCED, _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
-    return None if value is None else (_as_positive_integer(value, method.value, t), method)
+    value = _closed_pattern(m, n, r)
+    if value is not None:
+        return _as_positive_integer(value, "closed_form", t), Method.CLOSED_FORM
+    value = _closed_pattern(n * (n + 1) // 2 - m, n, n - r)
+    if value is not None:
+        return _as_positive_integer(value, "duality_reduced", t), Method.DUALITY_REDUCED
+    return None
 
 
 def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
@@ -501,7 +508,7 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     through duality.
     """
     found = _closed_form(t)
-    return None if found is None else DegreeResult(t, *found)
+    return found and DegreeResult(t, *found)
 
 
 # The methods each name runs on a row without a closed form, checker second;
@@ -534,7 +541,7 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = Fal
     units times the time per unit, calibrated on a 2-core Xeon VM with
     process start included, so that the requests named below fall exactly
     on their side of `_BUDGET_NS`.  With `table`, the psi-product is a
-    table's sweep.
+    table's sweep and theorem1 every row of rank r, k = ell = r(n-r).
     """
     if method is Method.PSI_PRODUCT:
         # At most 2^n masks, each expanded over at most n indices.  A value's
@@ -553,9 +560,10 @@ def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = Fal
         # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
         # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
         # (n-r, k), 45 ns each: (3, 10, 8) took 5.4 s, (6, 10, 7) 4.6 s,
-        # (3, 11, 9) 52 s.
-        blocks = ((r, ell), (n - r, k))
-        return 45 * sum(comb(d + v - 1, v - 1) * comb(v + 1, 2) * d for v, d in blocks)
+        # (3, 11, 9) 52 s.  C(d+v-1, v-1) d is v C(d+v-1, v), and over every
+        # degree d <= D of a block, for a table's rank, it sums to v C(D+v, v+1).
+        return 45 * sum(comb(v + 1, 2) * v * comb(d + v - 1 + table, v + table)
+                        for v, d in ((r, ell), (n - r, k)))
     return 0
 
 
@@ -577,19 +585,16 @@ def _kernel(method: Method, t: PatakiTriple, points: Union[SamplePoints, None]) 
 def _table_cost_ns(n: int, method: str, cross_check: bool) -> tuple[int, tuple]:
     """The estimated nanoseconds of `delta_table(n, method, cross_check)` and
     the plan of its costliest rank, charged as the rows' elapsed is: the psi
-    sweep to the first rank that runs it, a rank's residue walk to that
-    rank, theorem1 to every row."""
+    sweep to the first rank that runs it, the residue walk of a rank pair to
+    its lower rank, theorem1 to every row."""
     plan, closed_plan = _plans(method, cross_check)
     total, top, costliest, swept = 0, -1, (), False
     for r in range(1, n):
         rank_plan = closed_plan if method == "auto" and _closed_rank(n, r) else plan
-        cost, slack = 0, r * (n - r)
-        for p in rank_plan:
-            if p is Method.THEOREM1:
-                cost += sum(_cost_ns(p, n, r, slack - ell, ell) for ell in range(slack + 1))
-            elif p is not Method.PSI_PRODUCT or not swept:
-                cost += _cost_ns(p, n, r, slack, slack, table=True)
-                swept = swept or p is Method.PSI_PRODUCT
+        slack = r * (n - r)
+        cost = sum(_cost_ns(p, n, r, slack, slack, table=True) for p in rank_plan
+                   if not (p is Method.PSI_PRODUCT and swept or p is Method.RESIDUE and r > n - r))
+        swept = swept or Method.PSI_PRODUCT in rank_plan
         total += cost
         if cost > top:
             top, costliest = cost, rank_plan
@@ -661,37 +666,47 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     kernel, and a table estimated at 11 s or more, checkers included, warns
     before it lists any row; a failed check raises CrossCheckError.
     Psi-product rows read one `_psi_sweep` at sums[r][ell + C(r,2)], residue
-    rows one uncapped `_residue_walk` of their rank at the default points,
-    and theorem1 rows call `delta_theorem1` one by one (see `DegreeResult`
-    for elapsed).
+    rows one uncapped `_residue_walk` at the default points per pair of
+    ranks, and theorem1 rows call `delta_theorem1` one by one (see
+    `DegreeResult` for elapsed).
     """
     plan, closed_plan = _plans(method, cross_check)
     _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
     if method == "closed":
         for t in valid_triples(n):
-            if _closed_form(t) is None:
+            if not _closed_form(t):
                 raise _no_closed_form(t)
     _warn_if_costly(*_table_cost_ns(n, method, cross_check), n)
     patterned = method in ("auto", "closed")
     PSI, RES = Method.PSI_PRODUCT, Method.RESIDUE
-    pts, sums, results, clock = _sample_points(n, None), None, [], time.perf_counter
-    for r, rank in groupby(valid_triples(n), lambda t: t.r):
-        shift, walk = comb(r, 2), None
-        for t in rank:
-            closed = patterned and _closed_form(t)
-            start = clock()
-            got = [closed] if closed else []
-            for kind in (closed_plan if closed else plan)[len(got):]:
-                if kind is PSI:
-                    sums = sums or _psi_sweep(n)
-                    value = _as_positive_integer(sums[r][t.ell + shift], "psi-product", t)
-                elif kind is RES:
-                    walk = walk or _residue_walk(pts, r, range(r * (n - r) + 1))
-                    value = _residue_delta(walk[t.ell], pts, t)
-                else:
-                    value = delta_theorem1(t).delta
-                got.append((value, kind))
-            if cross_check and got[0][0] != got[1][0]:
-                raise CrossCheckError(DegreeResult(t, *got[0]), DegreeResult(t, *got[1]))
-            results.append(DegreeResult(t, *got[0], clock() - start))
+    pts, sums, walks, results, clock = _sample_points(n, None), None, {}, [], time.perf_counter
+
+    def read(kind, t):
+        # row t's value by `kind`: the sweep and each pair's walk run on first use
+        nonlocal sums
+        r = t.r
+        if kind is PSI:
+            sums = sums or _psi_sweep(n)
+            return _as_positive_integer(sums[r][t.ell + comb(r, 2)], "psi-product", t)
+        if kind is RES:
+            # An r-subset I and its complement give one term of ranks r and
+            # n-r, with the h series swapped and the sign times (-1)^C(n,2):
+            # rank n-r reads rank r's numerators reversed, times that sign.
+            # Rank n-r < r has walked: a row and its dual run the same plan.
+            if r not in walks:
+                walks[r] = (_residue_walk(pts, r, range(r * (n - r) + 1)) if r <= n - r else
+                            [(-1) ** comb(n, 2) * s for s in reversed(walks[n - r])])
+            return _residue_delta(walks[r][t.ell], pts, t)
+        return delta_theorem1(t).delta
+
+    for t in valid_triples(n):
+        closed = patterned and _closed_form(t)
+        start = clock()
+        value, how = closed or (read(plan[0], t), plan[0])
+        if cross_check:
+            kind = (closed_plan if closed else plan)[1]
+            other = read(kind, t)
+            if other != value:
+                raise CrossCheckError(DegreeResult(t, value, how), DegreeResult(t, other, kind))
+        results.append(DegreeResult(t, value, how, clock() - start))
     return results

@@ -184,8 +184,9 @@ _PSI, _RES, _T1 = Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
 
 def _table_calls(n, kernels):
     # The kernel calls of a table that runs `kernels` on every row, in order:
-    # the psi sweep at the first psi-product row, each rank's residue walk at
-    # the rank's first row, theorem1 on every row.
+    # the psi sweep at the first psi-product row, the residue walk of each
+    # rank r <= n - r at the rank's first row, which rank n - r reads too,
+    # theorem1 on every row.
     calls = []
     for t in degree_mod.valid_triples(n):
         for method in kernels:
@@ -193,7 +194,7 @@ def _table_calls(n, kernels):
                 calls.append("delta_theorem1")
             elif method is _PSI and "_psi_sweep" not in calls:
                 calls.append("_psi_sweep")
-            elif method is _RES and t.k == 0:
+            elif method is _RES and t.k == 0 and t.r <= n - t.r:
                 calls.append("_residue_walk")
     return calls
 
@@ -296,8 +297,9 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
 def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
     # a psi-product value can touch 2^n masks; a table's rows share one
     # sweep of them, so tables warn from n = 23.  A table that runs no
-    # psi-product warns from its residue walks alone, one per rank:
-    # table 17 is estimated at about 20 s, table 16 at about 8 s
+    # psi-product warns from its residue walks alone, one per pair of ranks
+    # r and n - r: table 18 is estimated at about 28 s, table 17 at about
+    # 10 s
     _check_warning_cases(capsys, monkeypatch, [
         (["table", "23"], (_PSI,), "n=23", None),
         (["table", "22"], (_PSI,), None, None),
@@ -306,16 +308,21 @@ def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
         (["table", "15"], (_PSI,), None, None),
         (["value", "169", "25", "12"], (_PSI,), "n=25", None),
         (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
-        (["table", "17", "--method", "residue"], (_RES,), "n=17", None),
-        (["table", "16", "--method", "residue"], (_RES,), None, None),
+        (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
+        (["table", "17", "--method", "residue"], (_RES,), None, None),
     ])
 
 
 def test_checked_tables_warn_up_front(capsys, monkeypatch):
     # a checked table runs the psi-product and the residue sum on every row,
-    # the residue sum as one walk per rank
+    # the residue sum as one walk per pair of ranks r and n - r: table 18
+    # --check is estimated at about 28 s, table 17 --check at about 10 s
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "17", "--check"], (_PSI, _RES), "n=17", None),
+        (["table", "18", "--check"], (_PSI, _RES), "n=18", None),
+        (["table", "18", "--method", "residue", "--check"], (_RES, _PSI), "n=18", None),
+        (["table", "17", "--check"], (_PSI, _RES), None, None),
+        (["table", "17", "--method", "psi_product", "--check"], (_PSI, _RES), None, None),
+        (["table", "17", "--method", "residue", "--check"], (_RES, _PSI), None, None),
         (["table", "16", "--check"], (_PSI, _RES), None, None),
         (["table", "9", "--method", "residue", "--check"], (_RES, _PSI), None, None),
     ])
@@ -444,10 +451,11 @@ def _plus_one_at(sums, at):
 
 
 @pytest.mark.parametrize("kernel, make_wrong", [
-    # wrong only above half rank: each row is computed on its own triple, not
-    # copied from its duality partner
+    # a table walks only the ranks r <= n - r, and rank n - r reads the walk
+    # of rank r reversed: a walk wrong at its middle entry alone gives one
+    # wrong row of each rank of the pair, neither of them a closed form
     ("_residue_walk", lambda real: lambda pts, r, ells: [
-        s * 2 if r > len(pts) - r else s for s in real(pts, r, ells)]),
+        s * 2 if 2 * ell == len(ells) - 1 else s for ell, s in enumerate(real(pts, r, ells))]),
     # both rows of a closed-form pair evaluate the same formula, so a wrong
     # formula agrees with itself; each row must meet an independent psi-product
     ("_closed_pattern", lambda real: lambda m, n, r: (

@@ -343,6 +343,23 @@ def _alternant(values):
     return prod(a - b for a, b in combinations(values, 2))
 
 
+def test_residue_walk_of_rank_n_minus_r_is_rank_r_reversed():
+    # each r-subset I and its complement give one term of each rank, with the
+    # h series swapped and the sign times (-1)^C(n,2): the uncapped numerators
+    # of rank n - r are rank r's, reversed, times (-1)^C(n,2), up to n = 10 at
+    # the default points and at seeded halves of odd integers, which keep the
+    # Fraction walks quick
+    rng = random.Random(41)
+    for n in range(2, 11):
+        halves = tuple(Fraction(p, 2) for p in rng.sample(range(-31, 32, 2), n))
+        for pts in (degree_mod._sample_points(n, None), halves):
+            for r in range(1, n // 2 + 1):
+                ells = range(r * (n - r) + 1)
+                low = degree_mod._residue_walk(pts, r, ells)
+                high = degree_mod._residue_walk(pts, n - r, ells)
+                assert high == [(-1) ** comb(n, 2) * s for s in reversed(low)], (n, r, pts)
+
+
 def test_residue_cofactor_is_the_vandermonde_over_the_cross_product():
     # the identity that lets delta_residue sum over one common denominator
     rng = random.Random(17)
@@ -690,9 +707,11 @@ def test_residue_table_equals_the_psi_sweep():
 
 def test_delta_table_walks_once_per_rank(monkeypatch):
     # a table's residue rows, as the method or as the checker, share one
-    # uncapped walk per rank: n - 1 walks when every row runs the residue
-    # sum, and one per rank from 2 to n - 2 under auto, where the psi-product
-    # checks the closed forms that fill ranks 1 and n - 1
+    # uncapped walk per pair of ranks r <= n - r, which rank n - r reads
+    # reversed: one walk for each rank r <= n - r when every row runs the
+    # residue sum, and one for each such rank from 2 under auto, where the
+    # psi-product checks the closed forms that fill ranks 1 and n - 1; no
+    # other rank walks
     walks = []
     walk = degree_mod._residue_walk
 
@@ -701,12 +720,15 @@ def test_delta_table_walks_once_per_rank(monkeypatch):
         return walk(pts, r, ells)
 
     monkeypatch.setattr(degree_mod, "_residue_walk", counted)
+    runs = [(method, True) for method in ("auto", "psi_product", "residue")]
+    runs += [("residue", False)]
     for n in range(2, 11):
-        for method in ("auto", "psi_product", "residue"):
+        for method, cross_check in runs + [("theorem1", True)] * (n <= 7):
             walks.clear()
-            delta_table(n, method, cross_check=True)
-            ranks = range(2, n - 1) if method == "auto" else range(1, n)
-            assert walks == [(r, list(range(r * (n - r) + 1))) for r in ranks], (n, method)
+            delta_table(n, method, cross_check)
+            ranks = range(2 if method == "auto" else 1, n // 2 + 1)
+            expected = [(r, list(range(r * (n - r) + 1))) for r in ranks]
+            assert walks == expected, (n, method, cross_check)
 
 
 def test_delta_table_matches_the_reference_table():
@@ -736,9 +758,9 @@ def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
 
 def test_delta_table_estimates_each_planned_method_once(monkeypatch):
     # a value estimates each method of its plan once; a table estimates its
-    # psi sweep once and the residue walk of each rank that walks once, so
-    # neither estimate grows with the number of rows.  Under auto, ranks 1
-    # and n - 1 hold only closed forms and estimate one each.
+    # psi sweep once and the residue walk of each rank r <= n - r that walks
+    # once, so neither estimate grows with the number of rows.  Under auto,
+    # ranks 1 and n - 1 hold only closed forms and estimate one each.
     calls = []
     cost_ns = degree_mod._cost_ns
 
@@ -751,11 +773,11 @@ def test_delta_table_estimates_each_planned_method_once(monkeypatch):
     for n in (5, 9):
         for method, cross_check, expected in (
             ("auto", False, {closed: 2, psi: 1}),
-            ("auto", True, {closed: 2, psi: 1, res: n - 3}),
+            ("auto", True, {closed: 2, psi: 1, res: n // 2 - 1}),
             ("psi_product", False, {psi: 1}),
-            ("psi_product", True, {psi: 1, res: n - 1}),
-            ("residue", False, {res: n - 1}),
-            ("residue", True, {psi: 1, res: n - 1}),
+            ("psi_product", True, {psi: 1, res: n // 2}),
+            ("residue", False, {res: n // 2}),
+            ("residue", True, {psi: 1, res: n // 2}),
         ):
             calls.clear()
             delta_table(n, method, cross_check)
@@ -769,9 +791,10 @@ def test_delta_table_estimates_each_planned_method_once(monkeypatch):
 def test_table_estimate_is_the_sum_of_its_row_estimates():
     # delta_table estimates from (n, method, cross_check) alone; row by row,
     # each row with a closed form plans one, the psi sweep is charged to the
-    # first row that runs the psi-product, a rank's walk to its first row
-    # that runs the residue sum, theorem1 to every row, and the costliest row
-    # names its plan.  A closed rank is one whose every row has a closed form.
+    # first row that runs the psi-product, the walk of ranks r and n - r to
+    # the first row of rank r <= n - r that runs the residue sum, theorem1 to
+    # every row, and the costliest row names its plan.  A closed rank is one
+    # whose every row has a closed form.
     closed, psi, res, t1 = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
     plans = {"auto": (psi, res), "psi_product": (psi, res), "residue": (res, psi),
              "theorem1": (t1, res), "closed": (closed, psi)}
@@ -792,8 +815,8 @@ def test_table_estimate_is_the_sum_of_its_row_estimates():
                     for p in plan:
                         if p is t1:
                             cost += cost_ns(p, n, t.r, t.k, t.ell)
-                        elif p is not closed and (p, p is res and t.r) not in charged:
-                            charged.add((p, p is res and t.r))
+                        elif p is not closed and (p, p is res and min(t.r, n - t.r)) not in charged:
+                            charged.add((p, p is res and min(t.r, n - t.r)))
                             cost += cost_ns(p, n, t.r, slack, slack, table=True)
                     total += cost
                     if cost > top:
@@ -877,26 +900,26 @@ def test_delta_table_memo_lives_for_one_call(monkeypatch):
     assert [len(masks) for _, masks in sweeps] == [2**8 - 1, 2**8 - 1]
 
 
-def test_delta_table_computes_the_bounds_once_per_triple(monkeypatch):
-    # each triple keeps the k and ell of its own validation: one bounds call
-    # per row, and one per rank for valid_triples' m range
+def test_delta_table_computes_the_bounds_once_per_rank(monkeypatch):
+    # valid_triples computes each rank's bounds once and builds its triples
+    # from them, each with the k and ell a checked triple gets
     calls = []
     real = degree_mod._pataki_bounds
     monkeypatch.setattr(degree_mod, "_pataki_bounds", lambda n, r: calls.append(r) or real(n, r))
     for n in range(4, 10):
         calls.clear()
         rows = delta_table(n)
-        assert len(calls) == len(rows) + n - 1, n
+        assert calls == list(range(1, n)), n
         assert all((t.k, t.ell) == (t.m - real(n, t.r)[0], real(n, t.r)[1] - t.m)
                    for t in (row.triple for row in rows)), n
 
 
 def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
-    # a table builds one triple per row, in valid_triples, and for each
-    # closed, psi-product or residue row only the timed result it returns,
-    # checked or not; a value builds only its own triple, and the result of
-    # its closed form or kernel, that of its checker, if any, and the timed
-    # result it returns
+    # a table builds one triple per row, in valid_triples and without
+    # PatakiTriple's checks, and for each closed, psi-product or residue row
+    # only the timed result it returns, checked or not; a value builds only
+    # its own triple, and the result of its closed form or kernel, that of
+    # its checker, if any, and the timed result it returns
     sizes = {n: len(valid_triples(n)) for n in range(2, 11)}
     built = dict.fromkeys((PatakiTriple, DegreeResult), 0)
     for cls in built:
@@ -905,12 +928,20 @@ def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    listed = []
+    real_valid_triples = degree_mod.valid_triples
+    monkeypatch.setattr(degree_mod, "valid_triples",
+                        lambda n: listed.append(real_valid_triples(n)) or listed[-1])
     for n, rows in sizes.items():
         for method in ("auto", "psi_product", "residue"):
             for cross_check in (False, True):
                 built.update(dict.fromkeys(built, 0))
-                delta_table(n, method, cross_check)
-                assert built == {PatakiTriple: rows, DegreeResult: rows}, (n, method)
+                listed.clear()
+                results = delta_table(n, method, cross_check)
+                assert built == {PatakiTriple: 0, DegreeResult: rows}, (n, method)
+                [triples] = listed
+                assert len(triples) == rows, (n, method)
+                assert all(res.triple is t for res, t in zip(results, triples)), (n, method)
     for (m, n, r), method in (((4, 4, 2), "auto"), ((6, 5, 3), "auto"), ((6, 5, 3), "residue"),
                               ((6, 5, 3), "theorem1"), ((40, 12, 6), "auto")):
         for cross_check in (False, True):
@@ -1025,17 +1056,20 @@ def test_pascal_pairs_runs_the_binomials_of_the_definition():
 
 def test_table_warns_before_it_lists_any_row(monkeypatch):
     # a table's estimate depends on n, the method and cross_check alone, so
-    # table 150 warns before it builds a single triple
+    # table 150 warns before it builds a single triple; a theorem1 table sums
+    # each rank's rows in closed form, not row by row
     built = []
     init = PatakiTriple.__init__
     monkeypatch.setattr(PatakiTriple, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeWarning, match="the psi-product at n=150 is estimated"):
-            delta_table(150)
-        assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(degree_mod, "valid_triples", lambda n: built.append(n))
+    for method, plan in (("auto", "the psi-product"), ("theorem1", "theorem1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            start = time.perf_counter()
+            with pytest.raises(RuntimeWarning, match=f"^{plan} at n=150 is estimated"):
+                delta_table(150, method)
+            assert time.perf_counter() - start < 0.1, method
     assert built == []
 
 
