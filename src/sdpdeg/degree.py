@@ -190,19 +190,23 @@ def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
     return PatakiTriple(m, n, r)
 
 
+def _rank_triples(n: int, r: int) -> list[PatakiTriple]:
+    """The triples of rank r at n, ordered by m, built from the rank's bounds,
+    computed once, without `PatakiTriple`'s checks."""
+    lower, upper = _pataki_bounds(n, r)
+    out = []
+    for m in range(lower, upper + 1):
+        out.append(t := PatakiTriple.__new__(PatakiTriple))
+        t.__dict__.update(m=m, n=n, r=r, k=m - lower, ell=upper - m)
+    return out
+
+
 def valid_triples(n: int) -> list[PatakiTriple]:
-    """Every Pataki-valid triple at this n, ordered by (r, m), built from each
-    rank's bounds, computed once, without `PatakiTriple`'s checks."""
+    """Every Pataki-valid triple at this n, ordered by (r, m), rank by rank."""
     _check_int("n", n)
     if n < 2:
         raise InvalidTripleError(f"need n >= 2, got {n}")
-    out = []
-    for r in range(1, n):
-        lower, upper = _pataki_bounds(n, r)
-        for m in range(lower, upper + 1):
-            out.append(t := PatakiTriple.__new__(PatakiTriple))
-            t.__dict__.update(m=m, n=n, r=r, k=m - lower, ell=upper - m)
-    return out
+    return [t for r in range(1, n) for t in _rank_triples(n, r)]
 
 
 def duality_partner(t: PatakiTriple) -> PatakiTriple:
@@ -307,7 +311,7 @@ def _residue_walk(pts: SamplePoints, r: int, ells: Sequence[int]) -> list[Coeff]
     Joining a side of s indices pushes its s + 1 new pairwise sums l_i + l_j
     (j on that side or i) into that side's series, so subsets with a common
     prefix share its work.  The I series is capped at max(ells), the I^c
-    series at L - min(ells); `_walk_pushes` counts the multiply-adds.
+    series at L - min(ells); `_walk_pushes` gives its multiply-adds in closed form.
     """
     n, push = len(pts), _push
     total = r * (n - r)
@@ -332,13 +336,12 @@ def _residue_walk(pts: SamplePoints, r: int, ells: Sequence[int]) -> list[Coeff]
 
 def _walk_pushes(n: int, r: int, cap_x: int, cap_y: int) -> int:
     """The multiply-adds of `_residue_walk` with its series capped at cap_x
-    and cap_y: the C(i, a) walks that reach index i with |I| = a push a + 1
-    sums at cap_x when i joins I and i - a + 1 at cap_y when it joins I^c."""
-    return sum(
-        comb(i, a) * ((a + 1) * cap_x * (a < r) + (i - a + 1) * cap_y * (i - a < n - r))
-        for i in range(n)
-        for a in range(max(0, i - n + r), min(i, r) + 1)
-    )
+    and cap_y: C(a+b, a) walks reach |I| = a, |I^c| = b, whose next index
+    pushes a + 1 sums at cap_x into I (a < r) or b + 1 at cap_y into I^c
+    (b < n-r).  Summed over b <= n-r, I takes sum_{j=1}^{r} j C(j+n-r, j)
+    pushes, and over a <= r, I^c takes sum_{j=1}^{n-r} j C(j+r, j); by the
+    hockey stick, sum_{j<=p} j C(j+q, j) = (q+1) C(p+q+1, p-1)."""
+    return cap_x * (n - r + 1) * comb(n + 1, r - 1) + cap_y * (r + 1) * comb(n + 1, r + 2)
 
 
 def _residue_delta(numerator: Coeff, pts: SamplePoints, t: PatakiTriple) -> int:
@@ -537,11 +540,11 @@ _NAMES = {
 
 
 def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = False) -> int:
-    """The estimated nanoseconds of one `method` call on a triple: its work
-    units times the time per unit, calibrated on a 2-core Xeon VM with
-    process start included, so that the requests named below fall exactly
-    on their side of `_BUDGET_NS`.  With `table`, the psi-product is a
-    table's sweep and theorem1 every row of rank r, k = ell = r(n-r).
+    """The estimated nanoseconds of one `method` call on a triple, in O(1):
+    its work units in closed form times the time per unit, calibrated on a
+    2-core Xeon VM with process start included, so that the requests named
+    below fall exactly on their side of `_BUDGET_NS`.  With `table`, the
+    psi-product is a table's sweep and theorem1 every row of rank r, k = ell = r(n-r).
     """
     if method is Method.PSI_PRODUCT:
         # At most 2^n masks, each expanded over at most n indices.  A value's
@@ -582,23 +585,20 @@ def _kernel(method: Method, t: PatakiTriple, points: Union[SamplePoints, None]) 
     return (delta_psi_product if method is Method.PSI_PRODUCT else delta_theorem1)(t)
 
 
-def _table_cost_ns(n: int, method: str, cross_check: bool) -> tuple[int, tuple]:
-    """The estimated nanoseconds of `delta_table(n, method, cross_check)` and
-    the plan of its costliest rank, charged as the rows' elapsed is: the psi
-    sweep to the first rank that runs it, the residue walk of a rank pair to
-    its lower rank, theorem1 to every row."""
+def _table_cost_ns(n: int, method: str, cross_check: bool) -> int:
+    """The estimated nanoseconds of `delta_table(n, method, cross_check)`,
+    charged as the rows' elapsed is: the psi sweep to the first rank that
+    runs it, the residue walk of a rank pair to its lower rank, theorem1 to
+    every row.  Each rank costs O(1), so the estimate is O(n)."""
     plan, closed_plan = _plans(method, cross_check)
-    total, top, costliest, swept = 0, -1, (), False
+    total, swept = 0, False
     for r in range(1, n):
         rank_plan = closed_plan if method == "auto" and _closed_rank(n, r) else plan
         slack = r * (n - r)
-        cost = sum(_cost_ns(p, n, r, slack, slack, table=True) for p in rank_plan
-                   if not (p is Method.PSI_PRODUCT and swept or p is Method.RESIDUE and r > n - r))
+        total += sum(_cost_ns(p, n, r, slack, slack, table=True) for p in rank_plan if not (
+            p is Method.PSI_PRODUCT and swept or p is Method.RESIDUE and r > n - r))
         swept = swept or Method.PSI_PRODUCT in rank_plan
-        total += cost
-        if cost > top:
-            top, costliest = cost, rank_plan
-    return total, costliest
+    return total
 
 
 def _warn_if_costly(total: int, plan: tuple, n: int) -> None:
@@ -673,10 +673,11 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     plan, closed_plan = _plans(method, cross_check)
     _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
     if method == "closed":
-        for t in valid_triples(n):
-            if not _closed_form(t):
-                raise _no_closed_form(t)
-    _warn_if_costly(*_table_cost_ns(n, method, cross_check), n)
+        # every row before the first rank `_closed_rank` rejects has a closed form
+        for r in range(1, n):
+            if not _closed_rank(n, r):
+                raise _no_closed_form(next(t for t in _rank_triples(n, r) if not _closed_form(t)))
+    _warn_if_costly(_table_cost_ns(n, method, cross_check), plan, n)
     patterned = method in ("auto", "closed")
     PSI, RES = Method.PSI_PRODUCT, Method.RESIDUE
     pts, sums, walks, results, clock = _sample_points(n, None), None, {}, [], time.perf_counter

@@ -177,9 +177,9 @@ _DELTA_85_18_9 = "3016773596586712638984949358180496"
 _DELTA_81_17_8 = "648429130301955511785243555928"
 _PSI, _RES, _T1 = Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
 
-# Each warning case: argv; the kernels each row runs, checker last; the n a
-# warning names, or None when the request must not warn; the delta a single
-# value prints.
+# Each warning case: argv; the kernels each row runs, checker last; the full
+# text of its warning, or None when the request must not warn; the delta a
+# single value prints.
 
 
 def _table_calls(n, kernels):
@@ -235,7 +235,7 @@ def _check_warning_cases(capsys, monkeypatch, cases):
     ):
         monkeypatch.setattr(degree_mod, name, fake(name, value))
     monkeypatch.setattr(degree_mod, "_closed_pattern", lambda m, n, r: None)
-    for argv, kernels, n_text, value in cases:
+    for argv, kernels, text, value in cases:
         ran.clear()
         started.clear()
         assert main(argv) == 0, argv
@@ -246,10 +246,10 @@ def _check_warning_cases(capsys, monkeypatch, cases):
             assert ran == _table_calls(int(argv[1]), kernels), argv
         warned = [line for lines in started for line in lines] + _warnings(captured.err)
         assert started[0] == warned, argv
-        if n_text is None:
+        if text is None:
             assert warned == [], argv
         else:
-            assert len(warned) == 1 and n_text in warned[0] and "seconds" in warned[0], argv
+            assert warned == [f"warning: {text}"], argv
             for word, method in (("psi-product", _PSI), ("residue sum", _RES), ("theorem1", _T1)):
                 assert (word in warned[0]) == (method in kernels), (argv, warned)
         if value is not None:
@@ -263,12 +263,14 @@ def test_theorem1_warns_up_front_from_its_h_blocks(capsys, monkeypatch):
     # it, from table 10 on.  The checker of a psi-product value is the
     # residue sum, so --check runs no theorem1.
     _check_warning_cases(capsys, monkeypatch, [
-        (["value", "3", "11", "9", "--method", "theorem1"], (_T1,), "n=11", "220"),
+        (["value", "3", "11", "9", "--method", "theorem1"], (_T1,),
+         "theorem1 at n=11 is estimated to run for 56 seconds", "220"),
         (["value", "3", "10", "8", "--method", "theorem1"], (_T1,), None, "165"),
         (["value", "6", "10", "7", "--method", "theorem1"], (_T1,), None, "2640"),
         (["value", "27", "10", "5", "--method", "theorem1"], (_T1,), None, "27161730960"),
         (["value", "27", "10", "5", "--check"], (_PSI, _RES), None, "27161730960"),
-        (["table", "10", "--method", "theorem1"], (_T1,), "n=10", None),
+        (["table", "10", "--method", "theorem1"], (_T1,),
+         "theorem1 at n=10 is estimated to run for 117 seconds", None),
         (["table", "9", "--method", "theorem1"], (_T1,), None, None),
         (["table", "9", "--method", "theorem1", "--check"], (_T1, _RES), None, None),
     ])
@@ -281,16 +283,23 @@ def test_residue_warns_up_front_from_its_cost(capsys, monkeypatch):
     # costliest n = 19 value stays under; narrow rows are priced by their
     # own caps, however large their n
     _check_warning_cases(capsys, monkeypatch, [
-        (["value", "165", "20", "9", "--method", "residue"], (_RES,), "n=20", None),
-        (["value", "165", "20", "9", "--check"], (_PSI, _RES), "n=20", None),
-        (["value", "143", "20", "7", "--check"], (_PSI, _RES), "n=20", None),
+        (["value", "165", "20", "9", "--method", "residue"], (_RES,),
+         "the residue sum at n=20 is estimated to run for 24 seconds", None),
+        (["value", "165", "20", "9", "--check"], (_PSI, _RES),
+         "the psi-product checked by the residue sum at n=20 "
+         "is estimated to run for 24 seconds", None),
+        (["value", "143", "20", "7", "--check"], (_PSI, _RES),
+         "the psi-product checked by the residue sum at n=20 "
+         "is estimated to run for 11 seconds", None),
         (["value", "145", "19", "9", "--check"], (_PSI, _RES), None, None),
         (["value", "85", "18", "9", "--check"], (_PSI, _RES), None, _DELTA_85_18_9),
         (["value", "81", "17", "8", "--check"], (_PSI, _RES), None, _DELTA_81_17_8),
-        (["value", "9", "40", "37", "--method", "residue"], (_RES,), "n=40", None),
+        (["value", "9", "40", "37", "--method", "residue"], (_RES,),
+         "the residue sum at n=40 is estimated to run for 22 seconds", None),
         (["value", "6", "30", "28", "--method", "residue"], (_RES,), None, None),
         (["value", "160", "18", "1", "--method", "residue"], (_RES,), None, None),
-        (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
+        (["table", "18", "--method", "residue"], (_RES,),
+         "the residue sum at n=18 is estimated to run for 27 seconds", None),
     ])
 
 
@@ -301,14 +310,17 @@ def test_psi_product_warns_up_front_from_its_cost(capsys, monkeypatch):
     # r and n - r: table 18 is estimated at about 28 s, table 17 at about
     # 10 s
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "23"], (_PSI,), "n=23", None),
+        (["table", "23"], (_PSI,),
+         "the psi-product at n=23 is estimated to run for 19 seconds", None),
         (["table", "22"], (_PSI,), None, None),
         (["table", "16"], (_PSI,), None, None),
         (["table", "16", "--method", "psi_product", "--format", "json"], (_PSI,), None, None),
         (["table", "15"], (_PSI,), None, None),
-        (["value", "169", "25", "12"], (_PSI,), "n=25", None),
+        (["value", "169", "25", "12"], (_PSI,),
+         "the psi-product at n=25 is estimated to run for 15 seconds", None),
         (["value", "150", "24", "12", "--method", "psi_product"], (_PSI,), None, None),
-        (["table", "18", "--method", "residue"], (_RES,), "n=18", None),
+        (["table", "18", "--method", "residue"], (_RES,),
+         "the residue sum at n=18 is estimated to run for 27 seconds", None),
         (["table", "17", "--method", "residue"], (_RES,), None, None),
     ])
 
@@ -318,8 +330,12 @@ def test_checked_tables_warn_up_front(capsys, monkeypatch):
     # the residue sum as one walk per pair of ranks r and n - r: table 18
     # --check is estimated at about 28 s, table 17 --check at about 10 s
     _check_warning_cases(capsys, monkeypatch, [
-        (["table", "18", "--check"], (_PSI, _RES), "n=18", None),
-        (["table", "18", "--method", "residue", "--check"], (_RES, _PSI), "n=18", None),
+        (["table", "18", "--check"], (_PSI, _RES),
+         "the psi-product checked by the residue sum at n=18 "
+         "is estimated to run for 28 seconds", None),
+        (["table", "18", "--method", "residue", "--check"], (_RES, _PSI),
+         "the residue sum checked by the psi-product at n=18 "
+         "is estimated to run for 28 seconds", None),
         (["table", "17", "--check"], (_PSI, _RES), None, None),
         (["table", "17", "--method", "psi_product", "--check"], (_PSI, _RES), None, None),
         (["table", "17", "--method", "residue", "--check"], (_RES, _PSI), None, None),

@@ -293,6 +293,48 @@ def test_residue_sum_runs_on_the_recurrence_only(monkeypatch):
             assert kinds == {int}, (m, n, r, points, kinds)
 
 
+def test_walk_pushes_counts_the_multiply_adds_of_real_walks(monkeypatch):
+    # `_walk_pushes` is a closed form; the multiply-adds that reach `_push`
+    # must equal it on every walk a residue table runs (uncapped, n <= 9),
+    # on the same walks at seeded rational points, and on every row of
+    # n = 7 as a single value (capped at ell and k), at both kinds of point
+    pushes, walks = [], []
+    push, residue_walk = degree_mod._push, degree_mod._residue_walk
+
+    def counted_push(h, values):
+        pushes.append(len(values) * (len(h) - 1))
+        return push(h, values)
+
+    def counted_walk(pts, r, ells):
+        pushes.clear()
+        sums = residue_walk(pts, r, ells)
+        walks.append((len(pts), r, sum(pushes)))
+        return sums
+
+    monkeypatch.setattr(degree_mod, "_push", counted_push)
+    monkeypatch.setattr(degree_mod, "_residue_walk", counted_walk)
+    rng = random.Random(43)
+    for n in range(2, 10):
+        walks.clear()
+        delta_table(n, "residue")
+        assert [r for _, r, _ in walks] == list(range(1, n // 2 + 1)), n
+        points = _rational_points(rng, n)
+        for r in range(1, n // 2 + 1):
+            counted_walk(points, r, range(r * (n - r) + 1))
+        for size, r, count in walks:
+            slack = r * (n - r)
+            assert count == degree_mod._walk_pushes(size, r, slack, slack), (n, r)
+    walks.clear()
+    rows = valid_triples(7)
+    for points in (None, _rational_points(rng, 7)):
+        for t in rows:
+            delta_residue(t, points)
+    assert len(walks) == 2 * len(rows)
+    for t, (size, r, count) in zip(rows + rows, walks):
+        assert (size, r) == (7, t.r)
+        assert count == degree_mod._walk_pushes(7, t.r, t.ell, t.k), t
+
+
 def _oracle_numerators(pts, r):
     # sums[l] of (-1)^sum(I) a(I) a(I^c) h_l(Lambda_I) h_{L-l}(Lambda_{I^c})
     # over the r-subsets I, every h a determinant in the e-values.  Every
@@ -793,8 +835,7 @@ def test_table_estimate_is_the_sum_of_its_row_estimates():
     # each row with a closed form plans one, the psi sweep is charged to the
     # first row that runs the psi-product, the walk of ranks r and n - r to
     # the first row of rank r <= n - r that runs the residue sum, theorem1 to
-    # every row, and the costliest row names its plan.  A closed rank is one
-    # whose every row has a closed form.
+    # every row.  A closed rank is one whose every row has a closed form.
     closed, psi, res, t1 = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
     plans = {"auto": (psi, res), "psi_product": (psi, res), "residue": (res, psi),
              "theorem1": (t1, res), "closed": (closed, psi)}
@@ -807,22 +848,19 @@ def test_table_estimate_is_the_sum_of_its_row_estimates():
             assert degree_mod._closed_rank(n, r) == all(map(delta_closed, rows)), (n, r)
         for method in plans if n <= 3 else set(plans) - {"closed"}:
             for cross_check in (False, True):
-                total, top, costliest, charged = 0, -1, (), set()
+                total, charged = 0, set()
                 for t in valid_triples(n):
                     planned = method in ("auto", "closed") and delta_closed(t)
                     plan = plans["closed" if planned else method][:1 + cross_check]
-                    slack, cost = t.r * (n - t.r), 0
+                    slack = t.r * (n - t.r)
                     for p in plan:
                         if p is t1:
-                            cost += cost_ns(p, n, t.r, t.k, t.ell)
+                            total += cost_ns(p, n, t.r, t.k, t.ell)
                         elif p is not closed and (p, p is res and min(t.r, n - t.r)) not in charged:
                             charged.add((p, p is res and min(t.r, n - t.r)))
-                            cost += cost_ns(p, n, t.r, slack, slack, table=True)
-                    total += cost
-                    if cost > top:
-                        top, costliest = cost, plan
+                            total += cost_ns(p, n, t.r, slack, slack, table=True)
                 estimate = degree_mod._table_cost_ns(n, method, cross_check)
-                assert estimate == (total, costliest), (n, method, cross_check)
+                assert estimate == total, (n, method, cross_check)
 
 
 def _counted_memos(monkeypatch):
@@ -1057,19 +1095,39 @@ def test_pascal_pairs_runs_the_binomials_of_the_definition():
 def test_table_warns_before_it_lists_any_row(monkeypatch):
     # a table's estimate depends on n, the method and cross_check alone, so
     # table 150 warns before it builds a single triple; a theorem1 table sums
-    # each rank's rows in closed form, not row by row
+    # each rank's rows in closed form, not row by row, and a walk's
+    # multiply-adds are a closed form, so checked tables up to n = 300 and a
+    # checked value at n = 1000 warn as fast, before any kernel runs
+    def refuse(*args):
+        raise AssertionError(f"a kernel ran on {args}")
+
+    value = validate_triple(250250, 1000, 500)
     built = []
     init = PatakiTriple.__init__
     monkeypatch.setattr(PatakiTriple, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     monkeypatch.setattr(degree_mod, "valid_triples", lambda n: built.append(n))
-    for method, plan in (("auto", "the psi-product"), ("theorem1", "theorem1")):
+    for name in ("_psi_sweep", "_residue_walk", "delta_theorem1", "delta_psi_product",
+                 "delta_residue"):
+        monkeypatch.setattr(degree_mod, name, refuse)
+    psi, res = "the psi-product", "the residue sum"
+    requests = [
+        (f"{psi} at n=150", lambda: delta_table(150)),
+        ("theorem1 at n=150", lambda: delta_table(150, "theorem1")),
+        (f"{psi} checked by {res} at n=1000", lambda: delta(value, cross_check=True)),
+    ] + [
+        (f"{first} checked by {second} at n={n}",
+         lambda n=n, method=method: delta_table(n, method, cross_check=True))
+        for n in (150, 300)
+        for method, first, second in (("auto", psi, res), ("residue", res, psi))
+    ]
+    for text, request in requests:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             start = time.perf_counter()
-            with pytest.raises(RuntimeWarning, match=f"^{plan} at n=150 is estimated"):
-                delta_table(150, method)
-            assert time.perf_counter() - start < 0.1, method
+            with pytest.raises(RuntimeWarning, match=f"^{text} is estimated to run for"):
+                request()
+            assert time.perf_counter() - start < 0.1, text
     assert built == []
 
 
@@ -1082,6 +1140,20 @@ def test_closed_table_fails_before_any_other_kernel(monkeypatch):
         monkeypatch.setattr(degree_mod, name, refuse)
     with pytest.raises(ValueError, match=r"no closed form applies to \(m=6, n=5, r=2\)"):
         delta_table(5, "closed", cross_check=True)
+
+
+def test_closed_table_refuses_in_bounded_time(monkeypatch):
+    # every row of the ranks before the first that `_closed_rank` rejects has
+    # a closed form, so "closed" names its first failing row from that rank's
+    # rows alone, without listing the table's triples
+    def refuse(n):
+        raise AssertionError(f"valid_triples({n}) ran")
+
+    monkeypatch.setattr(degree_mod, "valid_triples", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^no closed form applies to \(m=498501, n=1000, r=2\)"):
+        delta_table(1000, "closed")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
