@@ -2,7 +2,8 @@
 self-verification suites.
 
 Exit codes: 0 success, 1 a failed verify suite or a delta failing its
-integrality check, 2 invalid triple or usage, 3 cross-check disagreement.
+integrality check, 2 invalid triple or usage, or a request that does not fit
+in memory (one `error: ...` line, no table), 3 cross-check disagreement.
 A RuntimeWarning the library issues (a value or a table estimated at 11 s
 or more, before it starts) goes to standard error as one `warning: ...` line.
 """
@@ -189,6 +190,9 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return EXIT_DISAGREEMENT if isinstance(exc, CrossCheckError) else EXIT_VERIFY_FAILED
     except ValueError as exc:  # InvalidTripleError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (OverflowError, MemoryError) as exc:  # e.g. the psi sweep's 2^(n-1) list
+        print(f"error: the request does not fit in memory ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, prod
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 #: The delta API, re-exported by the package.
@@ -514,15 +515,67 @@ def delta_closed(t: PatakiTriple) -> Union[DegreeResult, None]:
     return found and DegreeResult(t, *found)
 
 
-# The methods each name runs on a row without a closed form, checker second;
+# The routes, one record each.  cost(n, r, k, ell, table) is the estimated
+# nanoseconds of one call on a triple, in O(1): its work units in closed form
+# times the time per unit, calibrated on a 2-core Xeon VM with process start
+# included, so that the requests named below fall exactly on their side of
+# `_BUDGET_NS`.  With `table`, the psi-product is a table's sweep and theorem1
+# every row of rank r, k = ell = r(n-r).  value(t, points) calls the module's
+# kernel at call time, so that a test fake or a tracing wrapper runs.  A table
+# runs work(n, key) once per key share(n, r) and reads rows off it by read(work, t).
+_CLOSED = SimpleNamespace(method=Method.CLOSED_FORM, name="a closed form",
+                          cost=lambda n, r, k, ell, table: 0, share=lambda n, r: r)
+_PSI = SimpleNamespace(
+    method=Method.PSI_PRODUCT, name="the psi-product",
+    # At most 2^n masks, each expanded over at most n indices.  A value's
+    # memo takes 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s
+    # at (169, 25, 12).  A table's sweep of all 2^n masks takes 100 ns a
+    # unit: table 20 took 2.1 s, table 21 4.2 s, table 22 8.7 s.
+    cost=lambda n, r, k, ell, table: (100 if table else 18) * (n << n),
+    value=lambda t, points: delta_psi_product(t),
+    share=lambda n, r: 0, work=lambda n, key: _psi_sweep(n),
+    read=lambda sums, t: _as_positive_integer(sums[t.r][t.ell + comb(t.r, 2)], "psi-product", t),
+)
+_RESIDUE = SimpleNamespace(
+    method=Method.RESIDUE, name="the residue sum",
+    # The multiply-adds of the walk, 70 ns each: 0.76 s at (80, 16, 8),
+    # 0.35 s at (6, 30, 28), 22 s at (9, 40, 37); checked, (145, 19, 9)
+    # took 10.0 s and (143, 20, 7) 9.6 s.  A table walks each rank
+    # once, uncapped at k = ell = r(n-r): table 16 --check took 8.0 s,
+    # table 17 --check 19.6 s.
+    cost=lambda n, r, k, ell, table: 70 * _walk_pushes(n, r, ell, k),
+    value=lambda t, points: delta_residue(t, points),
+    # I and I^c give one term of ranks r and n-r, h series swapped, sign times
+    # (-1)^C(n,2), so rank n-r reads the walk of rank r <= n-r at k times that.
+    share=lambda n, r: min(r, n - r),
+    work=lambda n, r: _residue_walk(_sample_points(n, None), r, range(r * (n - r) + 1)),
+    read=lambda walk, t: _residue_delta(
+        walk[t.ell] if 2 * t.r <= t.n else (-1) ** comb(t.n, 2) * walk[t.k],
+        _sample_points(t.n, None), t),
+)
+_THEOREM1 = SimpleNamespace(
+    method=Method.THEOREM1, name="theorem1",
+    # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
+    # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
+    # (n-r, k), 45 ns each: (3, 10, 8) took 5.4 s, (6, 10, 7) 4.6 s,
+    # (3, 11, 9) 52 s.  C(d+v-1, v-1) d is v C(d+v-1, v), and over every
+    # degree d <= D of a block, for a table's rank, it sums to v C(D+v, v+1).
+    cost=lambda n, r, k, ell, table: 45 * sum(
+        comb(v + 1, 2) * v * comb(d + v - 1 + table, v + table) for v, d in ((r, ell), (n - r, k))),
+    value=lambda t, points: delta_theorem1(t),
+    share=lambda n, r: r, work=lambda n, r: None,
+    read=lambda work, t: delta_theorem1(t).delta,
+)
+
+# The routes each name runs on a row without a closed form, checker second;
 # "closed" is the plan of every row with one.  The psi-product and the residue
 # sum check each other, so theorem1 runs only when it is requested.
 _PLANS = {
-    "auto": (Method.PSI_PRODUCT, Method.RESIDUE),
-    "theorem1": (Method.THEOREM1, Method.RESIDUE),
-    "residue": (Method.RESIDUE, Method.PSI_PRODUCT),
-    "psi_product": (Method.PSI_PRODUCT, Method.RESIDUE),
-    "closed": (Method.CLOSED_FORM, Method.PSI_PRODUCT),
+    "auto": (_PSI, _RESIDUE),
+    "theorem1": (_THEOREM1, _RESIDUE),
+    "residue": (_RESIDUE, _PSI),
+    "psi_product": (_PSI, _RESIDUE),
+    "closed": (_CLOSED, _PSI),
 }
 
 #: The method names `delta` and `delta_table` accept.
@@ -531,81 +584,34 @@ METHODS = tuple(_PLANS)
 #: The estimated nanoseconds from which a request warns before it starts.
 _BUDGET_NS = 11_000_000_000
 
-_NAMES = {
-    Method.CLOSED_FORM: "a closed form",
-    Method.PSI_PRODUCT: "the psi-product",
-    Method.RESIDUE: "the residue sum",
-    Method.THEOREM1: "theorem1",
-}
-
-
-def _cost_ns(method: Method, n: int, r: int, k: int, ell: int, table: bool = False) -> int:
-    """The estimated nanoseconds of one `method` call on a triple, in O(1):
-    its work units in closed form times the time per unit, calibrated on a
-    2-core Xeon VM with process start included, so that the requests named
-    below fall exactly on their side of `_BUDGET_NS`.  With `table`, the
-    psi-product is a table's sweep and theorem1 every row of rank r, k = ell = r(n-r).
-    """
-    if method is Method.PSI_PRODUCT:
-        # At most 2^n masks, each expanded over at most n indices.  A value's
-        # memo takes 18 ns a unit: one value took 8 s at (150, 24, 12), 40 s
-        # at (169, 25, 12).  A table's sweep of all 2^n masks takes 100 ns a
-        # unit: table 20 took 2.1 s, table 21 4.2 s, table 22 8.7 s.
-        return (100 if table else 18) * (n << n)
-    if method is Method.RESIDUE:
-        # The multiply-adds of the walk, 70 ns each: 0.76 s at (80, 16, 8),
-        # 0.35 s at (6, 30, 28), 22 s at (9, 40, 37); checked, (145, 19, 9)
-        # took 10.0 s and (143, 20, 7) 9.6 s.  A table walks each rank
-        # once, uncapped at k = ell = r(n-r): table 16 --check took 8.0 s,
-        # table 17 --check 19.6 s.
-        return 70 * _walk_pushes(n, r, ell, k)
-    if method is Method.THEOREM1:
-        # A bound on the DP pushes of the two h blocks, C(d+v-1, v-1) terms
-        # times C(v+1, 2) forms times d degrees for (v, d) = (r, ell) and
-        # (n-r, k), 45 ns each: (3, 10, 8) took 5.4 s, (6, 10, 7) 4.6 s,
-        # (3, 11, 9) 52 s.  C(d+v-1, v-1) d is v C(d+v-1, v), and over every
-        # degree d <= D of a block, for a table's rank, it sums to v C(D+v, v+1).
-        return 45 * sum(comb(v + 1, 2) * v * comb(d + v - 1 + table, v + table)
-                        for v, d in ((r, ell), (n - r, k)))
-    return 0
-
 
 def _plans(method: str, cross_check: bool) -> tuple[tuple, tuple]:
-    """The methods a row of `method` runs without and with a closed form, checker last."""
+    """The routes a row of `method` runs without and with a closed form, checker last."""
     if method not in _PLANS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return _PLANS[method][:1 + cross_check], _PLANS["closed"][:1 + cross_check]
 
 
-def _kernel(method: Method, t: PatakiTriple, points: Union[SamplePoints, None]) -> DegreeResult:
-    """One kernel call, looked up in this module's globals at call time, so that a
-    kernel replaced on the module (a test fake, a tracing wrapper) is the one that runs."""
-    if method is Method.RESIDUE:
-        return delta_residue(t, points)
-    return (delta_psi_product if method is Method.PSI_PRODUCT else delta_theorem1)(t)
-
-
 def _table_cost_ns(n: int, method: str, cross_check: bool) -> int:
-    """The estimated nanoseconds of `delta_table(n, method, cross_check)`,
-    charged as the rows' elapsed is: the psi sweep to the first rank that
-    runs it, the residue walk of a rank pair to its lower rank, theorem1 to
-    every row.  Each rank costs O(1), so the estimate is O(n)."""
+    """The estimated nanoseconds of `delta_table(n, method, cross_check)`, charged
+    as the rows' elapsed is: each route of a rank's plan at k = ell = r(n-r), once
+    per share key, to the first rank that reads it.  The estimate is O(n)."""
     plan, closed_plan = _plans(method, cross_check)
-    total, swept = 0, False
+    charged = {}
     for r in range(1, n):
-        rank_plan = closed_plan if method == "auto" and _closed_rank(n, r) else plan
         slack = r * (n - r)
-        total += sum(_cost_ns(p, n, r, slack, slack, table=True) for p in rank_plan if not (
-            p is Method.PSI_PRODUCT and swept or p is Method.RESIDUE and r > n - r))
-        swept = swept or Method.PSI_PRODUCT in rank_plan
-    return total
+        for route in closed_plan if method == "auto" and _closed_rank(n, r) else plan:
+            key = route.name, route.share(n, r)
+            if key not in charged:
+                charged[key] = route.cost(n, r, slack, slack, True)
+    return sum(charged.values())
 
 
 def _warn_if_costly(total: int, plan: tuple, n: int) -> None:
-    """Warn when `total` crosses the budget, naming n and the methods of `plan`."""
+    """Warn when `total` crosses the budget, naming n and the routes of `plan`."""
     if total >= _BUDGET_NS:
         warnings.warn(
-            f"{' checked by '.join(_NAMES[p] for p in plan)} at n={n} "
+            f"{' checked by '.join(route.name for route in plan)} at n={n} "
             f"is estimated to run for {total // 10**9} seconds",
             RuntimeWarning,
         )
@@ -614,6 +620,26 @@ def _warn_if_costly(total: int, plan: tuple, n: int) -> None:
 def _no_closed_form(t: PatakiTriple) -> ValueError:
     return ValueError(f"no closed form applies to (m={t.m}, n={t.n}, r={t.r}); "
                       "use auto, psi_product, residue, or theorem1")
+
+
+def _evaluate(rows, plans, closed_of, read):
+    """A timed result per triple of `rows`: the (delta, method) `closed_of(t)`,
+    else `read(route, t)` of its plan's first route, and when checked the
+    plan's second route must agree; elapsed starts after the closed form."""
+    plan, closed_plan = plans
+    first, checked, results, clock = plan[0], len(plan) > 1, [], time.perf_counter
+    for t in rows:
+        closed = closed_of(t)
+        start = clock()
+        value, how = closed or (read(first, t), first.method)
+        if checked:
+            route = (closed_plan if closed else plan)[1]
+            other = read(route, t)
+            if other != value:
+                raise CrossCheckError(DegreeResult(t, value, how),
+                                      DegreeResult(t, other, route.method))
+        results.append(DegreeResult(t, value, how, clock() - start))
+    return results
 
 
 def delta(
@@ -631,32 +657,24 @@ def delta(
     cross_check a second, independent method must agree exactly, else
     CrossCheckError carrying both results is raised: the residue sum checks
     the psi-product and theorem1, and the psi-product checks the residue sum
-    and closed forms, so theorem1 runs only when it is requested.  A
-    request estimated at 11 s or more, checker included, issues one
-    RuntimeWarning before any kernel but a closed form runs; elapsed covers
-    the kernels run after it.  Only the residue sum uses sample points, as
-    the method or as the checker of a psi-product or theorem1 value; given
-    ones are checked whichever method runs, "auto" included, even one that
-    does not use them.
+    and closed forms, so theorem1 runs only when it is requested.  A request
+    estimated at 11 s or more, checker included, issues one RuntimeWarning
+    before any kernel but a closed form runs.  The row runs through a table's
+    row loop, by its routes' value kernels; elapsed covers what runs after
+    the closed form.  Only the residue sum uses sample points, as the method
+    or as the checker of a psi-product or theorem1 value; given ones are
+    checked whichever method runs, "auto" included, even one ignoring them.
     """
-    plan, closed_plan = _plans(method, cross_check)
+    plans = _plans(method, cross_check)
     if points is not None:
         points = _sample_points(t.n, points)
     closed = delta_closed(t) if method in ("auto", "closed") else None
-    if closed:
-        plan = closed_plan
-    elif method == "closed":
+    if not closed and method == "closed":
         raise _no_closed_form(t)
-    _warn_if_costly(sum(_cost_ns(p, t.n, t.r, t.k, t.ell) for p in plan), plan, t.n)
-    # A kernel's result may be one its caller holds (a test fake returns the
-    # same object every call), so the value gets a new, timed result.
-    start = time.perf_counter()
-    result = closed or _kernel(plan[0], t, points)
-    if cross_check:
-        second = _kernel(plan[1], t, points)
-        if second.delta != result.delta:
-            raise CrossCheckError(result, second)
-    return DegreeResult(t, result.delta, result.method, time.perf_counter() - start)
+    plan = plans[bool(closed)]
+    _warn_if_costly(sum(route.cost(t.n, t.r, t.k, t.ell, False) for route in plan), plan, t.n)
+    return _evaluate((t,), plans, lambda _: closed and (closed.delta, closed.method),
+                     lambda route, _: route.value(t, points).delta)[0]
 
 
 def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list[DegreeResult]:
@@ -664,50 +682,28 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
 
     "closed" fails on its first row without a closed form before any other
     kernel, and a table estimated at 11 s or more, checkers included, warns
-    before it lists any row; a failed check raises CrossCheckError.
-    Psi-product rows read one `_psi_sweep` at sums[r][ell + C(r,2)], residue
-    rows one uncapped `_residue_walk` at the default points per pair of
-    ranks, and theorem1 rows call `delta_theorem1` one by one (see
-    `DegreeResult` for elapsed).
+    before it lists any row; a failed check raises CrossCheckError.  Rows
+    run through `delta`'s row loop and share their route's work: psi-product
+    rows read one `_psi_sweep` at sums[r][ell + C(r,2)], residue rows one
+    uncapped `_residue_walk` at the default points per pair of ranks, and
+    theorem1 rows call `delta_theorem1` one by one (see `DegreeResult`).
     """
-    plan, closed_plan = _plans(method, cross_check)
+    plans = _plans(method, cross_check)
     _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
     if method == "closed":
         # every row before the first rank `_closed_rank` rejects has a closed form
         for r in range(1, n):
             if not _closed_rank(n, r):
                 raise _no_closed_form(next(t for t in _rank_triples(n, r) if not _closed_form(t)))
-    _warn_if_costly(_table_cost_ns(n, method, cross_check), plan, n)
-    patterned = method in ("auto", "closed")
-    PSI, RES = Method.PSI_PRODUCT, Method.RESIDUE
-    pts, sums, walks, results, clock = _sample_points(n, None), None, {}, [], time.perf_counter
+    _warn_if_costly(_table_cost_ns(n, method, cross_check), plans[0], n)
+    shared = {}
 
-    def read(kind, t):
-        # row t's value by `kind`: the sweep and each pair's walk run on first use
-        nonlocal sums
-        r = t.r
-        if kind is PSI:
-            sums = sums or _psi_sweep(n)
-            return _as_positive_integer(sums[r][t.ell + comb(r, 2)], "psi-product", t)
-        if kind is RES:
-            # An r-subset I and its complement give one term of ranks r and
-            # n-r, with the h series swapped and the sign times (-1)^C(n,2):
-            # rank n-r reads rank r's numerators reversed, times that sign.
-            # Rank n-r < r has walked: a row and its dual run the same plan.
-            if r not in walks:
-                walks[r] = (_residue_walk(pts, r, range(r * (n - r) + 1)) if r <= n - r else
-                            [(-1) ** comb(n, 2) * s for s in reversed(walks[n - r])])
-            return _residue_delta(walks[r][t.ell], pts, t)
-        return delta_theorem1(t).delta
+    def read(route, t):
+        # a route's work, run once per share key, on the first row that reads it
+        key = route.name, route.share(n, t.r)
+        if key not in shared:
+            shared[key] = route.work(n, key[1])
+        return route.read(shared[key], t)
 
-    for t in valid_triples(n):
-        closed = patterned and _closed_form(t)
-        start = clock()
-        value, how = closed or (read(plan[0], t), plan[0])
-        if cross_check:
-            kind = (closed_plan if closed else plan)[1]
-            other = read(kind, t)
-            if other != value:
-                raise CrossCheckError(DegreeResult(t, value, how), DegreeResult(t, other, kind))
-        results.append(DegreeResult(t, value, how, clock() - start))
-    return results
+    return _evaluate(valid_triples(n), plans,
+                     _closed_form if method in ("auto", "closed") else lambda t: None, read)

@@ -461,6 +461,31 @@ def test_table_invalid_n(capsys):
     assert main(["table", "1"]) == 2
 
 
+@pytest.mark.parametrize("error", [OverflowError, MemoryError])
+def test_table_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch, error):
+    # a psi sweep that cannot be allocated ends the request with exit 2 and
+    # one error line, and prints no table
+    def sweep(n):
+        raise error("cannot allocate")
+
+    monkeypatch.setattr(degree_mod, "_psi_sweep", sweep)
+    assert main(["table", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the request does not fit in memory ({error.__name__})\n"
+
+
+def test_table_64_does_not_fit_in_memory(capsys):
+    # its sweep asks for a list of 2^63 entries, past any index: it warns
+    # first, from its estimate, then reports the error
+    assert main(["table", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["warning", "error"]
+    assert lines[1] == "error: the request does not fit in memory (OverflowError)"
+
+
 def _plus_one_at(sums, at):
     # the sums of a psi sweep, each entry that `at(r, weight)` selects plus one
     return [[s + at(r, w) for w, s in enumerate(row)] for r, row in enumerate(sums)]

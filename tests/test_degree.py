@@ -713,6 +713,26 @@ def test_second_opinions(monkeypatch):
         assert ran == expected, (m, n, r, method)
 
 
+def test_a_value_calls_delta_closed_once_under_auto_and_closed(monkeypatch):
+    # delta_closed is looked up on the module, where the benchmark traces it:
+    # a value calls it exactly once under auto and closed, checked or not,
+    # with or without a closed form, and never under the other methods
+    calls = []
+    real = degree_mod.delta_closed
+    monkeypatch.setattr(degree_mod, "delta_closed", lambda t: calls.append(t) or real(t))
+    for t in (validate_triple(3, 4, 2), validate_triple(6, 5, 3)):
+        for method in METHODS:
+            for cross_check in (False, True):
+                calls.clear()
+                if method == "closed" and real(t) is None:
+                    with pytest.raises(ValueError, match="no closed form"):
+                        delta(t, method, cross_check)
+                else:
+                    delta(t, method, cross_check)
+                expected = [t] if method in ("auto", "closed") else []
+                assert calls == expected, (t, method, cross_check)
+
+
 def test_dispatcher_rejects_bad_method():
     t = validate_triple(6, 5, 3)
     with pytest.raises(ValueError, match="no closed form"):
@@ -799,18 +819,17 @@ def test_delta_table_rejects_an_unknown_method_before_any_row(monkeypatch):
 
 
 def test_delta_table_estimates_each_planned_method_once(monkeypatch):
-    # a value estimates each method of its plan once; a table estimates its
+    # a value estimates each route of its plan once; a table estimates its
     # psi sweep once and the residue walk of each rank r <= n - r that walks
     # once, so neither estimate grows with the number of rows.  Under auto,
     # ranks 1 and n - 1 hold only closed forms and estimate one each.
     calls = []
-    cost_ns = degree_mod._cost_ns
+    for route in (degree_mod._CLOSED, degree_mod._PSI, degree_mod._RESIDUE, degree_mod._THEOREM1):
+        def counted(*args, _method=route.method, _cost=route.cost):
+            calls.append(_method)
+            return _cost(*args)
 
-    def counted(method, *args, **kwargs):
-        calls.append(method)
-        return cost_ns(method, *args, **kwargs)
-
-    monkeypatch.setattr(degree_mod, "_cost_ns", counted)
+        monkeypatch.setattr(route, "cost", counted)
     closed, psi, res = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE
     for n in (5, 9):
         for method, cross_check, expected in (
@@ -836,10 +855,10 @@ def test_table_estimate_is_the_sum_of_its_row_estimates():
     # first row that runs the psi-product, the walk of ranks r and n - r to
     # the first row of rank r <= n - r that runs the residue sum, theorem1 to
     # every row.  A closed rank is one whose every row has a closed form.
-    closed, psi, res, t1 = Method.CLOSED_FORM, Method.PSI_PRODUCT, Method.RESIDUE, Method.THEOREM1
+    closed, psi, res, t1 = (degree_mod._CLOSED, degree_mod._PSI, degree_mod._RESIDUE,
+                            degree_mod._THEOREM1)
     plans = {"auto": (psi, res), "psi_product": (psi, res), "residue": (res, psi),
              "theorem1": (t1, res), "closed": (closed, psi)}
-    cost_ns = degree_mod._cost_ns
     for n in range(2, 13):
         ranks = {}
         for t in valid_triples(n):
@@ -854,11 +873,12 @@ def test_table_estimate_is_the_sum_of_its_row_estimates():
                     plan = plans["closed" if planned else method][:1 + cross_check]
                     slack = t.r * (n - t.r)
                     for p in plan:
+                        key = p.name, p is res and min(t.r, n - t.r)
                         if p is t1:
-                            total += cost_ns(p, n, t.r, t.k, t.ell)
-                        elif p is not closed and (p, p is res and min(t.r, n - t.r)) not in charged:
-                            charged.add((p, p is res and min(t.r, n - t.r)))
-                            total += cost_ns(p, n, t.r, slack, slack, table=True)
+                            total += p.cost(n, t.r, t.k, t.ell, False)
+                        elif p is not closed and key not in charged:
+                            charged.add(key)
+                            total += p.cost(n, t.r, slack, slack, True)
                 estimate = degree_mod._table_cost_ns(n, method, cross_check)
                 assert estimate == total, (n, method, cross_check)
 
