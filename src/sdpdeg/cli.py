@@ -6,6 +6,10 @@ integrality check, 2 invalid triple or usage, or a request that does not fit
 in memory (one `error: ...` line, no table), 3 cross-check disagreement.
 A RuntimeWarning the library issues (a value or a table estimated at 11 s
 or more, before it starts) goes to standard error as one `warning: ...` line.
+
+Each call of `main` builds its parser anew, with the arguments of only the
+subcommand its command line names (see `build_parser`); the help and the
+errors are those of the whole parser.
 """
 
 from __future__ import annotations
@@ -107,7 +111,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Union[Sequence[str], None] = None) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`, or of any command line when None.
+
+    Every subcommand is registered with its help, but only a subcommand whose
+    name is a token of `argv` gets its arguments.  argparse hands the rest of
+    the line only to the subparser named by the command token, so no other is
+    ever parsed: help, usage lines, errors and exit codes are those of the
+    parser with every argument, at about two thirds of its build time.
+    """
+    check_help = (
+        "cross-check with a second independent method: the residue sum checks "
+        "psi_product and theorem1, the psi-product checks residue and closed forms"
+    )
+    # One record per subcommand: its help, its handler, and the name and
+    # options of each of its arguments.
+    commands = {
+        "value": ("compute delta(m, n, r)", cmd_value, (
+            ("m", {"type": int}), ("n", {"type": int}), ("r", {"type": int}),
+            ("--method", {"choices": METHODS, "default": "auto"}),
+            ("--check", {"action": "store_true", "help": check_help}),
+            ("--lambda", {"dest": "lambda_points", "metavar": "L1,...,LN", "help": (
+                "comma-separated distinct rationals for the residue sum, as the "
+                "method or as the --check of a psi_product or theorem1 value; "
+                "every method checks them")}),
+        )),
+        "table": ("all valid (m, r) at a fixed n", cmd_table, (
+            ("n", {"type": int}),
+            ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+            ("--method", {"choices": METHODS, "default": "auto"}),
+            ("--check", {"action": "store_true", "help": check_help}),
+        )),
+        "verify": ("run the self-verification suites", cmd_verify, (
+            ("--suite", {"default": "all", "help": "one suite name, or all (the default)"}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--max-n", {"type": int, "default": 4, "help": "largest n for the cross-methods suite"}),
+        )),
+    }
     parser = argparse.ArgumentParser(
         prog="sdpdeg",
         description=(
@@ -116,45 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    check_help = (
-        "cross-check with a second independent method: the residue sum "
-        "checks psi_product and theorem1, the psi-product checks residue "
-        "and closed forms"
-    )
-
-    value = sub.add_parser("value", help="compute delta(m, n, r)")
-    value.add_argument("m", type=int)
-    value.add_argument("n", type=int)
-    value.add_argument("r", type=int)
-    value.add_argument("--method", choices=METHODS, default="auto")
-    value.add_argument("--check", action="store_true", help=check_help)
-    value.add_argument(
-        "--lambda", dest="lambda_points", metavar="L1,...,LN",
-        help=(
-            "comma-separated distinct rationals for the residue sum, as the "
-            "method or as the --check of a psi_product or theorem1 value; "
-            "every method checks them"
-        ),
-    )
-    value.set_defaults(func=cmd_value)
-
-    table = sub.add_parser("table", help="all valid (m, r) at a fixed n")
-    table.add_argument("n", type=int)
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--method", choices=METHODS, default="auto")
-    table.add_argument("--check", action="store_true", help=check_help)
-    table.set_defaults(func=cmd_table)
-
-    verify = sub.add_parser("verify", help="run the self-verification suites")
-    verify.add_argument(
-        "--suite", default="all", help="one suite name, or all (the default)"
-    )
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--max-n", dest="max_n", type=int, default=4,
-        help="largest n for the cross-methods suite",
-    )
-    verify.set_defaults(func=cmd_verify)
+    for name, (summary, func, arguments) in commands.items():
+        command = sub.add_parser(name, help=summary)
+        if argv is None or name in argv:
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -178,7 +185,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_lambda(argv))
+    args = build_parser(argv).parse_args(_attach_lambda(argv))
     try:
         with warnings.catch_warnings():
             # "default" prints each distinct message once per call of main.

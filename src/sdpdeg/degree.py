@@ -49,7 +49,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, prod
 from types import SimpleNamespace
 from typing import Sequence, Union
@@ -202,11 +202,15 @@ def _rank_triples(n: int, r: int) -> list[PatakiTriple]:
     return out
 
 
-def valid_triples(n: int) -> list[PatakiTriple]:
-    """Every Pataki-valid triple at this n, ordered by (r, m), rank by rank."""
+def _check_n(n: int) -> None:
     _check_int("n", n)
     if n < 2:
         raise InvalidTripleError(f"need n >= 2, got {n}")
+
+
+def valid_triples(n: int) -> list[PatakiTriple]:
+    """Every Pataki-valid triple at this n, ordered by (r, m), rank by rank."""
+    _check_n(n)
     return [t for r in range(1, n) for t in _rank_triples(n, r)]
 
 
@@ -345,10 +349,14 @@ def _walk_pushes(n: int, r: int, cap_x: int, cap_y: int) -> int:
     return cap_x * (n - r + 1) * comb(n + 1, r - 1) + cap_y * (r + 1) * comb(n + 1, r + 2)
 
 
-def _residue_delta(numerator: Coeff, pts: SamplePoints, t: PatakiTriple) -> int:
+def _alternant(pts: SamplePoints) -> Coeff:
+    """a([n]) = prod_{i<j}(l_i - l_j), the residue sum's one denominator."""
+    return prod(pts[i] - pts[j] for i, j in combinations(range(len(pts)), 2))
+
+
+def _residue_delta(numerator: Coeff, whole: Coeff, t: PatakiTriple) -> int:
     """delta from the residue numerator at t's ell: times (-1)^(k + C(r,2)),
-    over a([n]), checked as a positive integer."""
-    whole = prod(pts[i] - pts[j] for i, j in combinations(range(len(pts)), 2))
+    over whole = a([n]), checked as a positive integer."""
     value = (-1) ** (t.k + comb(t.r, 2)) * Fraction(numerator) / whole
     return _as_positive_integer(value, "residue sum", t)
 
@@ -365,7 +373,7 @@ def delta_residue(t: PatakiTriple, points: Union[Sequence[Coeff], None] = None) 
     """
     pts = _sample_points(t.n, points)
     numerators = _residue_walk(pts, t.r, (t.ell,))
-    return DegreeResult(t, _residue_delta(numerators[t.ell], pts, t), Method.RESIDUE)
+    return DegreeResult(t, _residue_delta(numerators[t.ell], _alternant(pts), t), Method.RESIDUE)
 
 
 def _pascal_pairs(n: int) -> list[list[int]]:
@@ -547,11 +555,12 @@ _RESIDUE = SimpleNamespace(
     value=lambda t, points: delta_residue(t, points),
     # I and I^c give one term of ranks r and n-r, h series swapped, sign times
     # (-1)^C(n,2), so rank n-r reads the walk of rank r <= n-r at k times that.
+    # The work is the walk and a([n]) at the default points.
     share=lambda n, r: min(r, n - r),
-    work=lambda n, r: _residue_walk(_sample_points(n, None), r, range(r * (n - r) + 1)),
-    read=lambda walk, t: _residue_delta(
-        walk[t.ell] if 2 * t.r <= t.n else (-1) ** comb(t.n, 2) * walk[t.k],
-        _sample_points(t.n, None), t),
+    work=lambda n, r: (_residue_walk(pts := _sample_points(n, None), r, range(r * (n - r) + 1)),
+                       _alternant(pts)),
+    read=lambda work, t: _residue_delta(
+        work[0][t.ell] if 2 * t.r <= t.n else (-1) ** comb(t.n, 2) * work[0][t.k], work[1], t),
 )
 _THEOREM1 = SimpleNamespace(
     method=Method.THEOREM1, name="theorem1",
@@ -685,11 +694,14 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     before it lists any row; a failed check raises CrossCheckError.  Rows
     run through `delta`'s row loop and share their route's work: psi-product
     rows read one `_psi_sweep` at sums[r][ell + C(r,2)], residue rows one
-    uncapped `_residue_walk` at the default points per pair of ranks, and
-    theorem1 rows call `delta_theorem1` one by one (see `DegreeResult`).
+    uncapped `_residue_walk` at the default points per pair of ranks, with
+    its one a([n]), and theorem1 rows call `delta_theorem1` one by one (see
+    `DegreeResult`).  Each rank's triples are listed only when its rows come
+    up, so a table whose shared work fails on its first rank without closed
+    forms (`table 300`'s psi sweep cannot be allocated) lists no later rank.
     """
     plans = _plans(method, cross_check)
-    _check_int("n", n)  # an n below 2 has no rank to estimate; valid_triples rejects it
+    _check_n(n)
     if method == "closed":
         # every row before the first rank `_closed_rank` rejects has a closed form
         for r in range(1, n):
@@ -705,5 +717,6 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
             shared[key] = route.work(n, key[1])
         return route.read(shared[key], t)
 
-    return _evaluate(valid_triples(n), plans,
-                     _closed_form if method in ("auto", "closed") else lambda t: None, read)
+    rows = chain.from_iterable(_rank_triples(n, r) for r in range(1, n))
+    return _evaluate(rows, plans, _closed_form if method in ("auto", "closed") else lambda t: None,
+                     read)

@@ -61,7 +61,10 @@ def _commands() -> list[str]:
         "value 3 4 2 --method bogus", "table 5 --method bogus", "table 1", "table 0",
         "verify --max-n 8", "verify --suite bogus", "value 3 4",
     ]
-    return tables + edges + readme + refusals + ["verify --max-n 4"]
+    # usage errors argparse reports before any subcommand runs; the line
+    # "" is a bare `sdpdeg`
+    usage = ["", "bogus", "bogus table", "tab 4", "table 5 extra", "--check table 5"]
+    return tables + edges + readme + refusals + ["verify --max-n 4"] + usage
 
 
 COMMANDS = _commands()

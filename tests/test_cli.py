@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import ast
 import csv
 import io
@@ -533,11 +534,15 @@ def _stable_stderr(text):
     return text.splitlines()[-1].replace("'", "") if text.startswith("usage:") else text
 
 
+def _transcript_generator():
+    return runpy.run_path(str(Path(__file__).with_name("data") / "make_cli_transcript.py"))
+
+
 def test_cli_transcript_replays():
     # every command line of the committed transcript, run in process, exits
     # with the recorded code and writes the recorded standard error and the
     # recorded standard output, byte for byte with elapsed_ms masked
-    generator = runpy.run_path(str(Path(__file__).with_name("data") / "make_cli_transcript.py"))
+    generator = _transcript_generator()
     transcript = json.loads(generator["TRANSCRIPT"].read_text())
     assert list(transcript) == generator["COMMANDS"]
     changed = []
@@ -563,16 +568,21 @@ def test_cli_imports_only_the_delta_api_and_methods():
     assert imported <= set(degree_mod.__all__) | {"METHODS"}, imported - set(degree_mod.__all__)
 
 
-def test_readme_command_lines_parse():
-    # every command in the README's command-line block must parse, so that a
-    # removed flag cannot stay documented; none of them is run
+def _readme_commands():
+    # the argv of each command in the README's command-line block
     readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [
+    return [
         shlex.split(line, comments=True)[1:]
         for line in block.splitlines()
         if line.startswith("sdpdeg ")
     ]
+
+
+def test_readme_command_lines_parse():
+    # every command in the README's command-line block must parse, so that a
+    # removed flag cannot stay documented; none of them is run
+    commands = _readme_commands()
     assert len(commands) >= 10
     parser = cli.build_parser()
     for argv in commands:
@@ -580,6 +590,50 @@ def test_readme_command_lines_parse():
             parser.parse_args(cli._attach_lambda(argv))
         except SystemExit:
             raise AssertionError(f"README command does not parse: sdpdeg {shlex.join(argv)}")
+
+
+def test_lazy_parser_behaves_as_the_full_parser(monkeypatch):
+    # a command line builds only the arguments of the subcommands it names;
+    # help, usage errors and results are those of the parser with every
+    # argument, whichever token names the subcommand, or none does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    record = _transcript_generator()["record"]
+    commands = [
+        "-h", "--help", "value -h", "table --help", "verify -h", "-h value",
+        "", "bogus", "bogus table", "tab 4",
+        "table 5 extra", "--check table 5", "-- table 4", "table -- 4",
+        "value 2 3 2 --method residue --lambda -1/2,1,2",
+        "value 2 3 2 --method residue --l -1/2,1,2",
+    ] + [shlex.join(argv) for argv in _readme_commands()]
+    lazy = [record(command) for command in commands]
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    for command, got in zip(commands, lazy):
+        assert got == record(command), command
+    # every help exits 0, every usage error exits 2
+    assert [got["exit"] for got in lazy[:12]] == [0] * 6 + [2] * 6
+
+
+def test_help_lists_each_subcommands_options(capsys):
+    for command, option in (("value", "--lambda"), ("table", "--format"), ("verify", "--max-n")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert option in capsys.readouterr().out, command
+
+
+def test_parser_holds_only_the_named_subcommands_arguments():
+    # every subcommand is registered, with its help, but a table request
+    # builds no argument of value or verify
+    def options(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["value", "table", "verify"]
+        return {name for p in sub.choices.values() for name in p._option_string_actions}
+
+    lazy = options(cli.build_parser(["table", "9", "--format", "json"]))
+    assert {"--format", "--method", "--check"} <= lazy
+    assert "--lambda" not in lazy and "--max-n" not in lazy
+    assert {"--lambda", "--max-n", "--format"} <= options(cli.build_parser())
 
 
 def test_verify_suites(capsys):

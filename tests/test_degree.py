@@ -793,6 +793,44 @@ def test_delta_table_walks_once_per_rank(monkeypatch):
             assert walks == expected, (n, method, cross_check)
 
 
+def test_residue_table_computes_the_alternant_once_per_walk(monkeypatch):
+    # a([n]) at the default points is computed with each pair of ranks' walk
+    # and read by every row of both ranks; a value computes its own once
+    counts = {"_residue_walk": 0, "_alternant": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(degree_mod, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(degree_mod, name, counted)
+    for n in range(2, 10):
+        for method, cross_check in (("residue", False), ("residue", True), ("auto", True)):
+            counts.update(dict.fromkeys(counts, 0))
+            delta_table(n, method, cross_check)
+            # auto checks ranks 1 and n - 1, all closed forms, by the psi-product
+            walked = len(range(2 if method == "auto" else 1, n // 2 + 1))
+            assert counts == {"_residue_walk": walked, "_alternant": walked}, (n, method)
+    for t in valid_triples(6):
+        counts.update(dict.fromkeys(counts, 0))
+        delta_residue(t)
+        assert counts == {"_residue_walk": 1, "_alternant": 1}, t
+
+
+def test_oversized_table_fails_on_its_first_sweep_rank_by_rank(monkeypatch):
+    # table 300's psi sweep cannot be allocated; rank 1 is all closed forms,
+    # so the first row of rank 2 runs the sweep, before rank 3 is listed
+    built = []
+    real = degree_mod._rank_triples
+    monkeypatch.setattr(degree_mod, "_rank_triples", lambda n, r: built.append(r) or real(n, r))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            delta_table(300)
+    assert time.perf_counter() - start < 1
+    assert built == [1, 2]
+
+
 def test_delta_table_matches_the_reference_table():
     reference = _reference()
     for n in range(2, 10):
@@ -973,12 +1011,12 @@ def test_delta_table_computes_the_bounds_once_per_rank(monkeypatch):
 
 
 def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
-    # a table builds one triple per row, in valid_triples and without
+    # a table builds one triple per row, rank by rank and without
     # PatakiTriple's checks, and for each closed, psi-product or residue row
     # only the timed result it returns, checked or not; a value builds only
     # its own triple, and the result of its closed form or kernel, that of
     # its checker, if any, and the timed result it returns
-    sizes = {n: len(valid_triples(n)) for n in range(2, 11)}
+    expected = {n: valid_triples(n) for n in range(2, 11)}
     built = dict.fromkeys((PatakiTriple, DegreeResult), 0)
     for cls in built:
         def counted(self, *args, _cls=cls, _init=cls.__init__):
@@ -986,20 +1024,14 @@ def test_rows_build_one_triple_and_one_timed_result_each(monkeypatch):
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    listed = []
-    real_valid_triples = degree_mod.valid_triples
-    monkeypatch.setattr(degree_mod, "valid_triples",
-                        lambda n: listed.append(real_valid_triples(n)) or listed[-1])
-    for n, rows in sizes.items():
+    for n, triples in expected.items():
         for method in ("auto", "psi_product", "residue"):
             for cross_check in (False, True):
                 built.update(dict.fromkeys(built, 0))
-                listed.clear()
                 results = delta_table(n, method, cross_check)
-                assert built == {PatakiTriple: 0, DegreeResult: rows}, (n, method)
-                [triples] = listed
-                assert len(triples) == rows, (n, method)
-                assert all(res.triple is t for res, t in zip(results, triples)), (n, method)
+                assert built == {PatakiTriple: 0, DegreeResult: len(triples)}, (n, method)
+                assert [res.triple for res in results] == triples, (n, method)
+                assert len({id(res.triple) for res in results}) == len(triples), (n, method)
     for (m, n, r), method in (((4, 4, 2), "auto"), ((6, 5, 3), "auto"), ((6, 5, 3), "residue"),
                               ((6, 5, 3), "theorem1"), ((40, 12, 6), "auto")):
         for cross_check in (False, True):
@@ -1126,7 +1158,7 @@ def test_table_warns_before_it_lists_any_row(monkeypatch):
     init = PatakiTriple.__init__
     monkeypatch.setattr(PatakiTriple, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    monkeypatch.setattr(degree_mod, "valid_triples", lambda n: built.append(n))
+    monkeypatch.setattr(degree_mod, "_rank_triples", lambda n, r: built.append((n, r)))
     for name in ("_psi_sweep", "_residue_walk", "delta_theorem1", "delta_psi_product",
                  "delta_residue"):
         monkeypatch.setattr(degree_mod, name, refuse)
