@@ -7,9 +7,11 @@ in memory (one `error: ...` line, no table), 3 cross-check disagreement.
 A RuntimeWarning the library issues (a value or a table estimated at 11 s
 or more, before it starts) goes to standard error as one `warning: ...` line.
 
-Each call of `main` builds its parser anew, with the arguments of only the
-subcommand its command line names (see `build_parser`); the help and the
-errors are those of the whole parser.
+Each call of `main` builds its parser anew, and builds in full only the
+subcommand its command line names: every other subcommand is registered bare,
+with its name and its help alone (see `build_parser`).  The help and the
+errors are those of the whole parser.  One leading `--` before a subcommand's
+name is dropped, so `sdpdeg -- table 4` is `sdpdeg table 4` on every Python.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
 
 FIELDS = ("m", "n", "r", "k", "l", "delta", "method", "elapsed_ms")
+
+SUBCOMMANDS = ("value", "table", "verify")
 
 
 def _row(result: DegreeResult) -> tuple:
@@ -115,10 +119,11 @@ def build_parser(argv: Union[Sequence[str], None] = None) -> argparse.ArgumentPa
     """The parser of the command line `argv`, or of any command line when None.
 
     Every subcommand is registered with its help, but only a subcommand whose
-    name is a token of `argv` gets its arguments.  argparse hands the rest of
-    the line only to the subparser named by the command token, so no other is
-    ever parsed: help, usage lines, errors and exit codes are those of the
-    parser with every argument, at about two thirds of its build time.
+    name is a token of `argv` is built in full; any other is a bare subparser,
+    with no argument and no -h.  argparse hands the rest of the line only to
+    the subparser named by the command token, so no other is ever parsed:
+    help, usage lines, errors and exit codes are those of the full parser, at
+    about three fifths of its build time.
     """
     check_help = (
         "cross-check with a second independent method: the residue sum checks "
@@ -155,10 +160,13 @@ def build_parser(argv: Union[Sequence[str], None] = None) -> argparse.ArgumentPa
             "restricted to 1 <= r <= n-1; m must lie in the Pataki window."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Given its prog, add_subparsers formats no usage line to derive it; the
+    # parser has no positional argument, so that line would be the prog alone.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (summary, func, arguments) in commands.items():
-        command = sub.add_parser(name, help=summary)
-        if argv is None or name in argv:
+        named = argv is None or name in argv
+        command = sub.add_parser(name, help=summary, add_help=named)
+        if named:
             for flag, options in arguments:
                 command.add_argument(flag, **options)
         command.set_defaults(func=func)
@@ -185,6 +193,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # argparse before 3.13 reads a `--` before the subcommand as its name
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in SUBCOMMANDS:
+        argv = argv[1:]
     args = build_parser(argv).parse_args(_attach_lambda(argv))
     try:
         with warnings.catch_warnings():

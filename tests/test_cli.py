@@ -601,7 +601,7 @@ def test_lazy_parser_behaves_as_the_full_parser(monkeypatch):
     commands = [
         "-h", "--help", "value -h", "table --help", "verify -h", "-h value",
         "", "bogus", "bogus table", "tab 4",
-        "table 5 extra", "--check table 5", "-- table 4", "table -- 4",
+        "table 5 extra", "--check table 5", "-- table 4", "table -- 4", "--", "-- -h",
         "value 2 3 2 --method residue --lambda -1/2,1,2",
         "value 2 3 2 --method residue --l -1/2,1,2",
     ] + [shlex.join(argv) for argv in _readme_commands()]
@@ -622,18 +622,47 @@ def test_help_lists_each_subcommands_options(capsys):
         assert option in capsys.readouterr().out, command
 
 
-def test_parser_holds_only_the_named_subcommands_arguments():
-    # every subcommand is registered, with its help, but a table request
-    # builds no argument of value or verify
-    def options(parser):
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == ["value", "table", "verify"]
-        return {name for p in sub.choices.values() for name in p._option_string_actions}
+def test_parser_holds_only_the_named_subcommands_arguments(monkeypatch):
+    # every subcommand is registered, with its help, but a request builds only
+    # the subcommand it names: any other holds no action, not even -h; and no
+    # build formats a help text (add_subparsers formats a usage line to derive
+    # its prog unless it is given one)
+    formatted = []
+    format_help = argparse.HelpFormatter.format_help
+    monkeypatch.setattr(
+        argparse.HelpFormatter, "format_help", lambda self: formatted.append(self) or format_help(self)
+    )
 
-    lazy = options(cli.build_parser(["table", "9", "--format", "json"]))
-    assert {"--format", "--method", "--check"} <= lazy
-    assert "--lambda" not in lazy and "--max-n" not in lazy
-    assert {"--lambda", "--max-n", "--format"} <= options(cli.build_parser())
+    def subparsers(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli.SUBCOMMANDS) == ["value", "table", "verify"]
+        return sub.choices
+
+    def actions(parser):
+        return {name: len(p._actions) for name, p in subparsers(parser).items()}
+
+    def options(parser):
+        return {name for p in subparsers(parser).values() for name in p._option_string_actions}
+
+    table = cli.build_parser(["table", "9", "--format", "json"])
+    assert {"--format", "--method", "--check"} <= options(table)
+    assert actions(table) == {"value": 0, "table": 5, "verify": 0}
+    assert actions(cli.build_parser(["value", "10", "6", "3", "--check"])) == {
+        "value": 7, "table": 0, "verify": 0,
+    }
+    full = cli.build_parser()
+    assert {"--lambda", "--max-n", "--format"} <= options(full)
+    assert actions(full) == {"value": 7, "table": 5, "verify": 4}
+    assert formatted == []
+
+
+def test_a_leading_double_dash_before_the_subcommand_is_dropped(capsys):
+    # argparse before 3.13 reads a `--` before the subcommand as its name
+    assert main(["table", "4"]) == 0
+    expected = capsys.readouterr()
+    assert main(["--", "table", "4"]) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith("m,n,r,k,l,delta,method\r\n") and expected.err == ""
 
 
 def test_verify_suites(capsys):
