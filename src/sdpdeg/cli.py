@@ -1,9 +1,10 @@
 """Command-line front end: single degree values, full Pataki tables, and the
 self-verification suites.
 
-Exit codes: 0 success, 1 a failed verify suite or a delta failing its
-integrality check, 2 invalid triple or usage, or a request that does not fit
-in memory (one `error: ...` line, no table), 3 cross-check disagreement.
+Exit codes: 0 success, 1 a failed verify suite, a delta failing its
+integrality check or a table rank failing its checksum, 2 invalid triple or
+usage, or a request that does not fit in memory (one `error: ...` line, no
+table), 3 cross-check disagreement.
 A RuntimeWarning the library issues (a value or a table estimated at 11 s
 or more, before it starts) goes to standard error as one `warning: ...` line.
 

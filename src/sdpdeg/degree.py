@@ -88,7 +88,8 @@ class PatakiBoundError(InvalidTripleError):
 
 
 class ConsistencyError(ArithmeticError):
-    """An internal identity failed (non-integral or non-positive degree)."""
+    """An internal identity failed: a non-integral or non-positive degree, or a
+    table rank's checksum."""
 
 
 class CrossCheckError(RuntimeError):
@@ -139,11 +140,8 @@ class PatakiTriple:
     r: int
 
     def __init__(self, m: int, n: int, r: int):
-        # Three entries of type int pass as they are; a bool, an int subclass
-        # or any other type is checked entry by entry, with the same errors.
-        if not (type(m) is type(n) is type(r) is int):
-            for name, value in (("m", m), ("n", n), ("r", r)):
-                _check_int(name, value)
+        for name, value in (("m", m), ("n", n), ("r", r)):
+            _check_int(name, value)
         if m < 1 or n < 1:
             raise InvalidTripleError(f"m and n must be positive, got m={m}, n={n}")
         if not 1 <= r <= n - 1:
@@ -286,13 +284,8 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     return bareiss_det(matrix)
 
 
-def _as_positive_integer(value: Coeff, label: str, t: PatakiTriple) -> int:
-    """value as a positive int, or ConsistencyError naming `label` and `t`."""
-    if not isinstance(value, int):
-        value = Fraction(value)
-        if value.denominator != 1:
-            raise ConsistencyError(f"{label} on {t}: non-integral value {value}")
-        value = value.numerator
+def _as_positive_integer(value: int, label: str, t: PatakiTriple) -> int:
+    """value if positive, else ConsistencyError; `_residue_delta` tests exactness."""
     if value < 1:
         raise ConsistencyError(f"{label} on {t}: non-positive value {value}")
     return value
@@ -355,9 +348,12 @@ def _alternant(pts: SamplePoints) -> Coeff:
 
 
 def _residue_delta(numerator: Coeff, whole: Coeff, t: PatakiTriple) -> int:
-    """delta from the residue numerator at t's ell: times (-1)^(k + C(r,2)),
-    over whole = a([n]), checked as a positive integer."""
-    value = (-1) ** (t.k + comb(t.r, 2)) * Fraction(numerator) / whole
+    """delta from the residue numerator at t's ell: times (-1)^(k + C(r,2)), over
+    whole = a([n]); one divmod of ints or Fractions alike tests exactness here."""
+    value, rest = divmod((-1) ** (t.k + comb(t.r, 2)) * numerator, whole)
+    if rest:
+        raise ConsistencyError(
+            f"residue sum on {t}: non-integral value {value + Fraction(rest, whole)}")
     return _as_positive_integer(value, "residue sum", t)
 
 
@@ -699,6 +695,13 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
     `DegreeResult`).  Each rank's triples are listed only when its rows come
     up, so a table whose shared work fails on its first rank without closed
     forms (`table 300`'s psi sweep cannot be allocated) lists no later rank.
+
+    Every rank of the evaluated table must then pass its checksum: the sum of
+    (-1)^ell delta over the rank is the Gaussian binomial [n choose r] at
+    q = -1, C(n//2, r//2), or 0 when n is even and r odd; a mismatch raises
+    ConsistencyError naming n, r and both sums.  It is not a cross-check: it
+    rests on the psi identity rather than a second route, and a failed sum
+    cannot name its wrong row.
     """
     plans = _plans(method, cross_check)
     _check_n(n)
@@ -718,5 +721,15 @@ def delta_table(n: int, method: str = "auto", cross_check: bool = False) -> list
         return route.read(shared[key], t)
 
     rows = chain.from_iterable(_rank_triples(n, r) for r in range(1, n))
-    return _evaluate(rows, plans, _closed_form if method in ("auto", "closed") else lambda t: None,
-                     read)
+    closed = _closed_form if method in ("auto", "closed") else lambda t: None
+    results = _evaluate(rows, plans, closed, read)
+    found = [0] * n
+    for row in results:
+        found[row.triple.r] += -row.delta if row.triple.ell & 1 else row.delta
+    for r in range(1, n):
+        expected = 0 if r & 1 and not n & 1 else comb(n // 2, r // 2)
+        if found[r] != expected:
+            raise ConsistencyError(
+                f"rank checksum of table n={n} fails at r={r}: "
+                f"sum of (-1)^l delta is {found[r]}, expected {expected}")
+    return results

@@ -203,13 +203,32 @@ def _table_calls(n, kernels):
 def _check_warning_cases(capsys, monkeypatch, cases):
     # A request warns at most once, before its first kernel, naming n and
     # exactly the kernels it runs.  The fakes keep the test fast: a single
-    # value gets the real psi-product's delta, a table row 1.  With the closed
-    # forms off, every row of a table runs the same kernels, and the table
-    # makes exactly the calls of `_table_calls`.
+    # value gets the real psi-product's delta, a table row that of
+    # `checksum_row`.  With the closed forms off, every row of a table runs
+    # the same kernels, and the table makes exactly the calls of `_table_calls`.
     singles = {degree_mod.validate_triple(*map(int, argv[1:4]))
                for argv, *_, value in cases if value is not None}
     known = {t: degree_mod.delta_psi_product(t).delta for t in singles}
+    real = {}  # `known` while a value request runs, empty while a table does
     ran, started = [], []
+
+    def checksum_row(n, r, ell):
+        # 1, but C(n//2, r//2) at ell = 0 of a rank r <= n - r and at k = 0 of
+        # rank n - r when r(n - r) is even: every rank passes its checksum
+        slack = r * (n - r)
+        edge = ell if 2 * r <= n else slack - ell
+        return comb(n // 2, r // 2) if edge == 0 and slack % 2 == 0 else 1
+
+    def row(t):
+        return real.get(t) or checksum_row(t.n, t.r, t.ell)
+
+    def sweep(n):
+        # the sums from which every psi-product row reads `checksum_row`
+        sums = [[1] * (comb(n, 2) + 1) for _ in range(n + 1)]
+        for r in range(1, n):
+            for ell in range(r * (n - r) + 1):
+                sums[r][ell + comb(r, 2)] = checksum_row(n, r, ell)
+        return sums
 
     def fake(name, value):
         def kernel(*args):
@@ -219,26 +238,29 @@ def _check_warning_cases(capsys, monkeypatch, cases):
 
         return kernel
 
-    def walk_of_ones(pts, r, ells):
-        # the numerators from which every residue row of the rank reads 1
+    def walk(pts, r, ells):
+        # the numerators from which every residue row of ranks r and n - r
+        # reads `checksum_row`
         n = len(pts)
         whole = prod(pts[i] - pts[j] for j in range(n) for i in range(j))
         slack = r * (n - r)
-        return [(-1) ** (slack - ell + comb(r, 2)) * whole for ell in range(slack + 1)]
+        return [(-1) ** (slack - ell + comb(r, 2)) * whole * checksum_row(n, r, ell)
+                for ell in range(slack + 1)]
 
     value_kernels = {_PSI: "delta_psi_product", _RES: "delta_residue", _T1: "delta_theorem1"}
     for name, value in (
-        ("delta_psi_product", lambda t: DegreeResult(t, known.get(t, 1), _PSI)),
-        ("delta_residue", lambda t, points=None: DegreeResult(t, known.get(t, 1), _RES)),
-        ("delta_theorem1", lambda t: DegreeResult(t, known.get(t, 1), _T1)),
-        ("_psi_sweep", lambda n: [[1] * (comb(n, 2) + 1)] * (n + 1)),
-        ("_residue_walk", walk_of_ones),
+        ("delta_psi_product", lambda t: DegreeResult(t, row(t), _PSI)),
+        ("delta_residue", lambda t, points=None: DegreeResult(t, row(t), _RES)),
+        ("delta_theorem1", lambda t: DegreeResult(t, row(t), _T1)),
+        ("_psi_sweep", sweep),
+        ("_residue_walk", walk),
     ):
         monkeypatch.setattr(degree_mod, name, fake(name, value))
     monkeypatch.setattr(degree_mod, "_closed_pattern", lambda m, n, r: None)
     for argv, kernels, text, value in cases:
         ran.clear()
         started.clear()
+        real = known if argv[0] == "value" else {}
         assert main(argv) == 0, argv
         captured = capsys.readouterr()
         if argv[0] == "value":
@@ -512,6 +534,23 @@ def test_table_check_catches_a_wrong_kernel(capsys, monkeypatch, kernel, make_wr
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "method disagreement" in captured.err
+
+
+def test_table_rank_checksum_catches_a_wrong_row(capsys, monkeypatch):
+    # the psi-product row at ell = 3 of rank 2 at n = 6, not a closed form,
+    # plus one: unchecked, no route disagrees, but the rank's alternating sum
+    # misses C(3, 1) = 3, and the table exits 1 with no row printed
+    sweep = degree_mod._psi_sweep
+    monkeypatch.setattr(degree_mod, "_psi_sweep", lambda n: _plus_one_at(
+        sweep(n), lambda r, w: (r, w) == (2, 3 + comb(2, 2))))
+    expected = "rank checksum of table n=6 fails at r=2: sum of (-1)^l delta is 2, expected 3"
+    with pytest.raises(degree_mod.ConsistencyError) as err:
+        degree_mod.delta_table(6)
+    assert str(err.value) == expected
+    assert main(["table", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}\n"
 
 
 def test_table_duality_violation_prints_no_table(capsys, monkeypatch):

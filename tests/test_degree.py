@@ -114,9 +114,9 @@ def test_triple_and_result_are_frozen_dataclasses():
     assert DegreeResult(t, 10, Method.RESIDUE) == DegreeResult(t, 10, Method.RESIDUE, None)
 
 
-def test_triple_checks_every_entry_unless_all_are_int(monkeypatch):
-    # three entries of type int skip _check_int; a bool, a float, a string or
-    # an int subclass goes through it, with the same errors as ever
+def test_triple_checks_every_entry(monkeypatch):
+    # every entry goes through _check_int, exact ints too; a bool, a float or
+    # a string fails it, and an int subclass passes with the same errors as ever
     class Count(int):
         pass
 
@@ -125,7 +125,7 @@ def test_triple_checks_every_entry_unless_all_are_int(monkeypatch):
     monkeypatch.setattr(
         degree_mod, "_check_int", lambda name, value: checked.append(name) or check_int(name, value)
     )
-    assert PatakiTriple(3, 4, 2).k == 0 and checked == []
+    assert PatakiTriple(3, 4, 2).k == 0 and checked == ["m", "n", "r"]
     for args, error, message in (
         ((True, 4, 2), InvalidTripleError, "m must be a positive integer, got True"),
         ((3, True, 2), InvalidTripleError, "n must be a positive integer, got True"),
@@ -637,6 +637,29 @@ def test_integrality_guard_rejects_a_non_integral_value(monkeypatch):
         delta_residue(validate_triple(6, 5, 3))
 
 
+def test_integrality_guard_rejects_a_non_integral_value_at_rational_points(monkeypatch):
+    # The same fault at rational points: numerator and a([n]) are Fractions,
+    # and the one divmod of `_residue_delta` finds the remainder all the same.
+    points = (Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 4), Fraction(7, 6))
+    t = validate_triple(6, 5, 3)
+    exact = delta_residue(t, points).delta
+    assert (exact, type(exact)) == (290, int)
+    calls = []
+    push = degree_mod._push
+
+    def off_once(h, values):
+        calls.append(values)
+        out = push(h, values)
+        if len(calls) == 1:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(degree_mod, "_push", off_once)
+    expected = r"residue sum on PatakiTriple\(m=6, n=5, r=3\): non-integral value 2396/7$"
+    with pytest.raises(ConsistencyError, match=expected):
+        delta_residue(t, points)
+
+
 def test_closed_examples():
     assert delta_closed(validate_triple(2, 3, 2)).delta == 6
     for n in range(2, 7):
@@ -765,6 +788,34 @@ def test_residue_table_equals_the_psi_sweep():
             t = row.triple
             assert row.method is Method.RESIDUE
             assert row.delta == sums[t.r][t.ell + comb(t.r, 2)], t
+
+
+def _gaussian_binomials_at_minus_one(n):
+    # [n choose r] at q = -1 for r = 0..n, by the q-Pascal rule
+    # [n choose r] = [n-1 choose r-1] + q^r [n-1 choose r]
+    row = [1]
+    for size in range(1, n + 1):
+        row = [(row[r - 1] if r else 0) + (-1) ** r * (row[r] if r < size else 0)
+               for r in range(size + 1)]
+    return row
+
+
+def test_rank_checksums_are_gaussian_binomials_at_minus_one():
+    # sum over a rank of (-1)^ell delta is [n choose r] at q = -1, which is
+    # C(n//2, r//2), or 0 at even n and odd r: on every rank of the psi sweep
+    # up to n = 14, and of a residue table up to n = 10
+    for n in range(2, 15):
+        expected = _gaussian_binomials_at_minus_one(n)
+        assert expected == [0 if r % 2 > n % 2 else comb(n // 2, r // 2) for r in range(n + 1)]
+        sums = degree_mod._psi_sweep(n)
+        for r in range(1, n):
+            found = sum((-1) ** ell * sums[r][ell + comb(r, 2)] for ell in range(r * (n - r) + 1))
+            assert found == expected[r], (n, r)
+        if n <= 10:
+            found = [0] * n
+            for row in delta_table(n, "residue"):
+                found[row.triple.r] += (-1) ** row.triple.ell * row.delta
+            assert found[1:] == expected[1:n], n
 
 
 def test_delta_table_walks_once_per_rank(monkeypatch):
