@@ -4,7 +4,9 @@ self-verification suites.
 Exit codes: 0 success, 1 a failed verify suite, a delta failing its
 integrality check or a table rank failing its checksum, 2 invalid triple or
 usage, or a request that does not fit in memory (one `error: ...` line, no
-table), 3 cross-check disagreement.
+table), 3 cross-check disagreement, 141 (128 + SIGPIPE) standard output
+closed by its reader, as by `sdpdeg table 16 --format json | head -1`, with
+nothing on standard error.
 A RuntimeWarning the library issues (a value or a table estimated at 11 s
 or more, before it starts) goes to standard error as one `warning: ...` line.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a C writer
 
 FIELDS = ("m", "n", "r", "k", "l", "delta", "method", "elapsed_ms")
 
@@ -116,15 +120,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser(argv: Union[Sequence[str], None] = None) -> argparse.ArgumentParser:
-    """The parser of the command line `argv`, or of any command line when None.
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`.
 
     Every subcommand is registered with its help, but only a subcommand whose
     name is a token of `argv` is built in full; any other is a bare subparser,
     with no argument and no -h.  argparse hands the rest of the line only to
     the subparser named by the command token, so no other is ever parsed:
-    help, usage lines, errors and exit codes are those of the full parser, at
-    about three fifths of its build time.
+    help, usage lines, errors and exit codes are those of the full parser,
+    `build_parser(SUBCOMMANDS)`, at about three fifths of its build time.
     """
     check_help = (
         "cross-check with a second independent method: the residue sum checks "
@@ -165,7 +169,7 @@ def build_parser(argv: Union[Sequence[str], None] = None) -> argparse.ArgumentPa
     # parser has no positional argument, so that line would be the prog alone.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (summary, func, arguments) in commands.items():
-        named = argv is None or name in argv
+        named = name in argv
         command = sub.add_parser(name, help=summary, add_help=named)
         if named:
             for flag, options in arguments:
@@ -203,7 +207,14 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
             # "default" prints each distinct message once per call of main.
             warnings.simplefilter("default", RuntimeWarning)
             warnings.showwarning = _print_warning
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output.  Point its descriptor at devnull,
+        # so that the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CrossCheckError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT if isinstance(exc, CrossCheckError) else EXIT_VERIFY_FAILED

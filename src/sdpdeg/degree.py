@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb, prod
 from types import SimpleNamespace
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 #: The delta API, re-exported by the package.
 __all__ = [
@@ -189,15 +189,14 @@ def validate_triple(m: int, n: int, r: int) -> PatakiTriple:
     return PatakiTriple(m, n, r)
 
 
-def _rank_triples(n: int, r: int) -> list[PatakiTriple]:
-    """The triples of rank r at n, ordered by m, built from the rank's bounds,
-    computed once, without `PatakiTriple`'s checks."""
+def _rank_triples(n: int, r: int) -> Iterator[PatakiTriple]:
+    """The triples of rank r at n, ordered by m, each built when it is reached,
+    from the rank's bounds, without `PatakiTriple`'s checks."""
     lower, upper = _pataki_bounds(n, r)
-    out = []
     for m in range(lower, upper + 1):
-        out.append(t := PatakiTriple.__new__(PatakiTriple))
+        t = PatakiTriple.__new__(PatakiTriple)
         t.__dict__.update(m=m, n=n, r=r, k=m - lower, ell=upper - m)
-    return out
+        yield t
 
 
 def _check_n(n: int) -> None:

@@ -12,7 +12,7 @@ Every polynomial belongs to a VariableSpace fixing the ordered variable
 list; mixing spaces raises.  The zero polynomial is the empty term map.
 
 Values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+functions.
 """
 
 from __future__ import annotations
@@ -253,20 +253,8 @@ class SparsePolynomial:
 def product_coefficient(
     a: SparsePolynomial, b: SparsePolynomial, monomial: Iterable[int]
 ) -> Coeff:
-    """Coefficient of one monomial in a*b without forming the product."""
-    if a.space != b.space:
-        raise ValueError("polynomials live in different variable spaces")
-    target = a.space.monomial(monomial)
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    total: Coeff = 0
-    for mono, c in small._terms.items():
-        rest = tuple(map(int.__sub__, target, mono))
-        if any(x < 0 for x in rest):
-            continue
-        cb = big._terms.get(rest)
-        if cb is not None:
-            total += c * cb
-    return total
+    """Coefficient of one monomial in a*b, read off the product."""
+    return (a * b).coefficient_of(monomial)
 
 
 def pairwise_sum_forms(

@@ -155,6 +155,22 @@ def test_interpreter_exits_with_the_code_of_main(argv, code, out, err):
     assert re.fullmatch(err, done.stderr, re.DOTALL), done.stderr
 
 
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr():
+    # table 16's JSON is 112 KB, past a 64 KB pipe buffer, so writing the rest
+    # after the reader has closed the pipe fails every time
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sdpdeg.cli", "table", "16", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 @pytest.mark.filterwarnings("ignore:'sdpdeg.cli' found in sys.modules:RuntimeWarning")
 def test_main_module_exits_3_on_a_disagreement(capsys, monkeypatch):
     # a closed form faked to give 1 at r = n - 1 disagrees with its check
@@ -623,7 +639,7 @@ def test_readme_command_lines_parse():
     # removed flag cannot stay documented; none of them is run
     commands = _readme_commands()
     assert len(commands) >= 10
-    parser = cli.build_parser()
+    parser = cli.build_parser(cli.SUBCOMMANDS)
     for argv in commands:
         try:
             parser.parse_args(cli._attach_lambda(argv))
@@ -646,7 +662,7 @@ def test_lazy_parser_behaves_as_the_full_parser(monkeypatch):
     ] + [shlex.join(argv) for argv in _readme_commands()]
     lazy = [record(command) for command in commands]
     full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser(cli.SUBCOMMANDS))
     for command, got in zip(commands, lazy):
         assert got == record(command), command
     # every help exits 0, every usage error exits 2
@@ -689,7 +705,7 @@ def test_parser_holds_only_the_named_subcommands_arguments(monkeypatch):
     assert actions(cli.build_parser(["value", "10", "6", "3", "--check"])) == {
         "value": 7, "table": 0, "verify": 0,
     }
-    full = cli.build_parser()
+    full = cli.build_parser(cli.SUBCOMMANDS)
     assert {"--lambda", "--max-n", "--format"} <= options(full)
     assert actions(full) == {"value": 7, "table": 5, "verify": 4}
     assert formatted == []

@@ -1259,6 +1259,17 @@ def test_closed_table_refuses_in_bounded_time(monkeypatch):
     assert time.perf_counter() - start < 0.1
 
 
+def test_closed_table_refuses_from_its_first_row_without_a_closed_form():
+    # a rank's triples are built one at a time, so the refusal builds only the
+    # first row of rank 2, not all 2n - 3 of them
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError, match=r"^no closed form applies to \(m=499998500001, n=1000000, r=2\)"
+    ):
+        delta_table(10**6, "closed")
+    assert time.perf_counter() - start < 1
+
+
 def test_methods_call_the_residue_kernel_on_the_module(monkeypatch):
     # auto and psi_product run the psi-product kernel, residue the residue
     # kernel, each looked up on the module at call time
