@@ -6,8 +6,8 @@ enumerated outright, products are formed without caps, alternants are
 written out by their definition, and none of it reuses the optimized degree
 algorithms these checks validate.  Only the CLI's `verify` command and the
 tests import this module.  `random_polynomial` draws the seeded test
-polynomials, and `pairwise_sums` lists the pairwise sums Lambda of the
-residue sum for its per-subset oracle.
+polynomials, `pairwise_sums` lists the pairwise sums Lambda of the residue
+sum, and `difference_product` multiplies out Theorem 1's difference products.
 
 Besides the brute-force oracles it holds the Schur-basis constructions,
 labelled by index sets (the strictly increasing tuples `psi` takes), which
@@ -139,31 +139,26 @@ def doubly_symmetric_sum(
     return total
 
 
-def d_coefficient(p: SparsePolynomial, r: int, n: int) -> Coeff:
-    """Coefficient of (x_1...y_{n-r})^(n-1) in P times the difference products.
+def difference_product(
+    space: VariableSpace, pairs: Iterable[tuple[int, int]]
+) -> SparsePolynomial:
+    """The product of v_i - v_j over the ordered index pairs (i, j), factor by factor."""
+    full = space.one()
+    for i, j in pairs:
+        full = full * (space.variable(i) - space.variable(j))
+    return full
 
-    The multiplier is prod_{j!=i}(x_i-x_j) * prod_{j!=i}(y_i-y_j) *
-    prod_{i,j}(y_i - x_j), formed here without caps or reordering.
-    """
+
+def d_coefficient(p: SparsePolynomial, r: int, n: int) -> Coeff:
+    """Coefficient of (x_1...y_{n-r})^(n-1) in P * prod_{i!=j}(x_i - x_j) *
+    prod_{i!=j}(y_i - y_j) * prod(y_i - x_j), Theorem 1's difference product:
+    `difference_product` over every ordered pair of distinct variables but an
+    x before a y, formed without caps or reordering."""
     space = p.space
     if space.arity != n:
         raise ValueError(f"polynomial has arity {space.arity}, expected {n}")
-    s = n - r
-    xs = [space.variable(i) for i in range(r)]
-    ys = [space.variable(r + i) for i in range(s)]
-    full = p
-    for i in range(r):
-        for j in range(r):
-            if i != j:
-                full = full * (xs[i] - xs[j])
-    for i in range(s):
-        for j in range(s):
-            if i != j:
-                full = full * (ys[i] - ys[j])
-    for i in range(s):
-        for j in range(r):
-            full = full * (ys[i] - xs[j])
-    return full.coefficient_of((n - 1,) * n)
+    pairs = ((i, j) for i, j in permutations(range(n), 2) if not i < r <= j)
+    return (p * difference_product(space, pairs)).coefficient_of((n - 1,) * n)
 
 
 def random_polynomial(
@@ -451,12 +446,7 @@ def run_identities(seed: int = 0, max_n: int = 0) -> SuiteReport:
             )
 
     for r in range(1, 4):
-        space = x_space(r)
-        vsq = space.one()
-        for i in range(r):
-            for j in range(r):
-                if i != j:
-                    vsq = vsq * (space.variable(i) - space.variable(j))
+        vsq = difference_product(x_space(r), permutations(range(r), 2))
         for n in range(r + 1, 6):
             target = (n - 1,) * r
             for I in index_sets(r * (n - r), r):

@@ -263,13 +263,11 @@ def h_determinant(values: Sequence[Coeff], k: int) -> Coeff:
     """h_k of a multiset of numbers as the k x k determinant in e_1..e_k.
 
     Entry (i, j) is e_{j-i+1} (1 on the subdiagonal, 0 below), evaluated by
-    fraction-free Bareiss; h_0 is the empty determinant 1.  It is the test
+    fraction-free Bareiss; h_0 is the empty determinant, 1.  It is the test
     oracle of `_push`, from which the residue walk reads h.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return 1
     from .schur import bareiss_det
 
     e: list[Coeff] = [1] + [0] * k
@@ -440,11 +438,11 @@ def _psi_sweep(n: int) -> list[list[int]]:
     complement, and adds the product under both I and I^c.  sum(I) is a
     running sum: the next mask swaps 0..j-1 for j, the lowest index not in I.
     """
-    expand, pairs = _psi_expand, _pascal_pairs(n)
     top = 1 << (n - 1)
     full, sum_all = 2 * top - 1, comb(n, 2)
-    psi = [1] * top
+    psi = [1] * top  # first, so that a sweep too large to hold fails at once
     sums = [[0] * (sum_all + 1) for _ in range(n + 1)]
+    expand, pairs = _psi_expand, _pascal_pairs(n)
     for mask in range(1, top):
         psi[mask] = expand(mask, psi, pairs)
     step = [j - comb(j, 2) for j in range(n + 1)]

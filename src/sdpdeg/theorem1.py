@@ -13,17 +13,17 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 
-def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """h_d over the forms x_i + x_j (i <= j) of r variables, as {exponents:
-    coefficient}, without the terms above `cap` in some variable.
+def _pair_sum_h(d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """h_d over the forms x_i + x_j (i <= j) of len(cap) variables, as
+    {exponents: coefficient}, without the terms above `cap` in some variable.
 
     One form at a time, degrees ascending: h_deg += (x_i + x_j) h_{deg-1}.
     Coefficients are positive and exponents only grow, so a term dropped at
     the cap could never come back within it.  Its test oracle is
     `polynomial.complete_homogeneous`.
     """
-    h = [{(0,) * r: 1}] + [{} for _ in range(d)]
-    for i, j in combinations_with_replacement(range(r), 2):
+    h = [{(0,) * len(cap): 1}] + [{} for _ in range(d)]
+    for i, j in combinations_with_replacement(range(len(cap)), 2):
         for deg in range(1, d + 1):
             out = h[deg]
             for e, c in h[deg - 1].items():
@@ -34,17 +34,17 @@ def _pair_sum_h(r: int, d: int, cap: Sequence[int]) -> dict[tuple[int, ...], int
     return h[d]
 
 
-def _by_exponent_set(v: int, d: int, target: Sequence[int]) -> dict[int, int]:
-    """`_pair_sum_h(v, d, target)` as {bitmask of the set of e: sum of sgn(e) c}
-    over its terms c x^alpha, e = target - alpha; a term whose e repeats an
-    exponent cancels in the Vandermonde and is dropped."""
+def _by_exponent_set(d: int, target: Sequence[int]) -> dict[int, int]:
+    """`_pair_sum_h(d, target)` as {bitmask of the set of e: sum of sgn(e) c}
+    over its terms c x^alpha, e = target - alpha; a term whose set of e has
+    fewer than len(target) elements cancels in the Vandermonde and is dropped."""
     out: dict[int, int] = {}
-    for alpha, c in _pair_sum_h(v, d, target).items():
+    for alpha, c in _pair_sum_h(d, target).items():
         mask = inversions = 0
         for i in map(int.__sub__, target, alpha):
             inversions += (mask >> i).bit_count()  # earlier exponents above i
             mask |= 1 << i
-        if mask.bit_count() == v:
+        if mask.bit_count() == len(target):
             out[mask] = out.get(mask, 0) + (-1) ** inversions * c
     return out
 
@@ -60,7 +60,7 @@ def theorem1_sum(n: int, r: int, k: int, ell: int) -> int:
     S of {0..n-1}: every S met has sum(S) - C(r,2) = k, so the sign that
     shuffles e_x and e_y together cancels the theorem's (-1)^k.
     """
-    x = _by_exponent_set(r, ell, tuple(range(n - r, n)))
-    y = _by_exponent_set(n - r, k, tuple(range(r, n)))
+    x = _by_exponent_set(ell, tuple(range(n - r, n)))
+    y = _by_exponent_set(k, tuple(range(r, n)))
     full = (1 << n) - 1
     return sum(c * y.get(full ^ mask, 0) for mask, c in x.items())

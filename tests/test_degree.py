@@ -513,7 +513,7 @@ def test_pair_sum_h_is_complete_homogeneous_truncated_at_the_cap():
                 truncated = {
                     e: c for e, c in full.items() if all(map(int.__le__, e, cap))
                 }
-                assert theorem1_mod._pair_sum_h(r, d, cap) == truncated, (r, d, cap)
+                assert theorem1_mod._pair_sum_h(d, cap) == truncated, (r, d, cap)
 
 
 def test_theorem1_multiplies_within_one_block(monkeypatch):
@@ -527,9 +527,9 @@ def test_theorem1_multiplies_within_one_block(monkeypatch):
     pair_sum_h = theorem1_mod._pair_sum_h
     calls = []
 
-    def counted(r, d, cap):
-        calls.append((r, d, tuple(cap)))
-        return pair_sum_h(r, d, cap)
+    def counted(d, cap):
+        calls.append((len(cap), d, tuple(cap)))
+        return pair_sum_h(d, cap)
 
     monkeypatch.setattr(theorem1_mod, "_pair_sum_h", counted)
     for (m, n, r), expected in (
@@ -558,7 +558,7 @@ def test_theorem1_blocks_are_psi_at_the_reflected_sets():
         for t in valid_triples(n):
             r = t.r
             for v, d, target in ((r, t.ell, range(n - r, n)), (n - r, t.k, range(r, n))):
-                block = theorem1_mod._by_exponent_set(v, d, tuple(target))
+                block = theorem1_mod._by_exponent_set(d, tuple(target))
                 assert block, (t, v)
                 for mask, value in block.items():
                     reflected = sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
@@ -880,6 +880,17 @@ def test_oversized_table_fails_on_its_first_sweep_rank_by_rank(monkeypatch):
             delta_table(300)
     assert time.perf_counter() - start < 1
     assert built == [1, 2]
+
+
+def test_psi_sweep_too_large_to_hold_fails_before_its_triangle(monkeypatch):
+    # The sweep allocates its 2^(n-1) psi values before the Pascal triangle of
+    # about n^2/2 integers, so a table too large to sweep fails at once.
+    def refuse(n):
+        raise AssertionError("the triangle was built before the sweep's lists")
+
+    monkeypatch.setattr(degree_mod, "_pascal_pairs", refuse)
+    with pytest.raises(OverflowError):
+        degree_mod._psi_sweep(5000)
 
 
 def test_delta_table_matches_the_reference_table():

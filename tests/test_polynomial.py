@@ -208,7 +208,12 @@ def test_product_coefficient_pruning_soundness():
         a = _random_poly(rng, sp)
         b = _random_poly(rng, sp)
         target = tuple(rng.randint(0, 4) for _ in range(3))
-        assert product_coefficient(a, b, target) == (a * b).coefficient_of(target)
+        # the definition sum_e a_e * b_(target - e), with no product formed
+        expected = sum(
+            c * b.coefficient_of(tuple(map(int.__sub__, target, e)))
+            for e, c in a.terms.items() if all(map(int.__le__, e, target))
+        )
+        assert product_coefficient(a, b, target) == expected
 
 
 def test_str_rendering():
